@@ -20,7 +20,6 @@ from .losses import (
     CERTIFIED_MODES,
     CertificationResult,
     GradMode,
-    GradientReport,
     LossBreakdown,
     backward,
     certify_gradients,
@@ -42,7 +41,6 @@ __all__ = [
     "DataFormatError",
     "EvalReport",
     "GradMode",
-    "GradientReport",
     "Hyperparams",
     "LossBreakdown",
     "ModelParams",

@@ -70,8 +70,8 @@ _SYNTH_RANGES = {
 
 _HP_SCALARS = {
     "lam": float, "beta": float, "k": int, "epsilon": float, "rho_cls": float,
-    "nms_iou": float, "embed_dim": int, "kernel_size": int, "t_train": int,
-    "iterations": int, "gauss_sigma": float, "gauss_radius": int,
+    "nms_iou": float, "embed_dim": int, "kernel_size": int, "iterations": int,
+    "gauss_sigma": float, "gauss_radius": int,
     "stop_gradient_targets": bool,
 }
 

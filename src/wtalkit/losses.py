@@ -19,6 +19,10 @@ The smoothed / softened counterparts in the continuity losses are constant
 targets by default (mutual learning); `Hyperparams.stop_gradient_targets`
 switches full backpropagation through them on, and the finite-difference
 oracle respects whichever convention is configured.
+
+`backward` is the one analytic gradient: it runs a whole batch as packed
+rows. The per-video `forward` and `compute_losses` stay as the inference path
+and as the independent loss that the finite-difference oracle differentiates.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import numpy as np
 
 from .errors import NumericError
 from .model import (
+    MODALITIES,
+    NORMALIZER_FLOOR,
     ForwardOutputs,
     Hyperparams,
     ModalityParams,
@@ -39,13 +45,19 @@ from .model import (
 )
 from .numerics import (
     finite_diff_grad,
+    gaussian_kernel,
     gaussian_smooth,
-    gaussian_smooth_transpose,
+    packed_windows,
+    sigmoid,
     softmax,
 )
 from .ten import SamplePlan, make_plan, tcb_forward_full
 
 LOG_FLOOR = 1e-12
+# Budget of one chunk's packed window matrix (sum of T * K * D), in float64
+# cells: 2 MiB. A whole golden batch fits; each long video runs alone, so
+# packing never grows the working set beyond one video's.
+CHUNK_CELLS = 1 << 18
 
 
 class GradMode(enum.Enum):
@@ -76,24 +88,6 @@ class LossBreakdown:
     kl: float
     bvl: float
     total: float
-
-
-@dataclass
-class GradientReport:
-    """Gradients mirroring ModelParams, plus per-snippet diagnostics.
-
-    `att_factors_*` are the per-snippet multipliers of the embedded feature in
-    the background-path attention gradient as it enters the joint loss
-    (weighted by the background-loss weight): positive values push the snippet
-    toward background.
-    """
-
-    grads: ModelParams
-    att_factors_rgb: np.ndarray
-    att_factors_flow: np.ndarray
-
-    def to_vector(self) -> np.ndarray:
-        return self.grads.to_vector()
 
 
 def full_label(video_label: np.ndarray) -> np.ndarray:
@@ -207,141 +201,166 @@ def compute_losses(bb: ForwardOutputs, tcb: ForwardOutputs | None, video_label: 
     return LossBreakdown(fg=l_fg, bg=l_bg, att=l_att, kl=l_kl, bvl=l_bvl, total=total)
 
 
-def _zero_like(params: ModelParams) -> dict:
-    out = {}
-    for name in ("rgb", "flow"):
-        m = params.modality(name)
-        out[name] = {
-            "w_embed": np.zeros_like(m.w_embed),
-            "b_embed": np.zeros_like(m.b_embed),
-            "w_cls": np.zeros_like(m.w_cls),
-            "b_cls": np.zeros_like(m.b_cls),
-            "w_att": np.zeros_like(m.w_att),
-            "b_att": 0.0,
-        }
-    return out
+def _chunks(videos: list, kernel_size: int):
+    """(start, stop) of each maximal run of consecutive videos whose packed
+    window matrix fits in CHUNK_CELLS float64 cells; a video larger than
+    that runs alone."""
+    start, used = 0, 0
+    for i, v in enumerate(videos):
+        cells = v.x_rgb.shape[0] * kernel_size * v.x_rgb.shape[1]
+        if i > start and used + cells > CHUNK_CELLS:
+            yield start, i
+            start, used = i, 0
+        used += cells
+    yield start, len(videos)
 
 
-def _head_backward(out: ForwardOutputs, d_y: np.ndarray, d_a: np.ndarray,
-                   params: ModelParams, acc: dict) -> None:
-    """Push fused-level gradients through both modality heads (0.5 fusion)."""
-    branch = {
-        "rgb": (out.xe_rgb, out.z_rgb, out.windows_rgb, out.a_rgb),
-        "flow": (out.xe_flow, out.z_flow, out.windows_flow, out.a_flow),
-    }
-    for name in ("rgb", "flow"):
-        xe, z, win, a_m = branch[name]
-        p = params.modality(name)
-        g = acc[name]
-        d_y_m = 0.5 * d_y
-        d_a_m = 0.5 * d_a
-        g["w_cls"] += xe.T @ d_y_m
-        g["b_cls"] += d_y_m.sum(axis=0)
-        d_xe = d_y_m @ p.w_cls.T
-        d_u = d_a_m * a_m * (1.0 - a_m)
-        g["w_att"] += xe.T @ d_u
-        g["b_att"] += float(d_u.sum())
-        d_xe += np.outer(d_u, p.w_att)
-        d_z = d_xe * (z > 0)
-        t, k, d = win.shape
-        dw2d = win.reshape(t, k * d).T @ d_z  # (k*d, e)
-        g["w_embed"] += dw2d.reshape(k, d, -1).transpose(2, 1, 0)
-        g["b_embed"] += d_z.sum(axis=0)
+def _chunk_backward(videos: list, plans: list | None, params: ModelParams,
+                    hp: Hyperparams, mode: GradMode) -> tuple:
+    """Packed forward and analytic backward of one chunk.
 
-
-def backward(bb: ForwardOutputs, tcb: ForwardOutputs | None, video_label: np.ndarray,
-             params: ModelParams, hp: Hyperparams, mode: GradMode) -> tuple:
-    """Analytic gradient of the joint loss. Returns (GradientReport, LossBreakdown).
-
-    `bb` must have been produced with `mode.norm_mode`; the gradient modes
-    touch only the background path, so foreground/continuity gradients are
-    identical across modes.
+    Rows are the chunk's videos back to back, then (with plans) their
+    refilled copies in the same order, so both branches share every GEMM.
+    Per-row head outputs are held class-major, (C+2, rows): the C+1 CAS
+    logits, then the attention logit. Returns (gradient of the summed
+    per-video totals, (videos, 6) losses in LossBreakdown order).
     """
-    if bb.norm_mode is not mode.norm_mode:
-        raise ValueError(f"backward: forward was run with {bb.norm_mode}, mode {mode} "
-                         f"needs {mode.norm_mode}")
-    t = bb.num_snippets
-    n_classes_1 = bb.y.shape[1]
-    e_bg = np.zeros(n_classes_1)
-    e_bg[-1] = 1.0
+    lengths = np.array([v.x_rgb.shape[0] for v in videos])
+    if lengths.min() < 1:
+        raise ValueError("backward: every video needs at least one snippet")
+    n = int(lengths.sum())
+    starts = np.cumsum(lengths) - lengths
+    seg = np.repeat(np.arange(len(videos)), lengths)
+    k = params.kernel_size
+    # one table serves the conv windows and the smoothing taps: column
+    # width // 2 of every row is the row itself
+    width = max(k, 2 * hp.gauss_radius + 1)
+    wide = packed_windows(lengths, width)
+    rows = wide[:, (width - k) // 2 : (width + k) // 2]
+    if plans is not None:
+        src = np.concatenate([p.snippet_source() for p in plans]) + starts[seg]
+        rows = np.concatenate([rows, src[rows]])  # x_R[reflect(t+j)] = x[src[...]]
 
-    losses = compute_losses(bb, tcb, video_label, hp, mode)
+    cache = {}
+    for name in MODALITIES:
+        mod = params.modality(name)
+        x = np.concatenate([getattr(v, f"x_{name}") for v in videos])
+        win = np.take(x, rows, axis=0).reshape(rows.shape[0], -1)
+        xe = win @ mod.w_embed.transpose(2, 1, 0).reshape(win.shape[1], -1)
+        xe += mod.b_embed
+        np.maximum(xe, 0.0, out=xe)  # ReLU in place; xe > 0 is the z > 0 mask
+        head = np.column_stack([mod.w_cls, mod.w_att])
+        h = head.T @ xe.T + np.append(mod.b_cls, mod.b_att)[:, None]
+        cache[name] = (win, xe, head, h[:-1], sigmoid(h[-1]))
+    y = 0.5 * (cache["rgb"][3] + cache["flow"][3])
+    a = 0.5 * (cache["rgb"][4] + cache["flow"][4])
 
-    d_y = np.zeros_like(bb.y)
-    d_a = np.zeros_like(bb.a)
+    # base-branch pooling, one segment per video
+    yb, ab = y[:, :n], a[:n]
+    n_f = np.maximum(np.add.reduceat(ab, starts), NORMALIZER_FLOOR)
+    n_b = np.maximum(np.add.reduceat(1.0 - ab, starts), NORMALIZER_FLOOR)
+    denom = n_f if mode.norm_mode is NormMode.BGES else n_b
+    z_fg = np.add.reduceat(yb * ab, starts, axis=1) / n_f
+    z_bg = np.add.reduceat(yb * (1.0 - ab), starts, axis=1) / denom
+    p_fg, p_bg = softmax(z_fg, axis=0), softmax(z_bg, axis=0)
+    if not all(np.all(np.isfinite(arr)) for arr in (y, a, p_fg, p_bg)):
+        raise NumericError("forward produced non-finite outputs")
+
+    label = np.array([full_label(v.video_label) for v in videos]).T
+    y_hat = label / label.sum(axis=0)
+    losses = np.zeros((len(videos), 6))
+    losses[:, 0] = -np.sum(y_hat * np.log(np.maximum(p_fg, LOG_FLOOR)), axis=0)
+    losses[:, 1] = -np.log(np.maximum(p_bg[-1], LOG_FLOOR))
+    d_y = np.zeros_like(y)
+    d_a = np.zeros_like(a)
 
     # foreground cross-entropy
-    label = full_label(video_label)
-    y_hat = label / label.sum()
-    g_fg = bb.p_fg - y_hat
-    d_y += np.outer(bb.a, g_fg) / bb.n_f
-    d_a += (bb.y - bb.z_fg) @ g_fg / bb.n_f
+    g_fg = (p_fg - y_hat)[:, seg]
+    d_y[:, :n] = g_fg * (ab / n_f[seg])
+    d_a[:n] = np.sum((yb - z_fg[:, seg]) * g_fg, axis=0) / n_f[seg]
 
     # background cross-entropy; the modes live entirely on this path
-    g_bg = bb.p_bg - e_bg
-    if mode.norm_mode is NormMode.BGES:
-        d_y += np.outer(1.0 - bb.a, hp.lam * g_bg) / bb.n_f
-        att_path = (-bb.z_bg - bb.y) @ g_bg / bb.n_f
-    else:
-        d_y += np.outer(1.0 - bb.a, hp.lam * g_bg) / bb.n_b
-        att_path = (bb.z_bg - bb.y) @ g_bg / bb.n_b
-        if mode is GradMode.GRL:
-            att_path = -att_path
-    d_a += hp.lam * att_path
-
-    # diagnostic: per-snippet multiplier of X_e in the background path of the
-    # actual joint gradient (lam-weighted, so it vanishes when the path is off)
-    att_factors_rgb = hp.lam * att_path * 0.5 * bb.a_rgb * (1.0 - bb.a_rgb)
-    att_factors_flow = hp.lam * att_path * 0.5 * bb.a_flow * (1.0 - bb.a_flow)
+    g_bg = p_bg.copy()
+    g_bg[-1] -= 1.0
+    g_bg = g_bg[:, seg]
+    d_y[:, :n] += (hp.lam * g_bg) * ((1.0 - ab) / denom[seg])
+    z_bg_sign = -1.0 if mode.norm_mode is NormMode.BGES else 1.0
+    att_path = np.sum((z_bg_sign * z_bg[:, seg] - yb) * g_bg, axis=0) / denom[seg]
+    d_a[:n] += hp.lam * (-att_path if mode is GradMode.GRL else att_path)
 
     # background video loss on the mean CAS
     w_bvl = hp.resolved_bvl_weight()
-    if mode.uses_bvl and w_bvl != 0.0:
-        p_mean = softmax(bb.y.mean(axis=0))
-        d_y += w_bvl * (p_mean - e_bg)[None, :] / t
+    if mode.uses_bvl:
+        p_mean = softmax(np.add.reduceat(yb, starts, axis=1) / lengths, axis=0)
+        losses[:, 4] = -np.log(np.maximum(p_mean[-1], LOG_FLOOR))
+        if w_bvl != 0.0:
+            p_mean[-1] -= 1.0
+            d_y[:, :n] += w_bvl * (p_mean / lengths)[:, seg]
 
-    d_y_r = d_a_r = None
-    if tcb is not None and hp.beta != 0.0:
-        d_y_r = np.zeros_like(tcb.y)
-        d_a_r = np.zeros_like(tcb.a)
-        p = softmax(bb.y, axis=1)
-        q = softmax(tcb.y, axis=1)
-        d_y += hp.beta / t * (p - q)
-        d_y_r += hp.beta / t * (q - p)
-        g_a = gaussian_smooth(bb.a, hp.gauss_sigma, hp.gauss_radius)
-        g_r = gaussian_smooth(tcb.a, hp.gauss_sigma, hp.gauss_radius)
-        s_bb = np.sign(bb.a - g_r)
-        s_tcb = np.sign(tcb.a - g_a)
-        d_a += hp.beta / t * s_bb
-        d_a_r += hp.beta / t * s_tcb
-        if not hp.stop_gradient_targets:
-            log_p = np.log(np.maximum(p, LOG_FLOOR))
-            log_q = np.log(np.maximum(q, LOG_FLOOR))
-            kl_qp = _kl_rows(q, p)
-            kl_pq = _kl_rows(p, q)
-            d_y_r += hp.beta / t * q * ((log_q - log_p) - kl_qp[:, None])
-            d_y += hp.beta / t * p * ((log_p - log_q) - kl_pq[:, None])
-            d_a_r -= hp.beta / t * gaussian_smooth_transpose(s_bb, hp.gauss_sigma, hp.gauss_radius)
-            d_a -= hp.beta / t * gaussian_smooth_transpose(s_tcb, hp.gauss_sigma, hp.gauss_radius)
+    if plans is not None:
+        # gaussian_smooth of both branches' tracks, 2 * len(videos) segments
+        taps = wide[:, width // 2 - hp.gauss_radius : width // 2 + hp.gauss_radius + 1]
+        taps = np.concatenate([taps, taps + n])
+        kernel = gaussian_kernel(hp.gauss_sigma, hp.gauss_radius)
+        smooth = a[taps] @ kernel
+        ar, g_a, g_r = a[n:], smooth[:n], smooth[n:]
+        probs = softmax(y, axis=0)
+        p, q = probs[:, :n], probs[:, n:]
+        log_ratio = np.log(np.maximum(q, LOG_FLOOR)) - np.log(np.maximum(p, LOG_FLOOR))
+        kl_qp, kl_pq = np.sum(q * log_ratio, axis=0), -np.sum(p * log_ratio, axis=0)
+        losses[:, 2] = np.add.reduceat(np.abs(ab - g_r) + np.abs(ar - g_a),
+                                       starts) / lengths
+        losses[:, 3] = np.add.reduceat(kl_qp + kl_pq, starts) / lengths
+        if hp.beta != 0.0:
+            scale = np.tile(hp.beta / lengths[seg], 2)
+            signs = np.concatenate([np.sign(ab - g_r), np.sign(ar - g_a)])
+            d_y[:, :n] += scale[:n] * (p - q)
+            d_y[:, n:] += scale[:n] * (q - p)
+            d_a += scale * signs
+            if not hp.stop_gradient_targets:
+                d_y[:, n:] += scale[:n] * q * (log_ratio - kl_qp)
+                d_y[:, :n] -= scale[:n] * p * (log_ratio + kl_pq)
+                # each branch's sign pulls back through the other's
+                # smoothing: the transpose of the gather above
+                pulled = np.concatenate([signs[n:], signs[:n]])[:, None] * kernel
+                d_a -= scale * np.bincount(taps.ravel(), weights=pulled.ravel(),
+                                           minlength=a.size)
+    losses[:, 5] = (losses[:, 0] + hp.lam * losses[:, 1]
+                    + hp.beta * (losses[:, 2] + losses[:, 3]) + w_bvl * losses[:, 4])
 
-    acc = _zero_like(params)
-    _head_backward(bb, d_y, d_a, params, acc)
-    if d_y_r is not None:
-        _head_backward(tcb, d_y_r, d_a_r, params, acc)
+    # through both modality heads (0.5 fusion), in to_vector order
+    blocks = []
+    d_h = np.empty((y.shape[0] + 1, y.shape[1]))
+    d_h[:-1] = 0.5 * d_y
+    for name in MODALITIES:
+        win, xe, head, _, a_m = cache[name]
+        d_h[-1] = 0.5 * d_a * a_m * (1.0 - a_m)
+        d_z = d_h.T @ head.T
+        d_z *= xe > 0
+        d_head = d_h @ xe
+        d_b_head = d_h.sum(axis=1)
+        blocks += [(win.T @ d_z).reshape(k, -1, d_z.shape[1]).transpose(2, 1, 0).ravel(),
+                   d_z.sum(axis=0), d_head[:-1].T.ravel(), d_b_head[:-1],
+                   d_head[-1], d_b_head[-1:]]
+    return np.concatenate(blocks), losses
 
-    grads = ModelParams(
-        rgb=ModalityParams(**acc["rgb"]),
-        flow=ModalityParams(**acc["flow"]),
-    )
-    vec = grads.to_vector()
-    if not np.all(np.isfinite(vec)):
+
+def backward(videos: list, plans: list | None, params: ModelParams,
+             hp: Hyperparams, mode: GradMode) -> tuple:
+    """Analytic gradient of the batch-mean joint loss, one packed pass per chunk.
+
+    `videos` need x_rgb, x_flow and video_label; `plans` holds one SamplePlan
+    per video when the continuity branch runs, else None. Returns the flat
+    gradient (ModelParams.to_vector order) and the mean LossBreakdown.
+    """
+    parts = [_chunk_backward(videos[lo:hi], None if plans is None else plans[lo:hi],
+                             params, hp, mode)
+             for lo, hi in _chunks(videos, params.kernel_size)]
+    grad = sum(g for g, _ in parts) / len(videos)
+    if not np.all(np.isfinite(grad)):
         raise NumericError("backward produced non-finite gradients")
-    report = GradientReport(
-        grads=grads,
-        att_factors_rgb=att_factors_rgb,
-        att_factors_flow=att_factors_flow,
-    )
-    return report, losses
+    means = np.concatenate([losses for _, losses in parts]).mean(axis=0)
+    return grad, LossBreakdown(*(float(m) for m in means))
 
 
 @dataclass
@@ -467,14 +486,13 @@ def certify_gradients(num_instances: int = 20, tolerance: float = 1e-5,
             if instance_margin(inst, hp, mode) < min_margin:
                 continue
             accepted += 1
-            bb, tcb = _forward_pair(inst, inst.params, mode)
-            report, _ = backward(bb, tcb, inst.video_label, inst.params, hp, mode)
+            analytic, _ = backward([inst], [inst.plan], inst.params, hp, mode)
             if flip_block is not None:
+                grads = inst.params.from_vector(analytic)
                 mod_name, field = flip_block.split(".")
-                block = getattr(report.grads.modality(mod_name), field)
-                setattr(report.grads.modality(mod_name), field,
-                        -block if isinstance(block, np.ndarray) else -block)
-            analytic = report.to_vector()
+                block = grads.modality(mod_name)
+                setattr(block, field, -getattr(block, field))
+                analytic = grads.to_vector()
             numeric = finite_diff_grad(build_fd_loss(inst, hp, mode),
                                        inst.params.to_vector(), fd_epsilon)
             # the denominator floor keeps central-difference roundoff
@@ -494,7 +512,8 @@ def honest_attention_factors(out: ForwardOutputs, modality: str) -> np.ndarray:
 
     Differentiates the fused forward exactly, so the softmax pull of every
     class (not only background) appears. Unweighted by the background-loss
-    weight. Matches GradientReport.att_factors_* divided by that weight.
+    weight: `lam` times these is the background path's share of the
+    attention-logit gradient that `backward` accumulates.
     """
     e_bg = np.zeros(out.p_bg.shape[0])
     e_bg[-1] = 1.0

@@ -132,7 +132,6 @@ class Hyperparams:
     proposal_thresholds: tuple = tuple(np.round(np.arange(0.10, 0.7001, 0.05), 2))
     embed_dim: int = 0  # 0 means "match the feature dim"
     kernel_size: int = 3
-    t_train: int = 0  # 0 means no fixed-length resampling (loader never pads)
     iterations: int = 6000
     gauss_sigma: float = 1.0
     gauss_radius: int = 2
@@ -145,14 +144,10 @@ class Hyperparams:
 
 @dataclass
 class ForwardOutputs:
-    """Everything the forward pass computes, kept for the backward pass."""
+    """One video's forward pass, as inference and the loss oracle read it."""
 
-    windows_rgb: np.ndarray  # (T, K, D)
-    windows_flow: np.ndarray
     z_rgb: np.ndarray  # (T, E) pre-ReLU embedding
     z_flow: np.ndarray
-    xe_rgb: np.ndarray  # (T, E)
-    xe_flow: np.ndarray
     y_rgb: np.ndarray  # (T, C+1)
     y_flow: np.ndarray
     y: np.ndarray
@@ -166,10 +161,6 @@ class ForwardOutputs:
     n_f: float
     n_b: float
     norm_mode: NormMode
-
-    @property
-    def num_snippets(self) -> int:
-        return self.y.shape[0]
 
 
 def init_params(rng: np.random.Generator, feature_dim: int, embed_dim: int,
@@ -259,8 +250,8 @@ def pool(y: np.ndarray, a: np.ndarray, norm_mode: NormMode = NormMode.STANDARD):
 def forward(x_rgb: np.ndarray, x_flow: np.ndarray, params: ModelParams,
             norm_mode: NormMode = NormMode.STANDARD) -> ForwardOutputs:
     """Full base-branch forward pass over one video."""
-    win_r, z_r, xe_r = embed(x_rgb, params.rgb)
-    win_o, z_o, xe_o = embed(x_flow, params.flow)
+    _, z_r, xe_r = embed(x_rgb, params.rgb)
+    _, z_o, xe_o = embed(x_flow, params.flow)
     if xe_r.shape[0] != xe_o.shape[0]:
         raise ValueError("forward: modalities disagree on snippet count")
     y_r = cas(xe_r, params.rgb)
@@ -271,9 +262,7 @@ def forward(x_rgb: np.ndarray, x_flow: np.ndarray, params: ModelParams,
     a = 0.5 * (a_r + a_o)
     p_fg, p_bg, z_fg, z_bg, n_f, n_b = pool(y, a, norm_mode)
     out = ForwardOutputs(
-        windows_rgb=win_r, windows_flow=win_o,
         z_rgb=z_r, z_flow=z_o,
-        xe_rgb=xe_r, xe_flow=xe_o,
         y_rgb=y_r, y_flow=y_o, y=y,
         a_rgb=a_r, a_flow=a_o, a=a,
         z_fg=z_fg, z_bg=z_bg, p_fg=p_fg, p_bg=p_bg,

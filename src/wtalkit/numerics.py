@@ -36,18 +36,31 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
-def reflect_index(i, n: int):
+def reflect_index(i, n):
     """Map indices onto [0, n) by reflection without edge repeat.
 
     Reflection is iterated (any offset is valid); n == 1 maps everything to 0.
-    Accepts a scalar or an integer array.
+    Accepts a scalar or an integer array; `n` may be an array broadcasting with `i`.
     """
-    if n == 1:
-        return np.zeros_like(np.asarray(i)) if np.ndim(i) else 0
-    # iterated reflection is periodic with period 2(n-1)
-    j = np.abs(np.asarray(i)) % (2 * n - 2)
-    j = np.where(j >= n, 2 * n - 2 - j, j)
-    return j if np.ndim(i) else int(j)
+    # iterated reflection is periodic with period 2(n-1); a period of 1 for
+    # n == 1 sends every index of a length-1 sequence to 0
+    period = 2 * n - 2 + (n == 1)
+    j = np.abs(np.asarray(i)) % period
+    j = np.where(j >= n, period - j, j)
+    return j if np.ndim(j) else int(j)
+
+
+def packed_windows(lengths, width: int) -> np.ndarray:
+    """(sum(lengths), width) row indices of centred, reflect-padded windows.
+
+    Rows are sequences of the given lengths packed back to back; every window
+    reflects at its own sequence's ends, so none crosses into a neighbour.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)[:, None]
+    local = np.arange(starts.shape[0])[:, None] - starts
+    n = np.repeat(lengths, lengths)[:, None]
+    return starts + reflect_index(local + np.arange(width) - width // 2, n)
 
 
 def gaussian_kernel(sigma: float, radius: int) -> np.ndarray:

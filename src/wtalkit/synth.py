@@ -185,13 +185,16 @@ def generate(cfg: SynthConfig) -> tuple:
 
 
 class _Cursor:
-    """Byte reader that reports the offset of whatever failed."""
+    """Byte reader that reports the offset of whatever failed.
 
-    def __init__(self, data: bytes, start: int = 0):
+    `take` returns slices of `data`, so over a memoryview nothing is copied.
+    """
+
+    def __init__(self, data, start: int = 0):
         self.data = data
         self.pos = start
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str):
         if self.pos + n > len(self.data):
             raise DataFormatError(f"truncated while reading {what} "
                                   f"({n} bytes needed)", offset=self.pos)
@@ -207,6 +210,17 @@ class _Cursor:
 
     def f64(self, what: str) -> float:
         return struct.unpack("<d", self.take(8, what))[0]
+
+    def features(self, t: int, d: int, what: str) -> np.ndarray:
+        """A (t, d) float64 matrix, copied out of the buffer; non-finite
+        values are rejected with the offset of the first one."""
+        start = self.pos
+        x = np.frombuffer(self.take(t * d * 8, what), dtype="<f8").reshape(t, d).copy()
+        if not np.isfinite(x).all():
+            first = int(np.flatnonzero(~np.isfinite(x))[0])
+            raise DataFormatError(f"non-finite value in {what} at snippet "
+                                  f"{first // d}", offset=start + 8 * first)
+        return x
 
 
 def _label_bytes(label: np.ndarray) -> bytes:
@@ -280,13 +294,13 @@ def read_dataset(path) -> Dataset:
     if len(blob) < len(DATASET_MAGIC) + 4:
         raise DataFormatError("file too short for checksum trailer",
                               offset=len(blob))
-    payload = blob[len(DATASET_MAGIC) : -4]
-    (stored_crc,) = struct.unpack("<I", blob[-4:])
-    if zlib.crc32(payload) != stored_crc:
+    # every slice below is a view of the one buffer read from disk
+    view = memoryview(blob)
+    (stored_crc,) = struct.unpack("<I", view[-4:])
+    if zlib.crc32(view[len(DATASET_MAGIC) : -4]) != stored_crc:
         raise DataFormatError("checksum mismatch, file corrupt",
                               offset=len(blob) - 4)
-    cur = _Cursor(blob, start=len(DATASET_MAGIC))
-    cur.data = blob[:-4]
+    cur = _Cursor(view[:-4], start=len(DATASET_MAGIC))
     version = cur.u32("version")
     if version != DATASET_VERSION:
         raise DataFormatError(f"unsupported version {version}", offset=cur.pos - 4)
@@ -299,7 +313,7 @@ def read_dataset(path) -> Dataset:
     records = []
     for _ in range(count):
         id_len = cur.u32("id length")
-        vid = cur.take(id_len, "video id").decode("utf-8")
+        vid = str(cur.take(id_len, "video id"), "utf-8")
         t = cur.u32("snippet count")
         label = _label_from_bytes(cur.take(mask_len, "label bitmask"), num_classes)
         n_inst = cur.u32("instance count")
@@ -309,11 +323,8 @@ def read_dataset(path) -> Dataset:
             start = cur.u32("instance start")
             end = cur.u32("instance end")
             gts.append((cls, start, end))
-        nbytes = t * feature_dim * 8
-        x_rgb = np.frombuffer(cur.take(nbytes, "rgb features"),
-                              dtype="<f8").reshape(t, feature_dim).copy()
-        x_flow = np.frombuffer(cur.take(nbytes, "flow features"),
-                               dtype="<f8").reshape(t, feature_dim).copy()
+        x_rgb = cur.features(t, feature_dim, f"{vid} rgb features")
+        x_flow = cur.features(t, feature_dim, f"{vid} flow features")
         rec = VideoRecord(video_id=vid, x_rgb=x_rgb, x_flow=x_flow,
                           video_label=label, ground_truth=gts)
         try:

@@ -30,32 +30,32 @@ class SamplePlan:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("SamplePlan: k must be >= 1")
-        for s, c in enumerate(self.chosen):
-            lo, hi = s * self.k, min((s + 1) * self.k, self.num_snippets)
-            if not lo <= c < hi:
-                raise ValueError(f"SamplePlan: chosen index {c} outside segment [{lo}, {hi})")
+        lo = np.arange(0, self.num_snippets, self.k)
+        hi = np.minimum(lo + self.k, self.num_snippets)
+        chosen = np.asarray(self.chosen)
+        if chosen.shape != lo.shape:
+            raise ValueError(f"SamplePlan: {chosen.size} choices for {lo.size} segments")
+        bad = np.flatnonzero((chosen < lo) | (chosen >= hi))
+        if bad.size:
+            s = bad[0]
+            raise ValueError(f"SamplePlan: chosen index {chosen[s]} outside segment "
+                             f"[{lo[s]}, {hi[s]})")
 
     def snippet_source(self) -> np.ndarray:
         """Length-T array: source snippet index for every output position."""
-        src = np.empty(self.num_snippets, dtype=np.int64)
-        for t in range(self.num_snippets):
-            src[t] = self.chosen[t // self.k]
-        return src
+        return np.repeat(np.asarray(self.chosen, dtype=np.int64), self.k)[: self.num_snippets]
 
 
 def make_plan(num_snippets: int, k: int, rng: np.random.Generator) -> SamplePlan:
-    """Draw one random snippet per segment."""
+    """Draw one random snippet per segment, in one vectorised draw that
+    consumes `rng` exactly as one scalar draw per segment, in order, would."""
     if num_snippets < 1:
         raise ValueError("make_plan: need at least one snippet")
     if k < 1:
         raise ValueError("make_plan: k must be >= 1")
-    chosen = []
-    start = 0
-    while start < num_snippets:
-        end = min(start + k, num_snippets)
-        chosen.append(int(rng.integers(start, end)))
-        start = end
-    return SamplePlan(num_snippets=num_snippets, k=k, chosen=tuple(chosen))
+    starts = np.arange(0, num_snippets, k)
+    chosen = rng.integers(starts, np.minimum(starts + k, num_snippets))
+    return SamplePlan(num_snippets=num_snippets, k=k, chosen=tuple(chosen.tolist()))
 
 
 def refill(x: np.ndarray, plan: SamplePlan) -> np.ndarray:

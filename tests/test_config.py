@@ -74,6 +74,11 @@ iou_thresholds = 0.3 0.5 0.7
         with pytest.raises(ConfigError, match="noise_sigma"):
             load_config(_write(tmp_path, "[synth]\nnoise_sigm = 0.1\n"))
 
+    def test_removed_t_train_key_is_rejected(self, tmp_path):
+        # t_train was parsed but never read; it is now an unknown key
+        with pytest.raises(ConfigError, match=r"\[hyperparams\] unknown key 't_train'"):
+            load_config(_write(tmp_path, "[hyperparams]\nt_train = 100\n"))
+
     def test_bad_number(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[synth\] num_train"):
             load_config(_write(tmp_path, "[synth]\nnum_train = many\n"))

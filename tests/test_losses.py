@@ -1,9 +1,16 @@
 """Losses, hand-derived gradients, certification harness, factor identities."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import wtalkit.losses as losses_mod
+from wtalkit.errors import NumericError
 from wtalkit.losses import (
+    CHUNK_CELLS,
     CERTIFIED_MODES,
     GradMode,
     backward,
@@ -22,12 +29,17 @@ from wtalkit.losses import (
     loss_fg,
     loss_kl,
     make_tiny_instance,
+    _chunks,
     _forward_pair,
 )
-from wtalkit.model import Hyperparams, forward
+from wtalkit.model import Hyperparams, embed, forward, init_params
+from wtalkit.synth import TrainingVideo
+from wtalkit.ten import make_plan, tcb_forward_full
 from wtalkit.numerics import finite_diff_grad, gaussian_smooth, softmax
 
 HP = Hyperparams()
+# every mode that claims to be a gradient; GRL is covered by its sign flip
+GRADIENT_MODES = tuple(m for m in GradMode if m is not GradMode.GRL)
 
 
 def accepted_instance(start_seed, mode=GradMode.STANDARD, hp=HP):
@@ -186,17 +198,21 @@ class TestBreakdown:
         assert held.total == pytest.approx(live.total, abs=1e-12)
 
 
+def backward_one(inst, hp, mode, plan=True):
+    """Packed gradient of one tiny instance, as a ModelParams of gradients."""
+    grad, _ = backward([inst], [inst.plan] if plan else None, inst.params, hp, mode)
+    return inst.params.from_vector(grad)
+
+
 class TestBackward:
     def test_fg_only_matches_finite_differences(self):
         inst = accepted_instance(70)
         hp = Hyperparams(lam=0.0, beta=0.0)
-        bb, tcb = _forward_pair(inst, inst.params, GradMode.STANDARD)
-        report, _ = backward(bb, tcb, inst.video_label, inst.params, hp,
-                             GradMode.STANDARD)
+        analytic = backward_one(inst, hp, GradMode.STANDARD).to_vector()
         numeric = finite_diff_grad(build_fd_loss(inst, hp, GradMode.STANDARD),
                                    inst.params.to_vector())
         scale = np.maximum(np.abs(numeric), 1e-5)
-        assert np.max(np.abs(report.to_vector() - numeric) / scale) < 1e-5
+        assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
 
     def test_continuity_gradients_shared_across_modes(self):
         # modes touch only the background path; with lam = 0 (and the
@@ -204,35 +220,115 @@ class TestBackward:
         # same gradient bitwise
         inst = accepted_instance(80)
         hp = Hyperparams(lam=0.0)
-        vecs = []
-        factors = []
-        for mode in GradMode:
-            bb, tcb = _forward_pair(inst, inst.params, mode)
-            report, _ = backward(bb, tcb, inst.video_label, inst.params, hp, mode)
-            vecs.append(report.to_vector())
-            factors.append(report.att_factors_rgb)
+        vecs = [backward_one(inst, hp, mode).to_vector() for mode in GradMode]
         for vec in vecs[1:]:
             np.testing.assert_array_equal(vec, vecs[0])
-        for fac in factors[1:]:
-            np.testing.assert_array_equal(fac, factors[0])
 
     def test_att_factors_are_weighted_honest_factors(self):
+        # the background path adds lam * (honest factor) to every snippet's
+        # attention-logit gradient, and GRL adds exactly its negation; the
+        # attention weights see it through the embedding X_e
         inst = accepted_instance(90)
-        bb, tcb = _forward_pair(inst, inst.params, GradMode.STANDARD)
-        report, _ = backward(bb, tcb, inst.video_label, inst.params, HP,
-                             GradMode.STANDARD)
-        np.testing.assert_allclose(
-            report.att_factors_rgb,
-            HP.lam * honest_attention_factors(bb, "rgb"), atol=1e-15)
-        np.testing.assert_allclose(
-            report.att_factors_flow,
-            HP.lam * honest_attention_factors(bb, "flow"), atol=1e-15)
+        bb, _ = _forward_pair(inst, inst.params, GradMode.STANDARD)
+        off = backward_one(inst, Hyperparams(lam=0.0), GradMode.STANDARD)
+        for mode, sign in ((GradMode.STANDARD, 1.0), (GradMode.GRL, -1.0)):
+            on = backward_one(inst, HP, mode)
+            for name, x in (("rgb", inst.x_rgb), ("flow", inst.x_flow)):
+                xe = embed(x, inst.params.modality(name))[2]
+                factors = sign * HP.lam * honest_attention_factors(bb, name)
+                d_on, d_off = on.modality(name), off.modality(name)
+                np.testing.assert_allclose(d_on.w_att - d_off.w_att,
+                                           xe.T @ factors, rtol=1e-9, atol=1e-15)
+                assert d_on.b_att - d_off.b_att == pytest.approx(
+                    factors.sum(), rel=1e-9, abs=1e-15)
 
     def test_full_backprop_convention_also_certifies(self):
         hp = Hyperparams(stop_gradient_targets=False)
-        results = certify_gradients(num_instances=3, hp=hp,
-                                    modes=(GradMode.STANDARD,))
+        results = certify_gradients(num_instances=3, hp=hp, modes=GRADIENT_MODES)
+        assert len(results) == 3 * len(GRADIENT_MODES)
         assert all(r.passed for r in results)
+
+    def test_frozen_targets_certify_every_gradient_mode(self):
+        # CERTIFIED_MODES (the CLI default) leaves out BVL+BGES
+        results = certify_gradients(num_instances=3, modes=GRADIENT_MODES)
+        assert all(r.passed for r in results)
+
+
+def ragged_batch(lengths, k, kernel_size, feature_dim, seed):
+    """Tiny-instance-shaped videos of the given lengths, plus their plans."""
+    rng = np.random.default_rng(seed)
+    params = init_params(rng, feature_dim, 5, 3, kernel_size)
+    videos, plans = [], []
+    for i, t in enumerate(lengths):
+        label = np.zeros(3)
+        label[rng.integers(0, 3, size=1 + i % 2)] = 1.0
+        videos.append(TrainingVideo(f"v{i}", rng.normal(size=(t, feature_dim)),
+                                    rng.normal(size=(t, feature_dim)), label))
+        plans.append(make_plan(t, k, rng))
+    return videos, plans, params
+
+
+def assert_close_rel(actual, expected, rel=1e-12):
+    scale = max(float(np.max(np.abs(expected))), 1e-300)
+    assert float(np.max(np.abs(np.asarray(actual) - expected))) <= rel * scale
+
+
+class TestPackedBatch:
+    @given(lengths=st.lists(st.sampled_from([1, 2, 3, 5, 7, 10, 13]),
+                            min_size=1, max_size=5),
+           k=st.integers(1, 14), kernel_size=st.sampled_from([1, 3, 5]),
+           mode=st.sampled_from(list(GradMode)), stop=st.booleans(),
+           ten=st.booleans(), budget=st.sampled_from([1, 200, 600, CHUNK_CELLS]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_is_mean_of_one_video_runs(self, lengths, k, kernel_size, mode,
+                                             stop, ten, budget, seed):
+        # ragged lengths cover T = 1, T < K, T not divisible by k and k >= T;
+        # small budgets split the batch into several chunks
+        videos, plans, params = ragged_batch(lengths, k, kernel_size, 6, seed)
+        plans = plans if ten else None
+        hp = Hyperparams(stop_gradient_targets=stop)
+        with patch.object(losses_mod, "CHUNK_CELLS", budget):
+            grad, parts = backward(videos, plans, params, hp, mode)
+        singles = [backward([v], None if plans is None else [p], params, hp, mode)
+                   for v, p in zip(videos, plans or videos)]
+        assert_close_rel(grad, np.mean([g for g, _ in singles], axis=0))
+        for field in ("fg", "bg", "att", "kl", "bvl", "total"):
+            expected = np.mean([getattr(b, field) for _, b in singles])
+            assert getattr(parts, field) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        # each one-video run's losses are those of the per-video reference path
+        for v, p, (_, got) in zip(videos, plans or videos, singles):
+            bb = forward(v.x_rgb, v.x_flow, params, mode.norm_mode)
+            tcb = None if plans is None else tcb_forward_full(v.x_rgb, v.x_flow, params, p)
+            ref = compute_losses(bb, tcb, v.video_label, hp, mode)
+            for field in ("fg", "bg", "att", "kl", "bvl", "total"):
+                assert getattr(got, field) == pytest.approx(getattr(ref, field),
+                                                            rel=1e-12, abs=1e-15)
+
+    def test_batch_crossing_the_real_budget(self):
+        # two 700-snippet videos at D = 64, K = 3 hold 268,800 cells > 2^18
+        videos, plans, params = ragged_batch([700, 700, 4], 4, 3, 64, 5)
+        assert list(_chunks(videos, 3)) == [(0, 1), (1, 3)]
+        for mode in (GradMode.STANDARD, GradMode.BVL_PLUS_BGES):
+            grad, _ = backward(videos, plans, params, HP, mode)
+            singles = [backward([v], [p], params, HP, mode)[0]
+                       for v, p in zip(videos, plans)]
+            assert_close_rel(grad, np.mean(singles, axis=0))
+
+    def test_chunks_follow_the_world_shapes(self):
+        # a whole stock batch (T <= 120, D = 32) is one chunk; videos of the
+        # external-feature shape (T >= 300, D = 256) each run alone
+        golden, _, _ = ragged_batch([120] * 16, 4, 3, 32, 0)
+        long, _, _ = ragged_batch([300] * 3, 4, 3, 256, 0)
+        assert list(_chunks(golden, 3)) == [(0, 16)]
+        assert list(_chunks(long, 3)) == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_forward_raises(self):
+        videos, plans, params = ragged_batch([6, 6], 2, 3, 6, 1)
+        videos[1].x_flow[2, 0] = np.inf
+        with pytest.raises(NumericError, match="non-finite"):
+            backward(videos, plans, params, HP, GradMode.STANDARD)
 
 
 class TestCertification:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import plan_oracle
 from wtalkit.losses import GradMode, compute_losses, make_tiny_instance
 from wtalkit.model import Hyperparams, forward
 from wtalkit.ten import SamplePlan, make_plan, refill, tcb_forward, tcb_forward_full
@@ -39,6 +40,21 @@ class TestSamplePlan:
             seg = pos // k
             assert seg * k <= src[pos] < min((seg + 1) * k, t)
             assert src[pos] // k == seg
+
+    def test_vectorised_draw_matches_sequential_oracle(self):
+        # same chosen indices and the same generator state afterwards, so
+        # the vectorised draw changes no plan and no later draw
+        cases = np.random.default_rng(2024)
+        for _ in range(200):
+            t, k = int(cases.integers(1, 701)), int(cases.integers(1, 9))
+            seed = int(cases.integers(0, 2**32))
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert make_plan(t, k, fast).chosen == plan_oracle(t, k, slow)
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_wrong_choice_count_rejected(self):
+        with pytest.raises(ValueError, match="1 choices for 2 segments"):
+            SamplePlan(num_snippets=8, k=4, chosen=(1,))
 
     def test_bad_args(self):
         rng = np.random.default_rng(2)

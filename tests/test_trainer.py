@@ -83,6 +83,17 @@ class TestTrain:
             train(_videos(tiny_dataset), _cfg())
 
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_forward_names_step_and_batch(self, tiny_dataset):
+        vids = _videos(tiny_dataset)
+        for v in vids:
+            v.x_rgb = v.x_rgb.copy()
+            v.x_rgb[0, 0] = np.nan
+        with pytest.raises(NumericError, match=r"step 0 on batch \['train_\d+'.*"
+                                               r"forward produced non-finite"):
+            train(vids, _cfg(use_ten=True))
+
+
 class TestCheckpoints:
     def test_final_checkpoint_written_and_loads(self, tiny_dataset, tmp_path):
         path = tmp_path / "model.ckpt"
