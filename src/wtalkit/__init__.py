@@ -29,7 +29,7 @@ from .losses import (
 )
 from .model import Hyperparams, ModelParams, forward, init_params
 from .synth import SynthConfig, VideoRecord, generate, read_dataset, write_dataset
-from .ten import make_plan, tcb_forward
+from .ten import make_plan
 from .trainer import RunConfig, TrainResult, ablate, train
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "localize_video",
     "make_plan",
     "read_dataset",
-    "tcb_forward",
     "temporal_iou",
     "train",
     "write_dataset",

@@ -23,12 +23,12 @@ from .losses import CERTIFIED_MODES, GradMode, certify_gradients
 from .model import load_checkpoint, save_checkpoint
 from .synth import generate, read_dataset, training_view, write_dataset
 from .trainer import (
-    COMPONENT_GRID,
-    AblationRow,
     ablate,
+    component_rows,
     format_ablation,
     localize_dataset,
     train,
+    write_ablation_csv,
 )
 
 ENV_CONFIG = "WTALKIT_CONFIG"
@@ -72,9 +72,9 @@ def cmd_gen(args) -> int:
 def _run_overrides(args, cfg: Config):
     run = cfg.run
     hp = run.hp
-    if args.mode is not None:
+    if getattr(args, "mode", None) is not None:
         run = replace(run, grad_mode=MODE_NAMES[args.mode])
-    if args.ten is not None:
+    if getattr(args, "ten", None) is not None:
         run = replace(run, use_ten=args.ten)
     if args.iterations is not None:
         run = replace(run, iterations=args.iterations)
@@ -155,61 +155,34 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _ablation_rows(args, run) -> list:
+    """The (label, RunConfig) rows of the requested grid."""
+    if args.grid == "components":
+        if args.values is not None:
+            raise ConfigError("--values does not apply to --grid components")
+        return component_rows(run)
+    if not args.values:
+        raise ConfigError(f"--values is required for --grid {args.grid}")
+    values = args.values.split(",")
+    if args.grid == "k":
+        # the sampling interval only acts through the continuity branch
+        return [(f"k={int(v)}",
+                 replace(run, use_ten=True, hp=replace(run.hp, k=int(v))))
+                for v in values]
+    return [(f"lambda={float(v):g}", replace(run, hp=replace(run.hp, lam=float(v))))
+            for v in values]
+
+
 def cmd_ablate(args) -> int:
     cfg = _load(args)
-    run = cfg.run
-    if args.iterations is not None:
-        run = replace(run, iterations=args.iterations)
-    if args.seed is not None:
-        run = replace(run, seed=args.seed)
+    run = _run_overrides(args, cfg)
     train_ds = read_dataset(args.data)
     test_ds = read_dataset(args.test)
-    videos = training_view(train_ds.records)
-
-    if args.grid == "components":
-        grid = COMPONENT_GRID
-    else:
-        if not args.values:
-            raise ConfigError(f"--values is required for --grid {args.grid}")
-        values = args.values.split(",")
-        if args.grid == "k":
-            grid = []
-            for v in values:
-                k = int(v)
-                grid.append((f"k={k}", run.grad_mode, True))
-        else:  # lambda sweep
-            grid = [(f"lambda={float(v):g}", run.grad_mode, run.use_ten)
-                    for v in values]
-
-    rows = []
-    for (label, mode, use_ten), raw in zip(grid, (args.values.split(",")
-                                                  if args.values else
-                                                  [None] * len(grid))):
-        hp = run.hp
-        if args.grid == "k":
-            hp = replace(hp, k=int(raw))
-        elif args.grid == "lambda":
-            hp = replace(hp, lam=float(raw))
-        cfg_row = replace(run, grad_mode=mode, use_ten=use_ten, hp=hp,
-                          checkpoint_path=None, log_path=None)
-        result = train(videos, cfg_row)
-        proposals = localize_dataset(test_ds.records, result.params, hp)
-        report = evaluate(proposals, test_ds.records,
-                          iou_thresholds=cfg.eval_thresholds,
-                          num_classes=test_ds.num_classes)
-        rows.append(AblationRow(label=label, report=report,
-                                final_loss=result.log[-1].losses.total))
-    table = format_ablation(rows)
-    print(table)
+    rows = ablate(training_view(train_ds.records), test_ds.records,
+                  _ablation_rows(args, run), cfg.eval_thresholds)
+    print(format_ablation(rows))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("label,map_at_05,avg_01_05,avg_03_07,avg_01_07\n")
-            for row in rows:
-                r = row.report
-                fh.write(f"{row.label},{r.map_by_threshold.get(0.5, float('nan')):.6f},"
-                         f"{r.averages.get('0.1:0.5', float('nan')):.6f},"
-                         f"{r.averages.get('0.3:0.7', float('nan')):.6f},"
-                         f"{r.averages.get('0.1:0.7', float('nan')):.6f}\n")
+        write_ablation_csv(args.out, rows)
         print(f"wrote {args.out}")
     return 0
 
@@ -287,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", choices=("components", "k", "lambda"),
                    default="components")
     p.add_argument("--values", default=None,
-                   help="comma list for k/lambda grids, e.g. 2,3,4,5")
+                   help="comma list, required for the k and lambda grids, "
+                        "e.g. 2,3,4,5")
     p.add_argument("--iterations", type=int, default=None,
                    help="training steps per grid row (default: from config)")
     p.add_argument("--seed", type=int, default=None,

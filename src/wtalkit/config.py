@@ -70,9 +70,8 @@ _SYNTH_RANGES = {
 
 _HP_SCALARS = {
     "lam": float, "beta": float, "k": int, "epsilon": float, "rho_cls": float,
-    "nms_iou": float, "embed_dim": int, "kernel_size": int, "iterations": int,
-    "gauss_sigma": float, "gauss_radius": int,
-    "stop_gradient_targets": bool,
+    "nms_iou": float, "embed_dim": int, "kernel_size": int,
+    "gauss_sigma": float, "gauss_radius": int, "stop_gradient_targets": bool,
 }
 
 _RUN_SCALARS = {

@@ -132,7 +132,6 @@ class Hyperparams:
     proposal_thresholds: tuple = tuple(np.round(np.arange(0.10, 0.7001, 0.05), 2))
     embed_dim: int = 0  # 0 means "match the feature dim"
     kernel_size: int = 3
-    iterations: int = 6000
     gauss_sigma: float = 1.0
     gauss_radius: int = 2
     stop_gradient_targets: bool = True

@@ -85,34 +85,17 @@ def gaussian_smooth(seq: np.ndarray, sigma: float = 1.0, radius: int = 2) -> np.
     return seq[idx] @ k
 
 
-def gaussian_smooth_transpose(seq: np.ndarray, sigma: float = 1.0, radius: int = 2) -> np.ndarray:
-    """Apply the transpose of the smoothing operator (scatter instead of gather).
-
-    Needed when gradients are propagated through the smoothing argument.
-    """
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 1 or seq.size == 0:
-        raise ValueError("gaussian_smooth_transpose: expected a non-empty 1-D sequence")
-    k = gaussian_kernel(sigma, radius)
-    n = seq.size
-    idx = reflect_index(np.arange(n)[:, None] + np.arange(-radius, radius + 1), n)
-    out = np.zeros(n)
-    np.add.at(out, idx, seq[:, None] * k)
-    return out
-
-
 @dataclass
 class AdamState:
     """Adam moments plus the update-rule settings that travel with them.
 
-    `learning_rate` is the current step size; the trainer multiplies it by
-    `decay_fraction` once, halfway through a run. Weight decay is decoupled
-    (applied to the parameter directly, never folded into the gradient).
+    `learning_rate` is the current step size, which the trainer lowers once,
+    halfway through a run. Weight decay is decoupled (applied to the
+    parameter directly, never folded into the gradient).
     """
 
     shape: tuple
     learning_rate: float = 1e-3
-    decay_fraction: float = 0.1
     weight_decay: float = 0.0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -122,8 +105,6 @@ class AdamState:
     second_moment: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.decay_fraction <= 1.0:
-            raise ValueError("decay_fraction must lie in [0, 1]")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
         self.first_moment = np.zeros(self.shape)

@@ -48,6 +48,8 @@ class VideoRecord:
             raise ValueError(f"{self.video_id}: modality shapes differ or not 2-D: "
                              f"{self.x_rgb.shape} vs {self.x_flow.shape}")
         t = self.num_snippets
+        if t < 1:
+            raise ValueError(f"{self.video_id}: no snippets (T=0)")
         c = self.video_label.shape[0]
         for cls, start, end in self.ground_truth:
             if not 0 <= cls < c:

@@ -66,14 +66,7 @@ def refill(x: np.ndarray, plan: SamplePlan) -> np.ndarray:
     return x[plan.snippet_source()]
 
 
-def tcb_forward(x_rgb: np.ndarray, x_flow: np.ndarray, params: ModelParams,
-                plan: SamplePlan) -> tuple:
-    """Run the shared model on the refilled pair; returns fused (a_R, y_R)."""
-    out = tcb_forward_full(x_rgb, x_flow, params, plan)
-    return out.a, out.y
-
-
 def tcb_forward_full(x_rgb: np.ndarray, x_flow: np.ndarray, params: ModelParams,
                      plan: SamplePlan) -> ForwardOutputs:
-    """Same as `tcb_forward` but keeps the cached intermediates for backward."""
+    """Run the shared model on the refilled pair (the per-video continuity branch)."""
     return forward(refill(x_rgb, plan), refill(x_flow, plan), params, NormMode.STANDARD)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericError
-from .evaluate import EvalReport, evaluate
+from .evaluate import DEFAULT_IOU_THRESHOLDS, EvalReport, evaluate
 from .localize import localize_video
 from .losses import GradMode, LossBreakdown, backward
 # unused here, but bench/test_bench.py checks that its tracer patches this binding
@@ -20,10 +20,10 @@ from .ten import make_plan
 class RunConfig:
     """One training run: mode, branch wiring, optimizer, and bookkeeping.
 
-    `iterations=None` defers to hyperparams.iterations. With use_ten off, or
-    with k=1 (where sample-and-refill is the identity and the branch would
-    duplicate the base pass), the continuity branch never runs and its losses
-    are exactly 0.
+    `iterations` is the number of Adam steps; nothing else sets it. With
+    use_ten off, or with k=1 (where sample-and-refill is the identity and the
+    branch would duplicate the base pass), the continuity branch never runs
+    and its losses are exactly 0.
     """
 
     grad_mode: GradMode = GradMode.STANDARD
@@ -32,15 +32,12 @@ class RunConfig:
     learning_rate: float = 1e-3
     decay_fraction: float = 0.1
     weight_decay: float = 1e-3
-    iterations: int | None = None
+    iterations: int = 6000
     batch_size: int = 16
     seed: int = 0
     checkpoint_path: str | None = None
     log_path: str | None = None
     checkpoint_every: int = 0  # 0 = write only the final checkpoint
-
-    def resolved_iterations(self) -> int:
-        return self.hp.iterations if self.iterations is None else self.iterations
 
 
 @dataclass
@@ -73,6 +70,8 @@ def train(videos: list, config: RunConfig) -> TrainResult:
     """
     if not videos:
         raise ValueError("train: empty dataset")
+    if not 0.0 <= config.decay_fraction <= 1.0:
+        raise ValueError("decay_fraction must lie in [0, 1]")
     hp = config.hp
     rng = np.random.default_rng(config.seed)
     # plans draw from their own stream so enabling the continuity branch
@@ -86,13 +85,11 @@ def train(videos: list, config: RunConfig) -> TrainResult:
 
     flat = params.to_vector()
     state = AdamState(shape=flat.shape, learning_rate=config.learning_rate,
-                      decay_fraction=config.decay_fraction,
                       weight_decay=config.weight_decay)
-    total = config.resolved_iterations()
-    half = total // 2
+    half = config.iterations // 2
     log = []
 
-    for step in range(total):
+    for step in range(config.iterations):
         batch = [videos[int(i)] for i in rng.integers(0, len(videos), size=config.batch_size)]
         # k=1 sampling is the identity, so the continuity pair carries no
         # signal; the branch only runs when it can differ from the base
@@ -140,6 +137,13 @@ COMPONENT_GRID = (
 )
 
 
+def component_rows(config: RunConfig) -> list:
+    """One (label, RunConfig) ablation row per COMPONENT_GRID entry: `config`
+    with that entry's gradient mode and continuity-branch switch."""
+    return [(label, replace(config, grad_mode=mode, use_ten=use_ten))
+            for label, mode, use_ten in COMPONENT_GRID]
+
+
 @dataclass
 class AblationRow:
     label: str
@@ -147,22 +151,28 @@ class AblationRow:
     final_loss: float
 
 
-def ablate(train_videos: list, test_records: list, config: RunConfig,
-           grid=COMPONENT_GRID, iou_thresholds=None) -> list:
-    """Train and evaluate one run per grid row; only the row's settings vary."""
-    rows = []
-    for label, mode, use_ten in grid:
-        cfg = replace(config, grad_mode=mode, use_ten=use_ten,
-                      checkpoint_path=None, log_path=None)
-        result = train(train_videos, cfg)
-        proposals = localize_dataset(test_records, result.params, cfg.hp)
-        kwargs = {}
-        if iou_thresholds is not None:
-            kwargs["iou_thresholds"] = iou_thresholds
-        report = evaluate(proposals, test_records, **kwargs)
-        rows.append(AblationRow(label=label, report=report,
-                                final_loss=result.log[-1].losses.total))
-    return rows
+def ablate(train_videos: list, test_records: list, rows: list,
+           iou_thresholds=DEFAULT_IOU_THRESHOLDS) -> list:
+    """Train, localize and evaluate each (label, RunConfig) row, in order.
+
+    Rows never write checkpoints or logs, whatever their configs say.
+    """
+    results = []
+    for label, config in rows:
+        config = replace(config, checkpoint_path=None, log_path=None)
+        result = train(train_videos, config)
+        proposals = localize_dataset(test_records, result.params, config.hp)
+        report = evaluate(proposals, test_records, iou_thresholds=iou_thresholds)
+        results.append(AblationRow(label=label, report=report,
+                                   final_loss=result.log[-1].losses.total))
+    return results
+
+
+def _ablation_cells(report: EvalReport) -> list:
+    """mAP@0.5 and the three range averages; nan where not evaluated."""
+    nan = float("nan")
+    return [report.map_by_threshold.get(0.5, nan)] + [
+        report.averages.get(k, nan) for k in ("0.1:0.5", "0.3:0.7", "0.1:0.7")]
 
 
 def format_ablation(rows: list) -> str:
@@ -170,10 +180,16 @@ def format_ablation(rows: list) -> str:
     lines = [f"{'run':<16} {'mAP@0.5':>8} {'avg[0.1:0.5]':>13} "
              f"{'avg[0.3:0.7]':>13} {'avg[0.1:0.7]':>13}"]
     for row in rows:
-        r = row.report
-        m05 = r.map_by_threshold.get(0.5, float("nan"))
-        cells = [r.averages.get(k, float("nan"))
-                 for k in ("0.1:0.5", "0.3:0.7", "0.1:0.7")]
-        lines.append(f"{row.label:<16} {m05:>8.4f} {cells[0]:>13.4f} "
-                     f"{cells[1]:>13.4f} {cells[2]:>13.4f}")
+        m05, *avgs = _ablation_cells(row.report)
+        lines.append(f"{row.label:<16} {m05:>8.4f} {avgs[0]:>13.4f} "
+                     f"{avgs[1]:>13.4f} {avgs[2]:>13.4f}")
     return "\n".join(lines)
+
+
+def write_ablation_csv(path, rows: list) -> None:
+    """The same cells as `format_ablation`, one CSV line per grid row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("label,map_at_05,avg_01_05,avg_03_07,avg_01_07\n")
+        for row in rows:
+            cells = ",".join(f"{v:.6f}" for v in _ablation_cells(row.report))
+            fh.write(f"{row.label},{cells}\n")

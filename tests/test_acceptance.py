@@ -26,7 +26,7 @@ from wtalkit.losses import (
 from wtalkit.model import Hyperparams, forward, load_checkpoint, save_checkpoint
 from wtalkit.synth import SynthConfig, generate, read_dataset, training_view, write_dataset
 from wtalkit.ten import make_plan, tcb_forward_full
-from wtalkit.trainer import COMPONENT_GRID, RunConfig, ablate, localize_dataset, train
+from wtalkit.trainer import RunConfig, ablate, component_rows, localize_dataset, train
 
 GOLDEN_SEEDS = (1, 2, 3, 4, 5)
 GRID_ITERATIONS = 800
@@ -47,8 +47,9 @@ def golden_grid(golden_world):
     t0 = time.monotonic()
     for seed in GOLDEN_SEEDS:
         rows = ablate(tv, test_recs,
-                      RunConfig(seed=seed, iterations=GRID_ITERATIONS),
-                      grid=COMPONENT_GRID[:4], iou_thresholds=(0.5,))
+                      component_rows(RunConfig(seed=seed,
+                                               iterations=GRID_ITERATIONS))[:4],
+                      iou_thresholds=(0.5,))
         for row in rows:
             per_seed[row.label].append(100.0 * row.report.map_by_threshold[0.5])
     return per_seed, time.monotonic() - t0

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from wtalkit.cli import ENV_CONFIG, build_parser, main
-from wtalkit.synth import read_dataset
+from wtalkit.synth import VideoRecord, read_dataset, write_dataset
+from wtalkit.trainer import COMPONENT_GRID
 
 TINY_INI = """
 [synth]
@@ -26,9 +27,9 @@ seed = 5
 
 [hyperparams]
 embed_dim = 8
-iterations = 4
 
 [run]
+iterations = 4
 batch_size = 4
 """
 
@@ -141,6 +142,31 @@ class TestTrainLocalizeEval:
         assert f"{second.video_id} flow features at snippet 2" in err
         assert f"byte offset {bad})" in err
 
+    def test_zero_snippet_video_is_exit_2_naming_video_and_offset(
+            self, tmp_path, ini, data_dir, monkeypatch, capsys):
+        ds = read_dataset(data_dir / "train.bin")
+        empty = ds.records[1]
+        empty.x_rgb, empty.x_flow = empty.x_rgb[:0], empty.x_flow[:0]
+        empty.ground_truth = []
+        path = tmp_path / "empty.bin"
+        with monkeypatch.context() as m:  # the writer refuses such a video
+            m.setattr(VideoRecord, "validate", lambda self: None)
+            write_dataset(path, ds.records, num_classes=ds.num_classes)
+        capsys.readouterr()
+        assert main(["--config", ini, "train", "--data", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {empty.video_id}: no snippets" in err
+        assert "byte offset" in err
+
+    def test_decay_fraction_out_of_range_is_exit_1(self, tmp_path, data_dir,
+                                                  capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(TINY_INI + "decay_fraction = 1.5\n")
+        rc = main(["--config", str(bad), "train", "--data",
+                   str(data_dir / "train.bin")])
+        assert rc == 1
+        assert "decay_fraction must lie in [0, 1]" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_passes_quickly(self, capsys):
@@ -191,6 +217,33 @@ class TestAblate:
                    str(data_dir / "train.bin"), "--test",
                    str(data_dir / "test.bin"), "--grid", "k"])
         assert rc == 1
+
+    def test_component_grid_runs_every_row(self, tmp_path, ini, data_dir,
+                                           capsys):
+        out_csv = tmp_path / "grid.csv"
+        rc = main(["--config", ini, "ablate", "--data",
+                   str(data_dir / "train.bin"), "--test",
+                   str(data_dir / "test.bin"), "--grid", "components",
+                   "--iterations", "1", "--out", str(out_csv)])
+        assert rc == 0
+        table = capsys.readouterr().out.splitlines()
+        labels = [label for label, _, _ in COMPONENT_GRID]
+        assert [line.split()[0] for line in table[1:9]] == labels
+        lines = out_csv.read_text().splitlines()
+        assert len(lines) == 9
+        assert [line.split(",")[0] for line in lines[1:]] == labels
+
+    def test_values_rejected_for_component_grid(self, tmp_path, ini, data_dir,
+                                                capsys):
+        out_csv = tmp_path / "grid.csv"
+        rc = main(["--config", ini, "ablate", "--data",
+                   str(data_dir / "train.bin"), "--test",
+                   str(data_dir / "test.bin"), "--grid", "components",
+                   "--values", "1,2", "--out", str(out_csv)])
+        assert rc == 1
+        assert "--values does not apply to --grid components" in \
+            capsys.readouterr().err
+        assert not out_csv.exists()
 
 
 class TestUsage:

@@ -38,9 +38,9 @@ seed = 3
 [hyperparams]
 lam = 0.2
 k = 2
-iterations = 50
 
 [run]
+iterations = 50
 mode = bges
 use_ten = yes
 seed = 9
@@ -55,7 +55,7 @@ iou_thresholds = 0.3 0.5 0.7
         assert cfg.synth.noise_sigma == 0.2
         assert cfg.run.hp.lam == 0.2
         assert cfg.run.hp.k == 2
-        assert cfg.run.hp.iterations == 50
+        assert cfg.run.iterations == 50
         assert cfg.run.grad_mode is GradMode.BGES
         assert cfg.run.use_ten is True
         assert cfg.run.seed == 9
@@ -78,6 +78,12 @@ iou_thresholds = 0.3 0.5 0.7
         # t_train was parsed but never read; it is now an unknown key
         with pytest.raises(ConfigError, match=r"\[hyperparams\] unknown key 't_train'"):
             load_config(_write(tmp_path, "[hyperparams]\nt_train = 100\n"))
+
+    def test_hyperparams_iterations_key_is_rejected(self, tmp_path):
+        # step counts are set by [run] iterations alone
+        with pytest.raises(ConfigError,
+                           match=r"\[hyperparams\] unknown key 'iterations'"):
+            load_config(_write(tmp_path, "[hyperparams]\niterations = 50\n"))
 
     def test_bad_number(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[synth\] num_train"):

@@ -11,7 +11,6 @@ from wtalkit.numerics import (
     finite_diff_grad,
     gaussian_kernel,
     gaussian_smooth,
-    gaussian_smooth_transpose,
     reflect_index,
     sigmoid,
     softmax,
@@ -141,14 +140,6 @@ class TestGaussianSmooth:
         lhs = gaussian_smooth(alpha * x + beta * y)
         rhs = alpha * gaussian_smooth(x) + beta * gaussian_smooth(y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-    @given(st.integers(min_value=1, max_value=12))
-    def test_transpose_is_adjoint(self, t):
-        rng = np.random.default_rng(t + 100)
-        x, y = rng.normal(size=(2, t))
-        lhs = np.dot(gaussian_smooth(x), y)
-        rhs = np.dot(x, gaussian_smooth_transpose(y))
-        assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 class TestAdam:

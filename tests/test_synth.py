@@ -264,6 +264,15 @@ class TestWriteValidation:
         with pytest.raises(ValueError):
             write_dataset(tmp_path / "bad.bin", recs)
 
+    def test_zero_snippet_video_rejected(self, tmp_path):
+        recs = _tiny_records()
+        recs[1].x_rgb = recs[1].x_rgb[:0]
+        recs[1].x_flow = recs[1].x_flow[:0]
+        recs[1].ground_truth = []
+        with pytest.raises(ValueError, match=r"no snippets"):
+            write_dataset(tmp_path / "bad.bin", recs)
+        assert not (tmp_path / "bad.bin").exists()
+
 
 class TestGoldenDataset:
     # locks the default-config world; regenerating with the same code and
@@ -296,9 +305,10 @@ class TestMonotoneDifficulty:
                                   noise_sigma=0.4, confound_strength=conf,
                                   num_train=24, num_test=12, seed=100 + seed)
                 train_recs, test_recs = generate(cfg)
-                hp = Hyperparams(iterations=150)
+                hp = Hyperparams()
                 result = train(training_view(train_recs),
-                               RunConfig(hp=hp, seed=seed, use_ten=False))
+                               RunConfig(hp=hp, seed=seed, use_ten=False,
+                                         iterations=150))
                 props = localize_dataset(test_recs, result.params, hp)
                 rep = evaluate(props, test_recs, iou_thresholds=(0.5,),
                                num_classes=3)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import plan_oracle
 from wtalkit.losses import GradMode, compute_losses, make_tiny_instance
 from wtalkit.model import Hyperparams, forward
-from wtalkit.ten import SamplePlan, make_plan, refill, tcb_forward, tcb_forward_full
+from wtalkit.ten import SamplePlan, make_plan, refill, tcb_forward_full
 
 
 class TestSamplePlan:
@@ -135,14 +135,6 @@ class TestDegeneracies:
 
 
 class TestTcbForward:
-    def test_fused_pair_matches_full(self):
-        inst = make_tiny_instance(3)
-        plan = make_plan(inst.x_rgb.shape[0], 3, np.random.default_rng(5))
-        a_r, y_r = tcb_forward(inst.x_rgb, inst.x_flow, inst.params, plan)
-        full = tcb_forward_full(inst.x_rgb, inst.x_flow, inst.params, plan)
-        np.testing.assert_array_equal(a_r, full.a)
-        np.testing.assert_array_equal(y_r, full.y)
-
     def test_same_plan_applied_to_both_modalities(self):
         # feed the snippet index as the feature so the source is readable
         t, k = 8, 4

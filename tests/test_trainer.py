@@ -12,9 +12,11 @@ from wtalkit.trainer import (
     COMPONENT_GRID,
     RunConfig,
     ablate,
+    component_rows,
     format_ablation,
     localize_dataset,
     train,
+    write_ablation_csv,
     write_log_csv,
 )
 
@@ -60,10 +62,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             train([], _cfg())
 
-    def test_iterations_resolution(self):
-        assert _cfg(iterations=None, hp=Hyperparams()).resolved_iterations() == \
-            Hyperparams().iterations
-        assert _cfg(iterations=7).resolved_iterations() == 7
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_decay_fraction_outside_unit_interval_rejected(self, tiny_dataset,
+                                                           fraction, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a step ran before validation")
+
+        monkeypatch.setattr(trainer_mod, "backward", never)
+        with pytest.raises(ValueError, match=r"decay_fraction must lie in \[0, 1\]"):
+            train(_videos(tiny_dataset), _cfg(decay_fraction=fraction))
 
     def test_ten_branch_losses_appear_only_when_enabled(self, tiny_dataset):
         vids = _videos(tiny_dataset)
@@ -159,13 +166,28 @@ class TestLocalizeDataset:
 class TestAblate:
     def test_rows_follow_grid(self, tiny_dataset):
         _, train_recs, test_recs = tiny_dataset
-        grid = COMPONENT_GRID[:2]
         rows = ablate(training_view(train_recs), test_recs,
-                      _cfg(iterations=2), grid=grid, iou_thresholds=(0.5,))
+                      component_rows(_cfg(iterations=2))[:2], iou_thresholds=(0.5,))
         assert [r.label for r in rows] == ["BL", "BL+BGES"]
         for row in rows:
             assert 0.0 <= row.report.map_by_threshold[0.5] <= 1.0
             assert np.isfinite(row.final_loss)
+
+    def test_component_rows_vary_only_mode_and_branch(self):
+        base = _cfg(seed=7, hp=Hyperparams(embed_dim=8, lam=0.3))
+        rows = component_rows(base)
+        assert [(label, cfg.grad_mode, cfg.use_ten) for label, cfg in rows] == \
+            list(COMPONENT_GRID)
+        for _, cfg in rows:
+            assert cfg.seed == 7 and cfg.hp == base.hp and cfg.iterations == 4
+
+    def test_rows_never_write_files(self, tiny_dataset, tmp_path):
+        _, train_recs, test_recs = tiny_dataset
+        cfg = _cfg(iterations=2, checkpoint_path=str(tmp_path / "m.ckpt"),
+                   log_path=str(tmp_path / "log.csv"))
+        rows = ablate(training_view(train_recs), test_recs, [("only", cfg)])
+        assert [r.label for r in rows] == ["only"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_component_grid_covers_modes(self):
         labels = [label for label, _, _ in COMPONENT_GRID]
@@ -176,9 +198,26 @@ class TestAblate:
     def test_format_ablation_layout(self, tiny_dataset):
         _, train_recs, test_recs = tiny_dataset
         rows = ablate(training_view(train_recs), test_recs,
-                      _cfg(iterations=2), grid=COMPONENT_GRID[:1])
+                      component_rows(_cfg(iterations=2))[:1])
         text = format_ablation(rows)
         lines = text.splitlines()
         assert lines[0].split() == ["run", "mAP@0.5", "avg[0.1:0.5]",
                                     "avg[0.3:0.7]", "avg[0.1:0.7]"]
         assert lines[1].startswith("BL ")
+
+    def test_csv_carries_the_table_cells(self, tiny_dataset, tmp_path):
+        _, train_recs, test_recs = tiny_dataset
+        rows = ablate(training_view(train_recs), test_recs,
+                      component_rows(_cfg(iterations=2))[:2])
+        path = tmp_path / "grid.csv"
+        write_ablation_csv(path, rows)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "label,map_at_05,avg_01_05,avg_03_07,avg_01_07"
+        table = format_ablation(rows).splitlines()[1:]
+        for line, shown in zip(lines[1:], table, strict=True):
+            label, *cells = line.split(",")
+            label_shown, *cells_shown = shown.split()
+            assert label == label_shown
+            # the table rounds to 4 decimals, the CSV to 6
+            assert [float(c) for c in cells] == pytest.approx(
+                [float(c) for c in cells_shown], abs=5.1e-5)
