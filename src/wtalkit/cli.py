@@ -8,6 +8,8 @@ config path comes from $WTALKIT_CONFIG when --config is not given.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
 import os
 import sys
@@ -92,15 +94,13 @@ def cmd_train(args) -> int:
     dataset = read_dataset(args.data)
     videos = training_view(dataset.records)
     run = replace(run, checkpoint_path=args.out, log_path=args.log)
-    result = train(videos, run)
-    last = result.log[-1].losses if result.log else None
+    last = train(videos, run).log[-1].losses
     if args.out is None:
         print("training finished (no checkpoint path given)")
     else:
         print(f"wrote {args.out}")
-    if last is not None:
-        print(f"final losses: fg={last.fg:.4f} bg={last.bg:.4f} att={last.att:.4f} "
-              f"kl={last.kl:.4f} total={last.total:.4f}")
+    print(f"final losses: fg={last.fg:.4f} bg={last.bg:.4f} att={last.att:.4f} "
+          f"kl={last.kl:.4f} total={last.total:.4f}")
     return 0
 
 
@@ -271,7 +271,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_heap() -> None:
+    """Have glibc serve blocks up to 32 MB from a heap it trims only past
+    256 MB, so each training step's temporaries reuse touched pages instead
+    of faulting in fresh ones. Other allocators keep their defaults."""
+    with contextlib.suppress(OSError, AttributeError, TypeError):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -38,7 +38,6 @@ from .model import (
     NORMALIZER_FLOOR,
     ForwardOutputs,
     Hyperparams,
-    ModalityParams,
     ModelParams,
     NormMode,
     forward,
@@ -216,14 +215,15 @@ def _chunks(videos: list, kernel_size: int):
 
 
 def _chunk_backward(videos: list, plans: list | None, params: ModelParams,
-                    hp: Hyperparams, mode: GradMode) -> tuple:
+                    hp: Hyperparams, mode: GradMode, grads: ModelParams) -> np.ndarray:
     """Packed forward and analytic backward of one chunk.
 
     Rows are the chunk's videos back to back, then (with plans) their
     refilled copies in the same order, so both branches share every GEMM.
     Per-row head outputs are held class-major, (C+2, rows): the C+1 CAS
-    logits, then the attention logit. Returns (gradient of the summed
-    per-video totals, (videos, 6) losses in LossBreakdown order).
+    logits, then the attention logit. Adds the gradient of the summed
+    per-video totals into `grads`; returns the (videos, 6) losses in
+    LossBreakdown order.
     """
     lengths = np.array([v.x_rgb.shape[0] for v in videos])
     if lengths.min() < 1:
@@ -231,7 +231,7 @@ def _chunk_backward(videos: list, plans: list | None, params: ModelParams,
     n = int(lengths.sum())
     starts = np.cumsum(lengths) - lengths
     seg = np.repeat(np.arange(len(videos)), lengths)
-    k = params.kernel_size
+    k = params.header[-1]
     # one table serves the conv windows and the smoothing taps: column
     # width // 2 of every row is the row itself
     width = max(k, 2 * hp.gauss_radius + 1)
@@ -328,8 +328,7 @@ def _chunk_backward(videos: list, plans: list | None, params: ModelParams,
     losses[:, 5] = (losses[:, 0] + hp.lam * losses[:, 1]
                     + hp.beta * (losses[:, 2] + losses[:, 3]) + w_bvl * losses[:, 4])
 
-    # through both modality heads (0.5 fusion), in to_vector order
-    blocks = []
+    # through both modality heads (0.5 fusion)
     d_h = np.empty((y.shape[0] + 1, y.shape[1]))
     d_h[:-1] = 0.5 * d_y
     for name in MODALITIES:
@@ -339,10 +338,14 @@ def _chunk_backward(videos: list, plans: list | None, params: ModelParams,
         d_z *= xe > 0
         d_head = d_h @ xe
         d_b_head = d_h.sum(axis=1)
-        blocks += [(win.T @ d_z).reshape(k, -1, d_z.shape[1]).transpose(2, 1, 0).ravel(),
-                   d_z.sum(axis=0), d_head[:-1].T.ravel(), d_b_head[:-1],
-                   d_head[-1], d_b_head[-1:]]
-    return np.concatenate(blocks), losses
+        g = grads.modality(name)
+        g.w_embed += (win.T @ d_z).reshape(k, -1, d_z.shape[1]).transpose(2, 1, 0)
+        g.b_embed += d_z.sum(axis=0)
+        g.w_cls += d_head[:-1].T
+        g.b_cls += d_b_head[:-1]
+        g.w_att += d_head[-1]
+        g.b_att += d_b_head[-1]
+    return losses
 
 
 def backward(videos: list, plans: list | None, params: ModelParams,
@@ -353,13 +356,15 @@ def backward(videos: list, plans: list | None, params: ModelParams,
     per video when the continuity branch runs, else None. Returns the flat
     gradient (ModelParams.to_vector order) and the mean LossBreakdown.
     """
-    parts = [_chunk_backward(videos[lo:hi], None if plans is None else plans[lo:hi],
-                             params, hp, mode)
-             for lo, hi in _chunks(videos, params.kernel_size)]
-    grad = sum(g for g, _ in parts) / len(videos)
+    grad = np.zeros(params.size)
+    grads = params.from_vector(grad)
+    losses = [_chunk_backward(videos[lo:hi], None if plans is None else plans[lo:hi],
+                              params, hp, mode, grads)
+              for lo, hi in _chunks(videos, params.header[-1])]
+    grad /= len(videos)
     if not np.all(np.isfinite(grad)):
         raise NumericError("backward produced non-finite gradients")
-    means = np.concatenate([losses for _, losses in parts]).mean(axis=0)
+    means = np.concatenate(losses).mean(axis=0)
     return grad, LossBreakdown(*(float(m) for m in means))
 
 
@@ -382,17 +387,10 @@ def make_tiny_instance(seed: int, num_snippets: int = 8, feature_dim: int = 6,
     x_rgb = rng.normal(0.0, 1.0, size=(num_snippets, feature_dim))
     x_flow = rng.normal(0.0, 1.0, size=(num_snippets, feature_dim))
 
-    def draw(mod_rng):
-        return ModalityParams(
-            w_embed=mod_rng.normal(0.0, 0.5, size=(embed_dim, feature_dim, kernel_size)),
-            b_embed=mod_rng.normal(0.0, 0.1, size=embed_dim),
-            w_cls=mod_rng.normal(0.0, 0.5, size=(embed_dim, num_classes + 1)),
-            b_cls=mod_rng.normal(0.0, 0.1, size=num_classes + 1),
-            w_att=mod_rng.normal(0.0, 0.5, size=embed_dim),
-            b_att=float(mod_rng.normal(0.0, 0.1)),
-        )
-
-    params = ModelParams(rgb=draw(rng), flow=draw(rng))
+    params = ModelParams.zeros(feature_dim, embed_dim, num_classes, kernel_size)
+    for name, block in params.blocks():
+        scale = 0.5 if ".w_" in name else 0.1
+        block[...] = rng.normal(0.0, scale, size=block.shape)
     plan = make_plan(num_snippets, interval, rng)
     label = np.zeros(num_classes)
     label[rng.integers(0, num_classes)] = 1.0
@@ -488,11 +486,10 @@ def certify_gradients(num_instances: int = 20, tolerance: float = 1e-5,
             accepted += 1
             analytic, _ = backward([inst], [inst.plan], inst.params, hp, mode)
             if flip_block is not None:
-                grads = inst.params.from_vector(analytic)
-                mod_name, field = flip_block.split(".")
-                block = grads.modality(mod_name)
-                setattr(block, field, -getattr(block, field))
-                analytic = grads.to_vector()
+                blocks = dict(inst.params.from_vector(analytic).blocks())
+                if flip_block not in blocks:
+                    raise ValueError(f"flip_block: no parameter block {flip_block!r}")
+                np.negative(blocks[flip_block], out=blocks[flip_block])
             numeric = finite_diff_grad(build_fd_loss(inst, hp, mode),
                                        inst.params.to_vector(), fd_epsilon)
             # the denominator floor keeps central-difference roundoff

@@ -10,12 +10,14 @@ identical in both modes.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .container import read_container, write_container
 from .errors import DataFormatError, NumericError
 from .numerics import reflect_index, sigmoid, softmax
 
@@ -33,85 +35,88 @@ class NormMode(enum.Enum):
 
 @dataclass
 class ModalityParams:
-    """Parameters of one modality branch.
-
-    w_embed: (E, D, K) temporal conv kernel, K odd.
-    w_cls:   (E, C+1) snippet classifier, column C is the background class.
-    w_att:   (E,) attention weights, b_att a scalar.
-    """
+    """Parameters of one modality branch, shaped as `_layout` states."""
 
     w_embed: np.ndarray
     b_embed: np.ndarray
     w_cls: np.ndarray
     b_cls: np.ndarray
     w_att: np.ndarray
-    b_att: float
+    b_att: np.ndarray
 
-    def arrays(self):
-        return [
-            self.w_embed,
-            self.b_embed,
-            self.w_cls,
-            self.b_cls,
-            self.w_att,
-            np.array([self.b_att]),
-        ]
+
+@functools.lru_cache(maxsize=64)
+def _layout(d: int, e: int, c: int, k: int) -> tuple:
+    """(modality, field, shape, start, stop) of every block in flat-vector
+    order, from the shape header (D, E, C, K): the one statement of the
+    parameter layout.
+
+    w_embed is the temporal conv kernel (K odd), w_cls the snippet classifier
+    whose column C is the background class, w_att the attention weights and
+    b_att its scalar bias.
+    """
+    if k < 1 or k % 2 == 0:
+        raise ValueError("kernel_size must be odd and >= 1")
+    fields = (("w_embed", (e, d, k)), ("b_embed", (e,)), ("w_cls", (e, c + 1)),
+              ("b_cls", (c + 1,)), ("w_att", (e,)), ("b_att", ()))
+    blocks, size = [], 0
+    for name in MODALITIES:
+        for field, shape in fields:
+            blocks.append((name, field, shape, size, size + math.prod(shape)))
+            size = blocks[-1][-1]
+    return tuple(blocks)
+
+
+def _views(vec: np.ndarray | None, layout: tuple) -> "ModelParams":
+    """ModelParams whose blocks view the flat `vec` (a new zero one if None)."""
+    size = layout[-1][-1]
+    vec = np.zeros(size) if vec is None else vec
+    if vec.shape != (size,):
+        raise ValueError(f"from_vector: expected {size} values, got {vec.size}")
+    mods = {name: {} for name in MODALITIES}
+    for name, field, shape, start, stop in layout:
+        mods[name][field] = vec[start:stop].reshape(shape)
+    return ModelParams(**{name: ModalityParams(**f) for name, f in mods.items()})
 
 
 @dataclass
 class ModelParams:
-    """Both modality branches plus the shape header they were built for."""
+    """Both modality branches; `zeros` and `from_vector` build views of one vector."""
 
     rgb: ModalityParams
     flow: ModalityParams
 
-    @property
-    def feature_dim(self) -> int:
-        return self.rgb.w_embed.shape[1]
+    @staticmethod
+    def zeros(d: int, e: int, c: int, k: int) -> "ModelParams":
+        """Zero-filled params of shape header (D, E, C, K), views of one buffer."""
+        return _views(None, _layout(d, e, c, k))
 
     @property
-    def embed_dim(self) -> int:
-        return self.rgb.w_embed.shape[0]
+    def header(self) -> tuple:
+        """(D, E, C, K), from which every block's shape follows."""
+        e, d, k = self.rgb.w_embed.shape
+        return d, e, self.rgb.w_cls.shape[1] - 1, k
 
     @property
-    def num_classes(self) -> int:
-        return self.rgb.w_cls.shape[1] - 1
-
-    @property
-    def kernel_size(self) -> int:
-        return self.rgb.w_embed.shape[2]
+    def size(self) -> int:
+        """Length of the flat vector."""
+        return _layout(*self.header)[-1][-1]
 
     def modality(self, name: str) -> ModalityParams:
         return self.rgb if name == "rgb" else self.flow
 
+    def blocks(self) -> list:
+        """(name, array) of every block in vector order, e.g. ("rgb.w_cls", ...)."""
+        return [(f"{name}.{field}", getattr(self.modality(name), field))
+                for name, field, *_ in _layout(*self.header)]
+
     def to_vector(self) -> np.ndarray:
-        chunks = []
-        for name in MODALITIES:
-            chunks.extend(a.ravel() for a in self.modality(name).arrays())
-        return np.concatenate(chunks)
+        return np.concatenate([np.ravel(block) for _, block in self.blocks()])
 
     def from_vector(self, vec: np.ndarray) -> "ModelParams":
-        """Rebuild params with this instance's shapes from a flat vector."""
-        vec = np.asarray(vec, dtype=np.float64)
-        out = {}
-        pos = 0
-        for name in MODALITIES:
-            arrs = []
-            for a in self.modality(name).arrays():
-                n = a.size
-                arrs.append(vec[pos : pos + n].reshape(a.shape).copy())
-                pos += n
-            out[name] = ModalityParams(
-                w_embed=arrs[0],
-                b_embed=arrs[1],
-                w_cls=arrs[2],
-                b_cls=arrs[3],
-                w_att=arrs[4],
-                b_att=float(arrs[5][0]),
-            )
-        if pos != vec.size:
-            raise ValueError(f"from_vector: expected {pos} values, got {vec.size}")
-        return ModelParams(rgb=out["rgb"], flow=out["flow"])
+        """Params with this instance's shapes as views of the 1-D `vec`, with
+        no copy when `vec` is float64: writes through either show in both."""
+        return _views(np.asarray(vec, dtype=np.float64), _layout(*self.header))
 
 
 @dataclass
@@ -165,22 +170,14 @@ class ForwardOutputs:
 def init_params(rng: np.random.Generator, feature_dim: int, embed_dim: int,
                 num_classes: int, kernel_size: int = 3) -> ModelParams:
     """Fan-in uniform init, zero biases."""
-    if kernel_size < 1 or kernel_size % 2 == 0:
-        raise ValueError("kernel_size must be odd and >= 1")
-
-    def one(_):
-        lim_e = 1.0 / np.sqrt(feature_dim * kernel_size)
-        lim_c = 1.0 / np.sqrt(embed_dim)
-        return ModalityParams(
-            w_embed=rng.uniform(-lim_e, lim_e, size=(embed_dim, feature_dim, kernel_size)),
-            b_embed=np.zeros(embed_dim),
-            w_cls=rng.uniform(-lim_c, lim_c, size=(embed_dim, num_classes + 1)),
-            b_cls=np.zeros(num_classes + 1),
-            w_att=rng.uniform(-lim_c, lim_c, size=embed_dim),
-            b_att=0.0,
-        )
-
-    return ModelParams(rgb=one("rgb"), flow=one("flow"))
+    params = ModelParams.zeros(feature_dim, embed_dim, num_classes, kernel_size)
+    lim_e = 1.0 / np.sqrt(feature_dim * kernel_size)
+    lim_c = 1.0 / np.sqrt(embed_dim)
+    for name in MODALITIES:
+        mod = params.modality(name)
+        for block, lim in ((mod.w_embed, lim_e), (mod.w_cls, lim_c), (mod.w_att, lim_c)):
+            block[...] = rng.uniform(-lim, lim, size=block.shape)
+    return params
 
 
 def _check_features(x: np.ndarray, feature_dim: int, name: str) -> np.ndarray:
@@ -274,44 +271,25 @@ def forward(x_rgb: np.ndarray, x_flow: np.ndarray, params: ModelParams,
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    """Write params to a little-endian binary container with a CRC trailer.
-
-    Layout: magic, then a payload of {version u32, D u32, E u32, C u32,
-    K u32} followed by float64 parameters per modality (rgb then flow) in the
-    order w_embed, b_embed, w_cls, b_cls, w_att, b_att, then CRC32(payload).
-    """
-    header = struct.pack(
-        "<5I", CHECKPOINT_VERSION, params.feature_dim, params.embed_dim,
-        params.num_classes, params.kernel_size,
-    )
-    body = params.to_vector().astype("<f8").tobytes()
-    payload = header + body
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(payload)
-        f.write(struct.pack("<I", zlib.crc32(payload)))
+    """Write params as a container whose payload is {version u32, D u32,
+    E u32, C u32, K u32} then the float64 flat vector (`_layout` order)."""
+    write_container(path, CHECKPOINT_MAGIC, [struct.pack("<5I", CHECKPOINT_VERSION, *params.header),
+                                             params.to_vector().astype("<f8")])
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:8] != CHECKPOINT_MAGIC:
-        raise DataFormatError("not a checkpoint file (bad magic)", offset=0)
-    if len(blob) < 8 + 20 + 4:
-        raise DataFormatError("checkpoint truncated", offset=len(blob))
-    payload, (crc,) = blob[8:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(payload) != crc:
-        raise DataFormatError("checkpoint CRC mismatch", offset=len(blob) - 4)
-    version, d, e, c, k = struct.unpack("<5I", payload[:20])
-    if version != CHECKPOINT_VERSION:
-        raise DataFormatError(f"unsupported checkpoint version {version}", offset=8)
-    vec = np.frombuffer(payload[20:], dtype="<f8")
-    rng = np.random.default_rng(0)
-    template = init_params(rng, d, e, c, k)
-    expected = template.to_vector().size
-    if vec.size != expected:
-        raise DataFormatError(
-            f"checkpoint holds {vec.size} parameters, shapes imply {expected}",
-            offset=8 + 20,
-        )
-    return template.from_vector(vec)
+    with read_container(path, CHECKPOINT_MAGIC, "checkpoint") as payload:
+        version, d, e, c, k = payload.unpack("<5I", "checkpoint header")
+        if version != CHECKPOINT_VERSION:
+            raise DataFormatError(f"unsupported checkpoint version {version}", offset=8)
+        try:
+            layout = _layout(d, e, c, k)
+        except ValueError as exc:
+            raise DataFormatError(f"checkpoint header: {exc}", offset=8) from None
+        size = layout[-1][-1]
+        if payload.end - payload.pos != 8 * size:
+            raise DataFormatError(f"checkpoint holds {payload.end - payload.pos} parameter "
+                                  f"bytes, shapes imply {8 * size}", offset=payload.pos)
+        vec = payload.floats((size,), "checkpoint block", lambda i: next(
+            f" {m}.{f}" for m, f, _, start, stop in layout if start <= i < stop))
+    return _views(vec.astype(np.float64, copy=False), layout)

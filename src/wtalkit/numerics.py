@@ -1,9 +1,10 @@
 """Small dense numeric kernels: activations, temporal smoothing, Adam, and a
 central-difference gradient oracle.
 
-Everything here is float64 and pure (the optimizer mutates only the state it
-is handed). These are the primitives the analytic backward pass is certified
-against, so they stay deliberately simple.
+Everything here is float64 and pure, except the optimizer, which updates the
+parameter vector and the state it is handed in place. These are the
+primitives the analytic backward pass is certified against, so they stay
+deliberately simple.
 """
 
 from __future__ import annotations
@@ -111,10 +112,8 @@ class AdamState:
         self.second_moment = np.zeros(self.shape)
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.ndarray:
-    """One bias-corrected Adam update; returns new params, mutates `state`."""
-    params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of `params` and the moments, in place."""
     if params.shape != grads.shape or params.shape != state.first_moment.shape:
         raise ValueError(
             f"adam_step: shape mismatch params {params.shape}, grads {grads.shape}, "
@@ -122,15 +121,15 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
         )
     state.step += 1
     t = state.step
-    state.first_moment = state.beta1 * state.first_moment + (1.0 - state.beta1) * grads
-    state.second_moment = state.beta2 * state.second_moment + (1.0 - state.beta2) * grads**2
-    m_hat = state.first_moment / (1.0 - state.beta1**t)
-    v_hat = state.second_moment / (1.0 - state.beta2**t)
-    out = params * (1.0 - state.learning_rate * state.weight_decay)
-    out = out - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    if not np.all(np.isfinite(out)):
+    m, v = state.first_moment, state.second_moment
+    np.add(state.beta1 * m, (1.0 - state.beta1) * grads, out=m)
+    np.add(state.beta2 * v, (1.0 - state.beta2) * grads**2, out=v)
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    params *= 1.0 - state.learning_rate * state.weight_decay
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    if not np.all(np.isfinite(params)):
         raise NumericError("adam_step produced non-finite parameters")
-    return out
 
 
 def finite_diff_grad(loss_fn, params: np.ndarray, epsilon: float = 1e-5) -> np.ndarray:

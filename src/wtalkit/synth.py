@@ -14,11 +14,11 @@ features, so real-data runs need none of the generation code here.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .container import read_container, write_container
 from .errors import ConfigError, DataFormatError
 
 DATASET_MAGIC = b"WTALDS01"
@@ -186,45 +186,6 @@ def generate(cfg: SynthConfig) -> tuple:
     return make("train", cfg.num_train), make("test", cfg.num_test)
 
 
-class _Cursor:
-    """Byte reader that reports the offset of whatever failed.
-
-    `take` returns slices of `data`, so over a memoryview nothing is copied.
-    """
-
-    def __init__(self, data, start: int = 0):
-        self.data = data
-        self.pos = start
-
-    def take(self, n: int, what: str):
-        if self.pos + n > len(self.data):
-            raise DataFormatError(f"truncated while reading {what} "
-                                  f"({n} bytes needed)", offset=self.pos)
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
-
-    def f64(self, what: str) -> float:
-        return struct.unpack("<d", self.take(8, what))[0]
-
-    def features(self, t: int, d: int, what: str) -> np.ndarray:
-        """A (t, d) float64 matrix, copied out of the buffer; non-finite
-        values are rejected with the offset of the first one."""
-        start = self.pos
-        x = np.frombuffer(self.take(t * d * 8, what), dtype="<f8").reshape(t, d).copy()
-        if not np.isfinite(x).all():
-            first = int(np.flatnonzero(~np.isfinite(x))[0])
-            raise DataFormatError(f"non-finite value in {what} at snippet "
-                                  f"{first // d}", offset=start + 8 * first)
-        return x
-
-
 def _label_bytes(label: np.ndarray) -> bytes:
     c = label.shape[0]
     mask = bytearray((c + 7) // 8)
@@ -270,13 +231,9 @@ def write_dataset(path, records: list, num_classes: int | None = None,
         parts.append(struct.pack("<I", len(rec.ground_truth)))
         for cls, start, end in rec.ground_truth:
             parts.append(struct.pack("<III", cls, start, end))
-        parts.append(np.ascontiguousarray(rec.x_rgb, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(rec.x_flow, dtype="<f8").tobytes())
-    payload = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+        parts.append(np.ascontiguousarray(rec.x_rgb, dtype="<f8"))
+        parts.append(np.ascontiguousarray(rec.x_flow, dtype="<f8"))
+    write_container(path, DATASET_MAGIC, parts)
 
 
 @dataclass
@@ -289,54 +246,36 @@ class Dataset:
 
 
 def read_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(DATASET_MAGIC) or blob[: len(DATASET_MAGIC)] != DATASET_MAGIC:
-        raise DataFormatError("bad magic, not a dataset file", offset=0)
-    if len(blob) < len(DATASET_MAGIC) + 4:
-        raise DataFormatError("file too short for checksum trailer",
-                              offset=len(blob))
-    # every slice below is a view of the one buffer read from disk
-    view = memoryview(blob)
-    (stored_crc,) = struct.unpack("<I", view[-4:])
-    if zlib.crc32(view[len(DATASET_MAGIC) : -4]) != stored_crc:
-        raise DataFormatError("checksum mismatch, file corrupt",
-                              offset=len(blob) - 4)
-    cur = _Cursor(view[:-4], start=len(DATASET_MAGIC))
-    version = cur.u32("version")
-    if version != DATASET_VERSION:
-        raise DataFormatError(f"unsupported version {version}", offset=cur.pos - 4)
-    num_classes = cur.u32("class count")
-    feature_dim = cur.u32("feature dim")
-    count = cur.u64("video count")
-    frames_per_snippet = cur.u32("frames per snippet")
-    fps = cur.f64("fps")
-    mask_len = (num_classes + 7) // 8
-    records = []
-    for _ in range(count):
-        id_len = cur.u32("id length")
-        vid = str(cur.take(id_len, "video id"), "utf-8")
-        t = cur.u32("snippet count")
-        label = _label_from_bytes(cur.take(mask_len, "label bitmask"), num_classes)
-        n_inst = cur.u32("instance count")
-        gts = []
-        for _ in range(n_inst):
-            cls = cur.u32("instance class")
-            start = cur.u32("instance start")
-            end = cur.u32("instance end")
-            gts.append((cls, start, end))
-        x_rgb = cur.features(t, feature_dim, f"{vid} rgb features")
-        x_flow = cur.features(t, feature_dim, f"{vid} flow features")
-        rec = VideoRecord(video_id=vid, x_rgb=x_rgb, x_flow=x_flow,
-                          video_label=label, ground_truth=gts)
-        try:
-            rec.validate()
-        except ValueError as exc:
-            raise DataFormatError(str(exc), offset=cur.pos) from exc
-        records.append(rec)
-    if cur.pos != len(cur.data):
-        raise DataFormatError(f"{len(cur.data) - cur.pos} trailing bytes after "
-                              "last video", offset=cur.pos)
+    with read_container(path, DATASET_MAGIC, "dataset") as cur:
+        (version,) = cur.unpack("<I", "version")
+        if version != DATASET_VERSION:
+            raise DataFormatError(f"unsupported version {version}", offset=cur.pos - 4)
+        num_classes, feature_dim, count, frames_per_snippet, fps = cur.unpack("<IIQId", "header")
+        mask_len = (num_classes + 7) // 8
+
+        def snippet(i):
+            return f" at snippet {i // feature_dim}"
+
+        records = []
+        for _ in range(count):
+            (id_len,) = cur.unpack("<I", "id length")
+            vid = str(cur.take(id_len, "video id"), "utf-8")
+            (t,) = cur.unpack("<I", "snippet count")
+            label = _label_from_bytes(cur.take(mask_len, "label bitmask"), num_classes)
+            (n_inst,) = cur.unpack("<I", "instance count")
+            gts = [cur.unpack("<III", "instance") for _ in range(n_inst)]
+            x_rgb = cur.floats((t, feature_dim), f"{vid} rgb features", snippet)
+            x_flow = cur.floats((t, feature_dim), f"{vid} flow features", snippet)
+            rec = VideoRecord(video_id=vid, x_rgb=x_rgb, x_flow=x_flow,
+                              video_label=label, ground_truth=gts)
+            try:
+                rec.validate()
+            except ValueError as exc:
+                raise DataFormatError(str(exc), offset=cur.pos) from exc
+            records.append(rec)
+        if cur.pos != cur.end:
+            raise DataFormatError(f"{cur.end - cur.pos} trailing bytes after "
+                                  "last video", offset=cur.pos)
     return Dataset(records=records, num_classes=num_classes,
                    feature_dim=feature_dim,
                    frames_per_snippet=frames_per_snippet, fps=fps)

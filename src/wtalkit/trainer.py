@@ -72,6 +72,8 @@ def train(videos: list, config: RunConfig) -> TrainResult:
         raise ValueError("train: empty dataset")
     if not 0.0 <= config.decay_fraction <= 1.0:
         raise ValueError("decay_fraction must lie in [0, 1]")
+    if config.iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {config.iterations}")
     hp = config.hp
     rng = np.random.default_rng(config.seed)
     # plans draw from their own stream so enabling the continuity branch
@@ -82,8 +84,9 @@ def train(videos: list, config: RunConfig) -> TrainResult:
     num_classes = videos[0].video_label.shape[0]
     embed_dim = hp.embed_dim if hp.embed_dim > 0 else feature_dim
     params = init_params(rng, feature_dim, embed_dim, num_classes, hp.kernel_size)
-
+    # params become views of the buffer that adam_step updates in place
     flat = params.to_vector()
+    params = params.from_vector(flat)
     state = AdamState(shape=flat.shape, learning_rate=config.learning_rate,
                       weight_decay=config.weight_decay)
     half = config.iterations // 2
@@ -103,8 +106,7 @@ def train(videos: list, config: RunConfig) -> TrainResult:
                                f"{[v.video_id for v in batch]}: {exc}") from exc
         state.learning_rate = (config.learning_rate * config.decay_fraction
                                if step >= half else config.learning_rate)
-        flat = adam_step(flat, grad, state)
-        params = params.from_vector(flat)
+        adam_step(flat, grad, state)
         log.append(LogRow(step=step, losses=mean_losses,
                           learning_rate=state.learning_rate))
         if (config.checkpoint_path and config.checkpoint_every > 0

@@ -1,8 +1,12 @@
 """Independent brute-force reference implementations used by several tests.
 
 Everything here is deliberately written with plain loops and no shared code
-with the package, so agreement is evidence rather than tautology.
+with the package, so agreement is evidence rather than tautology. The one
+exception is `adam_oracle`, the straightforward out-of-place form of the
+package's in-place Adam update, kept to pin its bits.
 """
+
+import numpy as np
 
 
 def iou_oracle(a, b):
@@ -67,3 +71,19 @@ def plan_oracle(num_snippets, k, rng):
         chosen.append(int(rng.integers(start, end)))
         start = end
     return tuple(chosen)
+
+
+def adam_oracle(params, grads, state):
+    """Out-of-place bias-corrected Adam with decoupled weight decay.
+
+    Rebinds fresh moment arrays on `state` and returns new parameters, doing
+    the same float64 operations in the same order as `numerics.adam_step`.
+    """
+    state.step += 1
+    t = state.step
+    state.first_moment = state.beta1 * state.first_moment + (1.0 - state.beta1) * grads
+    state.second_moment = state.beta2 * state.second_moment + (1.0 - state.beta2) * grads**2
+    m_hat = state.first_moment / (1.0 - state.beta1**t)
+    v_hat = state.second_moment / (1.0 - state.beta2**t)
+    out = params * (1.0 - state.learning_rate * state.weight_decay)
+    return out - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wtalkit.cli import ENV_CONFIG, build_parser, main
+from wtalkit.model import load_checkpoint, save_checkpoint
 from wtalkit.synth import VideoRecord, read_dataset, write_dataset
 from wtalkit.trainer import COMPONENT_GRID
 
@@ -167,6 +168,35 @@ class TestTrainLocalizeEval:
         assert rc == 1
         assert "decay_fraction must lie in [0, 1]" in capsys.readouterr().err
 
+    def test_iterations_below_one_is_exit_1_and_writes_nothing(
+            self, tmp_path, ini, data_dir, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        rc = main(["--config", ini, "train", "--data", str(data_dir / "train.bin"),
+                   "--iterations", "-3", "--out", str(ckpt)])
+        assert rc == 1
+        assert "iterations must be >= 1, got -3" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_non_finite_checkpoint_is_exit_2_naming_block_and_offset(
+            self, tmp_path, ini, data_dir, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["--config", ini, "train", "--data", str(data_dir / "train.bin"),
+                     "--out", str(ckpt)]) == 0
+        params = load_checkpoint(ckpt)
+        params.rgb.w_cls[1, 2] = np.nan
+        save_checkpoint(ckpt, params)
+        capsys.readouterr()
+        rc = main(["--config", ini, "localize", "--checkpoint", str(ckpt),
+                   "--data", str(data_dir / "test.bin"),
+                   "--out", str(tmp_path / "p.tsv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "non-finite value in checkpoint block rgb.w_cls" in err
+        # past the 28-byte head, rgb.w_embed (8 * 8 * 3) and rgb.b_embed (8),
+        # then row 1, column 2 of the (8, 4) classifier
+        assert f"byte offset {28 + 8 * (192 + 8 + 1 * 4 + 2)})" in err
+        assert not (tmp_path / "p.tsv").exists()
+
 
 class TestGradcheck:
     def test_passes_quickly(self, capsys):
@@ -246,6 +276,17 @@ class TestAblate:
         assert not out_csv.exists()
 
 
+    def test_iterations_below_one_is_exit_1_and_writes_nothing(
+            self, tmp_path, ini, data_dir, capsys):
+        csv = tmp_path / "grid.csv"
+        rc = main(["--config", ini, "ablate", "--data", str(data_dir / "train.bin"),
+                   "--test", str(data_dir / "test.bin"), "--grid", "lambda",
+                   "--values", "0.1", "--iterations", "0", "--out", str(csv)])
+        assert rc == 1
+        assert "iterations must be >= 1, got 0" in capsys.readouterr().err
+        assert not csv.exists()
+
+
 class TestUsage:
     def test_no_command_is_exit_1(self, capsys):
         assert main([]) == 1
@@ -274,3 +315,15 @@ class TestUsage:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([cmd, "--help"])
             assert "--help" in capsys.readouterr().out
+
+
+def test_allocator_setup_tolerates_a_missing_c_library(monkeypatch):
+    import ctypes
+
+    from wtalkit import cli
+
+    def missing(*args, **kwargs):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", missing)
+    cli._keep_heap()

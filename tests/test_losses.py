@@ -351,6 +351,36 @@ class TestCertification:
                                     flip_block="flow.b_cls")
         assert any(not r.passed for r in results)
 
+    def test_injected_bug_in_scalar_block_is_caught(self):
+        results = certify_gradients(num_instances=2, modes=(GradMode.STANDARD,),
+                                    flip_block="flow.b_att")
+        assert all(not r.passed for r in results)
+
+    def test_unknown_block_rejected(self):
+        with pytest.raises(ValueError, match="no parameter block 'rgb.w_nope'"):
+            certify_gradients(num_instances=1, flip_block="rgb.w_nope")
+
+
+class TestTinyInstance:
+    def test_draws_in_the_recorded_order(self):
+        # features, then per modality normal(0, 0.5) weights and normal(0,
+        # 0.1) biases in field order, then the plan and the label
+        inst = make_tiny_instance(1234)
+        rng = np.random.default_rng(1234)
+        x_rgb, x_flow = rng.normal(size=(8, 6)), rng.normal(size=(8, 6))
+        expected = []
+        for _ in ("rgb", "flow"):
+            expected += [rng.normal(0.0, 0.5, size=(5, 6, 3)).ravel(),
+                         rng.normal(0.0, 0.1, size=5),
+                         rng.normal(0.0, 0.5, size=(5, 4)).ravel(),
+                         rng.normal(0.0, 0.1, size=4),
+                         rng.normal(0.0, 0.5, size=5),
+                         [float(rng.normal(0.0, 0.1))]]
+        np.testing.assert_array_equal(inst.x_rgb, x_rgb)
+        np.testing.assert_array_equal(inst.x_flow, x_flow)
+        np.testing.assert_array_equal(inst.params.to_vector(), np.concatenate(expected))
+        assert inst.plan == make_plan(8, 3, rng)
+
 
 class TestFactorIdentities:
     @staticmethod

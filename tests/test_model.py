@@ -1,5 +1,8 @@
 """Forward pass: embedding, CAS, attention, fusion, pooling, checkpoints."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,19 @@ from wtalkit.numerics import sigmoid, softmax
 def make_params(rng, d=6, e=5, c=3, k=3):
     return init_params(rng, feature_dim=d, embed_dim=e, num_classes=c,
                        kernel_size=k)
+
+
+def block_starts(params):
+    """Index of each block's first value in the flat vector."""
+    sizes = [np.size(block) for _, block in params.blocks()]
+    return dict(zip([name for name, _ in params.blocks()], np.cumsum([0] + sizes)))
+
+
+def flat_buffer(params):
+    """The one flat vector that every block of `params` views."""
+    buffer = params.rgb.w_embed.base
+    assert all(block.base is buffer for _, block in params.blocks())
+    return buffer
 
 
 def random_inputs(rng, t=8, d=6):
@@ -255,6 +271,51 @@ class TestParamsVector:
         with pytest.raises(ValueError):
             params.from_vector(np.zeros(3))
 
+    def test_from_vector_blocks_alias_the_vector(self):
+        params = make_params(np.random.default_rng(21))
+        vec = params.to_vector()
+        views = params.from_vector(vec)
+        starts = block_starts(params)
+        vec[:] = np.arange(vec.size)
+        for name, block in views.blocks():
+            assert np.ravel(block)[0] == starts[name], name
+        assert views.flow.b_att.shape == () and views.flow.b_att == vec.size - 1
+        views.rgb.b_att += 0.5
+        views.flow.w_cls[0, 0] = -1.0
+        assert vec[starts["rgb.b_att"]] == starts["rgb.b_att"] + 0.5
+        assert vec[starts["flow.w_cls"]] == -1.0
+        with pytest.raises(ValueError):
+            params.from_vector(np.zeros(vec.size + 1))
+
+    def test_blocks_follow_the_vector_layout(self):
+        params = make_params(np.random.default_rng(22), d=6, e=5, c=3, k=3)
+        names = [name for name, _ in params.blocks()]
+        fields = ["w_embed", "b_embed", "w_cls", "b_cls", "w_att", "b_att"]
+        assert names == [f"{m}.{f}" for m in ("rgb", "flow") for f in fields]
+        assert params.header == (6, 5, 3, 3)
+        assert params.size == 2 * (5 * 6 * 3 + 5 + 5 * 4 + 4 + 5 + 1)
+        zeros = ModelParams.zeros(*params.header)
+        assert [b.shape for _, b in zeros.blocks()] == [b.shape for _, b in params.blocks()]
+        assert not zeros.to_vector().any()
+        assert flat_buffer(zeros).size == params.size
+        assert flat_buffer(params).size == params.size
+
+    def test_init_params_draws_in_the_recorded_order(self):
+        # per modality: uniform fan-in w_embed, then w_cls, then w_att; biases
+        # zero and drawn from nothing
+        d, e, c, k = 6, 5, 3, 3
+        params = make_params(np.random.default_rng(23), d, e, c, k)
+        rng = np.random.default_rng(23)
+        expected = []
+        for _ in ("rgb", "flow"):
+            lim_e, lim_c = 1.0 / np.sqrt(d * k), 1.0 / np.sqrt(e)
+            w_embed = rng.uniform(-lim_e, lim_e, size=(e, d, k))
+            w_cls = rng.uniform(-lim_c, lim_c, size=(e, c + 1))
+            w_att = rng.uniform(-lim_c, lim_c, size=e)
+            expected += [w_embed.ravel(), np.zeros(e), w_cls.ravel(), np.zeros(c + 1),
+                         w_att, [0.0]]
+        np.testing.assert_array_equal(params.to_vector(), np.concatenate(expected))
+
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
@@ -264,6 +325,61 @@ class TestCheckpoint:
         save_checkpoint(path, params)
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.to_vector(), params.to_vector())
+
+    def test_v1_bytes(self, tmp_path):
+        params = ModelParams.zeros(2, 1, 1, 1)
+        vec = np.arange(params.size, dtype=np.float64)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params.from_vector(vec))
+        payload = struct.pack("<5I", 1, 2, 1, 1, 1) + vec.astype("<f8").tobytes()
+        assert path.read_bytes() == (b"WTALCP01" + payload
+                                     + struct.pack("<I", zlib.crc32(payload)))
+
+    @pytest.mark.parametrize("block, index, value", [
+        ("rgb.w_embed", 0, float("nan")),
+        ("rgb.w_cls", 7, float("inf")),
+        ("flow.b_att", 0, float("-inf")),
+    ])
+    def test_non_finite_value_rejected_naming_block_and_offset(
+            self, tmp_path, block, index, value):
+        from wtalkit.errors import DataFormatError
+        params = make_params(np.random.default_rng(24))
+        position = block_starts(params)[block]
+        vec = params.to_vector()
+        vec[position + index] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params.from_vector(vec))
+        with pytest.raises(DataFormatError, match=rf"block {block} \(at byte "
+                                                  rf"offset {28 + 8 * (position + index)}\)"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [b"\x00" * 3, b"\x00" * 8])
+    def test_payload_size_must_match_header(self, tmp_path, extra):
+        from wtalkit.errors import DataFormatError
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_params(np.random.default_rng(26)))
+        payload = path.read_bytes()[8:-4] + extra
+        path.write_bytes(b"WTALCP01" + payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(DataFormatError, match=r"shapes imply \d+ \(at byte offset 28\)"):
+            load_checkpoint(path)
+
+    def test_even_kernel_in_header_rejected(self, tmp_path):
+        # (D, E, C, K) = (2, 1, 1, 2): 2 * (4 + 1 + 2 + 2 + 1 + 1) values
+        payload = struct.pack("<5I", 1, 2, 1, 1, 2) + bytes(8 * 22)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"WTALCP01" + payload + struct.pack("<I", zlib.crc32(payload)))
+        from wtalkit.errors import DataFormatError
+        with pytest.raises(DataFormatError, match=r"kernel_size must be odd.*offset 8\)"):
+            load_checkpoint(path)
+
+    def test_loaded_params_are_writable_views_of_one_buffer(self, tmp_path):
+        params = make_params(np.random.default_rng(25))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        loaded = load_checkpoint(path)
+        buffer = flat_buffer(loaded)
+        loaded.rgb.w_att += 1.0
+        np.testing.assert_array_equal(buffer, loaded.to_vector())
 
     def test_corrupt_rejected(self, tmp_path):
         from wtalkit.errors import DataFormatError

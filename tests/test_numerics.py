@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import adam_oracle
 from wtalkit.numerics import (
     AdamState,
     adam_step,
@@ -146,34 +147,64 @@ class TestAdam:
     def test_zero_grad_zero_decay_is_identity(self):
         state = AdamState(shape=(3,), learning_rate=0.1, weight_decay=0.0)
         params = np.array([1.0, -2.0, 0.5])
-        out = adam_step(params, np.zeros(3), state)
-        np.testing.assert_array_equal(out, params)
+        before = params.copy()
+        adam_step(params, np.zeros(3), state)
+        np.testing.assert_array_equal(params, before)
         assert state.step == 1
 
     def test_first_step_delta(self):
         # bias-corrected first step: m_hat=g, v_hat=g^2, delta=-eta*g/(|g|+eps)
         state = AdamState(shape=(1,), learning_rate=0.1, weight_decay=0.0)
-        out = adam_step(np.array([0.0]), np.array([1.0]), state)
+        params = np.array([0.0])
+        adam_step(params, np.array([1.0]), state)
         expected = -0.1 * 1.0 / (1.0 + 1e-8)
-        assert out[0] == pytest.approx(expected, abs=1e-9)
+        assert params[0] == pytest.approx(expected, abs=1e-9)
 
     def test_quadratic_convergence(self):
         state = AdamState(shape=(1,), learning_rate=0.1, weight_decay=0.0)
         w = np.array([1.0])
         for _ in range(100):
-            w = adam_step(w, 2.0 * w, state)
+            adam_step(w, 2.0 * w, state)
         assert abs(w[0]) < 0.05
 
     def test_decoupled_weight_decay(self):
         # with zero gradient the update is exactly the decay shrink
         state = AdamState(shape=(1,), learning_rate=0.1, weight_decay=1e-3)
-        out = adam_step(np.array([2.0]), np.array([0.0]), state)
-        assert out[0] == pytest.approx(2.0 * (1.0 - 0.1 * 1e-3), abs=1e-15)
+        params = np.array([2.0])
+        adam_step(params, np.array([0.0]), state)
+        assert params[0] == pytest.approx(2.0 * (1.0 - 0.1 * 1e-3), abs=1e-15)
 
     def test_shape_mismatch(self):
         state = AdamState(shape=(2,), learning_rate=0.1)
         with pytest.raises(ValueError):
             adam_step(np.zeros(3), np.zeros(3), state)
+
+    def test_updates_the_callers_arrays(self):
+        state = AdamState(shape=(4,), learning_rate=0.1)
+        params = np.ones(4)
+        m, v = state.first_moment, state.second_moment
+        assert adam_step(params, np.full(4, 0.5), state) is None
+        assert state.first_moment is m and state.second_moment is v
+        assert np.all(params < 1.0) and np.all(m > 0.0) and np.all(v > 0.0)
+
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=60),
+           st.sampled_from([0.0, 1e-3, 0.05]), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_in_place_update_matches_out_of_place_oracle(self, n, steps, decay, seed):
+        # the trainer's schedule: the step size drops tenfold halfway through
+        rng = np.random.default_rng(seed)
+        params = rng.normal(size=n)
+        expected = params.copy()
+        state = AdamState(shape=(n,), learning_rate=1e-3, weight_decay=decay)
+        ref = AdamState(shape=(n,), learning_rate=1e-3, weight_decay=decay)
+        for step in range(steps):
+            grads = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=n)
+            state.learning_rate = ref.learning_rate = 1e-4 if step >= steps // 2 else 1e-3
+            adam_step(params, grads, state)
+            expected = adam_oracle(expected, grads, ref)
+            np.testing.assert_array_equal(params, expected)
+            np.testing.assert_array_equal(state.first_moment, ref.first_moment)
+            np.testing.assert_array_equal(state.second_moment, ref.second_moment)
 
 
 class TestFiniteDiff:

@@ -72,6 +72,25 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"decay_fraction must lie in \[0, 1\]"):
             train(_videos(tiny_dataset), _cfg(decay_fraction=fraction))
 
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_iterations_below_one_rejected(self, tiny_dataset, iterations,
+                                           monkeypatch, tmp_path):
+        def never(*args, **kwargs):
+            raise AssertionError("a step ran before validation")
+
+        monkeypatch.setattr(trainer_mod, "backward", never)
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match=f"iterations must be >= 1, got {iterations}"):
+            train(_videos(tiny_dataset),
+                  _cfg(iterations=iterations, checkpoint_path=str(path)))
+        assert not path.exists()
+
+    def test_params_are_views_of_one_trained_buffer(self, tiny_dataset):
+        params = train(_videos(tiny_dataset), _cfg(iterations=2)).params
+        buffer = params.rgb.w_embed.base
+        assert buffer is not None and buffer.size == params.size
+        assert all(block.base is buffer for _, block in params.blocks())
+
     def test_ten_branch_losses_appear_only_when_enabled(self, tiny_dataset):
         vids = _videos(tiny_dataset)
         off = train(vids, _cfg(use_ten=False, iterations=2))
