@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import MODE_NAMES, Config, load_config
+from .config import MODE_NAMES, Config, load_config, parse_mode
 from .errors import ConfigError, DataFormatError, NumericError
 from .evaluate import evaluate, format_summary, write_report_csv
 from .localize import read_proposals, write_proposals
@@ -105,9 +105,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be >= 1, got {args.instances}")
     modes = CERTIFIED_MODES
     if args.modes:
-        modes = tuple(MODE_NAMES[m] for m in args.modes.split(","))
+        modes = tuple(parse_mode(m, "--modes") for m in args.modes.split(","))
     results = certify_gradients(num_instances=args.instances,
                                 tolerance=args.tolerance,
                                 modes=modes, fd_epsilon=args.eps,
@@ -128,10 +130,20 @@ def cmd_gradcheck(args) -> int:
     return 3 if failed else 0
 
 
+def _same_shape(path_a, shape_a: tuple, path_b, shape_b: tuple) -> None:
+    """Refuse two files whose feature dimension D or class count C differ."""
+    if shape_a != shape_b:
+        raise DataFormatError(f"{path_a} has (D, C) = {shape_a} but "
+                              f"{path_b} has (D, C) = {shape_b}")
+
+
 def cmd_localize(args) -> int:
     params = load_checkpoint(args.checkpoint)
     cfg = _load(args)
     dataset = read_dataset(args.data)
+    d, _, c, _ = params.header
+    _same_shape(args.checkpoint, (d, c), args.data,
+                (dataset.feature_dim, dataset.num_classes))
     proposals = localize_dataset(dataset.records, params, cfg.run.hp)
     write_proposals(args.out, proposals,
                     frames_per_snippet=dataset.frames_per_snippet,
@@ -178,6 +190,8 @@ def cmd_ablate(args) -> int:
     run = _run_overrides(args, cfg)
     train_ds = read_dataset(args.data)
     test_ds = read_dataset(args.test)
+    _same_shape(args.data, (train_ds.feature_dim, train_ds.num_classes),
+                args.test, (test_ds.feature_dim, test_ds.num_classes))
     rows = ablate(training_view(train_ds.records), test_ds.records,
                   _ablation_rows(args, run), cfg.eval_thresholds)
     print(format_ablation(rows))

@@ -22,6 +22,14 @@ from .trainer import RunConfig
 MODE_NAMES = {m.value: m for m in GradMode}
 
 
+def parse_mode(name: str, where: str) -> GradMode:
+    """The gradient mode called `name`; a ConfigError naming `where` and
+    listing the valid names otherwise."""
+    if name not in MODE_NAMES:
+        raise ConfigError(f"{where}: {name!r} is not one of {sorted(MODE_NAMES)}")
+    return MODE_NAMES[name]
+
+
 @dataclass
 class Config:
     synth: SynthConfig = field(default_factory=SynthConfig)
@@ -120,11 +128,7 @@ def _apply_run(run: RunConfig, items) -> RunConfig:
         if key in _RUN_SCALARS:
             updates[key] = _coerce("run", key, raw, _RUN_SCALARS[key])
         elif key == "mode":
-            name = raw.strip().lower()
-            if name not in MODE_NAMES:
-                raise ConfigError(f"[run] mode: {name!r} is not one of "
-                                  f"{sorted(MODE_NAMES)}")
-            updates["grad_mode"] = MODE_NAMES[name]
+            updates["grad_mode"] = parse_mode(raw.strip().lower(), "[run] mode")
         else:
             valid = list(_RUN_SCALARS) + ["mode"]
             raise ConfigError(f"[run] {_suggest(key, valid)}")

@@ -12,24 +12,32 @@ import numpy as np
 from .errors import DataFormatError
 
 
-def write_container(path, magic: bytes, parts) -> None:
-    """Stream the payload `parts` (bytes, or contiguous little-endian arrays)
-    to a temporary file beside `path`, then `os.replace` it into place: a
-    write that fails or is killed partway leaves any earlier file intact."""
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """Yield a file opened with `open(tmp, mode, **kwargs)` on a temporary
+    beside `path`, then `os.replace` it into place: a write that fails or is
+    killed partway leaves any earlier file at `path` intact."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(magic)
-            crc = 0
-            for part in parts:
-                fh.write(part)
-                crc = zlib.crc32(part, crc)
-            fh.write(struct.pack("<I", crc))
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_container(path, magic: bytes, parts) -> None:
+    """Stream the payload `parts` (bytes, or contiguous little-endian arrays)
+    atomically to `path`, after `magic` and before the CRC32 trailer."""
+    with atomic_write(path, "wb") as fh:
+        fh.write(magic)
+        crc = 0
+        for part in parts:
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 class Payload:

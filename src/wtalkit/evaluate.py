@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .container import atomic_write
+
 DEFAULT_IOU_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 AVERAGE_RANGES = {
     "0.1:0.5": (0.1, 0.2, 0.3, 0.4, 0.5),
@@ -120,7 +122,7 @@ def evaluate(per_video_proposals: dict, records: list,
 
 def write_report_csv(path, report: EvalReport) -> None:
     """Per-class AP rows, then a commented summary block."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         fh.write("threshold,class,ap\n")
         for (thr, cls), ap in sorted(report.ap_table.items()):
             fh.write(f"{thr},{cls},{ap:.6f}\n")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .container import atomic_write
 from .errors import DataFormatError
 from .evaluate import temporal_iou
 from .model import Hyperparams, ModelParams, forward
@@ -153,7 +154,7 @@ def write_proposals(path, per_video: dict, frames_per_snippet: int = 0,
     """
     timed = frames_per_snippet > 0 and fps > 0.0
     scale = frames_per_snippet / fps if timed else 0.0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         fh.write("# video_id class q start end" + (" start_sec end_sec" if timed else "") + "\n")
         for vid in sorted(per_video):
             for p in _canonical(per_video[vid]):

@@ -50,7 +50,7 @@ from .numerics import (
     sigmoid,
     softmax,
 )
-from .ten import SamplePlan, make_plan, tcb_forward_full
+from .ten import make_plan, tcb_forward_full
 
 LOG_FLOOR = 1e-12
 # Budget of one chunk's packed window matrix (sum of T * K * D), in float64
@@ -214,11 +214,11 @@ def _chunks(videos: list, kernel_size: int):
     yield start, len(videos)
 
 
-def _chunk_backward(videos: list, plans: list | None, params: ModelParams,
+def _chunk_backward(videos: list, plan: np.ndarray | None, params: ModelParams,
                     hp: Hyperparams, mode: GradMode, grads: ModelParams) -> np.ndarray:
     """Packed forward and analytic backward of one chunk.
 
-    Rows are the chunk's videos back to back, then (with plans) their
+    Rows are the chunk's videos back to back, then (with a plan) their
     refilled copies in the same order, so both branches share every GEMM.
     Per-row head outputs are held class-major, (C+2, rows): the C+1 CAS
     logits, then the attention logit. Adds the gradient of the summed
@@ -226,8 +226,6 @@ def _chunk_backward(videos: list, plans: list | None, params: ModelParams,
     LossBreakdown order.
     """
     lengths = np.array([v.x_rgb.shape[0] for v in videos])
-    if lengths.min() < 1:
-        raise ValueError("backward: every video needs at least one snippet")
     n = int(lengths.sum())
     starts = np.cumsum(lengths) - lengths
     seg = np.repeat(np.arange(len(videos)), lengths)
@@ -237,8 +235,8 @@ def _chunk_backward(videos: list, plans: list | None, params: ModelParams,
     width = max(k, 2 * hp.gauss_radius + 1)
     wide = packed_windows(lengths, width)
     rows = wide[:, (width - k) // 2 : (width + k) // 2]
-    if plans is not None:
-        src = np.concatenate([p.snippet_source() for p in plans]) + starts[seg]
+    if plan is not None:
+        src = plan + starts[seg]
         rows = np.concatenate([rows, src[rows]])  # x_R[reflect(t+j)] = x[src[...]]
 
     cache = {}
@@ -297,7 +295,7 @@ def _chunk_backward(videos: list, plans: list | None, params: ModelParams,
             p_mean[-1] -= 1.0
             d_y[:, :n] += w_bvl * (p_mean / lengths)[:, seg]
 
-    if plans is not None:
+    if plan is not None:
         # gaussian_smooth of both branches' tracks, 2 * len(videos) segments
         taps = wide[:, width // 2 - hp.gauss_radius : width // 2 + hp.gauss_radius + 1]
         taps = np.concatenate([taps, taps + n])
@@ -348,17 +346,31 @@ def _chunk_backward(videos: list, plans: list | None, params: ModelParams,
     return losses
 
 
-def backward(videos: list, plans: list | None, params: ModelParams,
+def backward(videos: list, plan: np.ndarray | None, params: ModelParams,
              hp: Hyperparams, mode: GradMode) -> tuple:
     """Analytic gradient of the batch-mean joint loss, one packed pass per chunk.
 
-    `videos` need x_rgb, x_flow and video_label; `plans` holds one SamplePlan
-    per video when the continuity branch runs, else None. Returns the flat
-    gradient (ModelParams.to_vector order) and the mean LossBreakdown.
+    `videos` need x_rgb, x_flow and video_label; `plan` is the batch's
+    `make_plan` array when the continuity branch runs, else None. Returns the
+    flat gradient (ModelParams.to_vector order) and the mean LossBreakdown.
     """
+    lengths = np.array([v.x_rgb.shape[0] for v in videos])
+    if lengths.min() < 1:
+        raise ValueError("backward: every video needs at least one snippet")
+    offsets = np.append(0, np.cumsum(lengths))
+    if plan is not None:
+        limits = np.repeat(lengths, lengths)
+        if np.shape(plan) != limits.shape:
+            raise ValueError(f"backward: plan has shape {np.shape(plan)} "
+                             f"for {limits.size} snippets")
+        bad = np.flatnonzero((plan < 0) | (plan >= limits))
+        if bad.size:
+            raise ValueError(f"backward: plan row {bad[0]} reads snippet {plan[bad[0]]} "
+                             f"of a video with T={limits[bad[0]]}")
     grad = np.zeros(params.size)
     grads = params.from_vector(grad)
-    losses = [_chunk_backward(videos[lo:hi], None if plans is None else plans[lo:hi],
+    losses = [_chunk_backward(videos[lo:hi],
+                              None if plan is None else plan[offsets[lo]:offsets[hi]],
                               params, hp, mode, grads)
               for lo, hi in _chunks(videos, params.header[-1])]
     grad /= len(videos)
@@ -375,7 +387,7 @@ class TinyInstance:
     x_rgb: np.ndarray
     x_flow: np.ndarray
     params: ModelParams
-    plan: SamplePlan
+    plan: np.ndarray
     video_label: np.ndarray
     seed: int
 
@@ -391,7 +403,7 @@ def make_tiny_instance(seed: int, num_snippets: int = 8, feature_dim: int = 6,
     for name, block in params.blocks():
         scale = 0.5 if ".w_" in name else 0.1
         block[...] = rng.normal(0.0, scale, size=block.shape)
-    plan = make_plan(num_snippets, interval, rng)
+    plan = make_plan([num_snippets], interval, rng)
     label = np.zeros(num_classes)
     label[rng.integers(0, num_classes)] = 1.0
     if rng.random() < 0.5:
@@ -484,7 +496,7 @@ def certify_gradients(num_instances: int = 20, tolerance: float = 1e-5,
             if instance_margin(inst, hp, mode) < min_margin:
                 continue
             accepted += 1
-            analytic, _ = backward([inst], [inst.plan], inst.params, hp, mode)
+            analytic, _ = backward([inst], inst.plan, inst.params, hp, mode)
             if flip_block is not None:
                 blocks = dict(inst.params.from_vector(analytic).blocks())
                 if flip_block not in blocks:

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .container import atomic_write
 from .errors import NumericError
 from .evaluate import DEFAULT_IOU_THRESHOLDS, EvalReport, evaluate
 from .localize import localize_video
@@ -54,7 +55,7 @@ class TrainResult:
 
 
 def write_log_csv(path, log: list) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         fh.write("step,loss_fg,loss_bg,loss_att,loss_kl,loss_all,learning_rate\n")
         for row in log:
             b = row.losses
@@ -96,11 +97,11 @@ def train(videos: list, config: RunConfig) -> TrainResult:
         batch = [videos[int(i)] for i in rng.integers(0, len(videos), size=config.batch_size)]
         # k=1 sampling is the identity, so the continuity pair carries no
         # signal; the branch only runs when it can differ from the base
-        plans = None
+        plan = None
         if config.use_ten and hp.k > 1:
-            plans = [make_plan(v.x_rgb.shape[0], hp.k, plan_rng) for v in batch]
+            plan = make_plan([v.x_rgb.shape[0] for v in batch], hp.k, plan_rng)
         try:
-            grad, mean_losses = backward(batch, plans, params, hp, config.grad_mode)
+            grad, mean_losses = backward(batch, plan, params, hp, config.grad_mode)
         except NumericError as exc:
             raise NumericError(f"step {step} on batch "
                                f"{[v.video_id for v in batch]}: {exc}") from exc
@@ -190,7 +191,7 @@ def format_ablation(rows: list) -> str:
 
 def write_ablation_csv(path, rows: list) -> None:
     """The same cells as `format_ablation`, one CSV line per grid row."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         fh.write("label,map_at_05,avg_01_05,avg_03_07,avg_01_07\n")
         for row in rows:
             cells = ",".join(f"{v:.6f}" for v in _ablation_cells(row.report))

@@ -63,14 +63,15 @@ def ap_oracle(proposals, ground_truths, iou_threshold):
 
 def plan_oracle(num_snippets, k, rng):
     """Sampling plan drawn one segment at a time: a scalar draw from
-    [start, min(start + k, T)) per segment, in segment order."""
-    chosen = []
+    [start, min(start + k, T)) per segment, in segment order, repeated over
+    the segment; returns the source snippet of every position."""
+    source = []
     start = 0
     while start < num_snippets:
         end = min(start + k, num_snippets)
-        chosen.append(int(rng.integers(start, end)))
+        source += [int(rng.integers(start, end))] * (end - start)
         start = end
-    return tuple(chosen)
+    return source
 
 
 def adam_oracle(params, grads, state):

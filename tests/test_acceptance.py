@@ -115,7 +115,7 @@ def test_criterion_3_continuity_degeneracies(tiny_dataset):
     x_flow = np.tile(inst.x_flow[0], (t, 1))
     bitwise = True
     for seed in range(5):
-        plan = make_plan(t, 4, np.random.default_rng(seed))
+        plan = make_plan([t], 4, np.random.default_rng(seed))
         bb = forward(x_rgb, x_flow, inst.params)
         tcb = tcb_forward_full(x_rgb, x_flow, inst.params, plan)
         bitwise = bitwise and all(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wtalkit.cli import ENV_CONFIG, build_parser, main
-from wtalkit.model import load_checkpoint, save_checkpoint
+from wtalkit.model import init_params, load_checkpoint, save_checkpoint
 from wtalkit.synth import VideoRecord, read_dataset, write_dataset
 from wtalkit.trainer import COMPONENT_GRID
 
@@ -216,6 +216,64 @@ class TestGradcheck:
         assert rc == 0
         out = capsys.readouterr().out
         assert "standard" in out and "bges" not in out
+
+    @pytest.mark.parametrize("modes", ["bogus", "standard,bogus"])
+    def test_unknown_mode_is_config_error_listing_the_modes(self, modes, capsys):
+        assert main(["gradcheck", "--instances", "1", "--modes", modes]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "config error: --modes: 'bogus' is not one of ['bges', 'bvl'," in err
+
+    @pytest.mark.parametrize("instances", ["0", "-2"])
+    def test_instances_below_one_is_config_error(self, instances, capsys):
+        assert main(["gradcheck", "--instances", instances]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"config error: --instances must be >= 1, got {instances}" in err
+
+
+class TestShapeMismatch:
+    """A checkpoint or test set whose (D, C) differs from the data it meets
+    is a data error at load, before any work."""
+
+    @pytest.fixture()
+    def narrow_dir(self, tmp_path):
+        ini = tmp_path / "narrow.ini"
+        ini.write_text(TINY_INI.replace("feature_dim = 8", "feature_dim = 6"))
+        out = tmp_path / "narrow"
+        assert main(["--config", str(ini), "gen", "--out", str(out)]) == 0
+        return out
+
+    def test_localize_with_other_feature_dim_is_exit_2(self, tmp_path, ini,
+                                                       data_dir, capsys):
+        ckpt = tmp_path / "d6.ckpt"
+        save_checkpoint(ckpt, init_params(np.random.default_rng(0), 6, 8, 3))
+        props = tmp_path / "p.txt"
+        capsys.readouterr()
+        rc = main(["--config", ini, "localize", "--checkpoint", str(ckpt),
+                   "--data", str(data_dir / "test.bin"), "--out", str(props)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert (f"data error: {ckpt} has (D, C) = (6, 3) but "
+                f"{data_dir / 'test.bin'} has (D, C) = (8, 3)") in err
+        assert not props.exists()
+
+    def test_ablate_with_other_test_feature_dim_is_exit_2(self, tmp_path, ini,
+                                                          data_dir, narrow_dir,
+                                                          monkeypatch, capsys):
+        from wtalkit import cli
+
+        monkeypatch.setattr(cli, "ablate", None)  # no row may train
+        out_csv = tmp_path / "grid.csv"
+        capsys.readouterr()
+        rc = main(["--config", ini, "ablate", "--data", str(data_dir / "train.bin"),
+                   "--test", str(narrow_dir / "test.bin"), "--out", str(out_csv)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert (f"data error: {data_dir / 'train.bin'} has (D, C) = (8, 3) but "
+                f"{narrow_dir / 'test.bin'} has (D, C) = (6, 3)") in err
+        assert not out_csv.exists()
 
 
 class TestAblate:

@@ -108,6 +108,64 @@ class TestWriteContainer:
                                      + struct.pack("<I", zlib.crc32(payload)))
 
 
+class Boom:
+    """Stands in for the row, proposal or table a writer reaches partway:
+    reading anything from it raises."""
+
+    def __getattr__(self, name):
+        raise RuntimeError("boom")
+
+    def __getitem__(self, key):
+        raise RuntimeError("boom")
+
+
+def _proposals(tail):
+    from wtalkit.localize import ActionProposal, write_proposals
+
+    good = ActionProposal(cls=1, q=0.5, start=2, end=6, source_threshold=0.5)
+    return write_proposals, {"a": [good], "b": [tail or good]}
+
+
+def _report(tail):
+    from wtalkit.evaluate import EvalReport, write_report_csv
+
+    return write_report_csv, EvalReport(
+        iou_thresholds=(0.5,), map_by_threshold=tail or {0.5: 0.25},
+        ap_table={(0.5, 0): 0.25}, skipped_classes=(), averages={})
+
+
+def _ablation(tail):
+    from wtalkit.trainer import AblationRow, write_ablation_csv
+
+    report = _report(None)[1]
+    good = AblationRow(label="BL", report=report, final_loss=1.0)
+    return write_ablation_csv, [good, tail or good]
+
+
+def _log(tail):
+    from wtalkit.losses import LossBreakdown
+    from wtalkit.trainer import LogRow, write_log_csv
+
+    good = LogRow(step=0, losses=LossBreakdown(1.0, 2.0, 0.0, 0.0, 0.0, 3.0),
+                  learning_rate=1e-3)
+    return write_log_csv, [good, tail or good]
+
+
+@pytest.mark.parametrize("case", [_proposals, _report, _ablation, _log],
+                         ids=["proposals", "report", "ablation", "log"])
+def test_text_writer_failing_partway_keeps_old_file_and_no_temporary(tmp_path, case):
+    # each writer has written its header and first row when it reaches Boom
+    path = tmp_path / "out.txt"
+    write, good = case(None)
+    write(path, good)
+    before = path.read_bytes()
+    write, bad = case(Boom())
+    with pytest.raises(RuntimeError, match="boom"):
+        write(path, bad)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
 class TestReadContainer:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "c.bin"

@@ -200,7 +200,7 @@ class TestBreakdown:
 
 def backward_one(inst, hp, mode, plan=True):
     """Packed gradient of one tiny instance, as a ModelParams of gradients."""
-    grad, _ = backward([inst], [inst.plan] if plan else None, inst.params, hp, mode)
+    grad, _ = backward([inst], inst.plan if plan else None, inst.params, hp, mode)
     return inst.params.from_vector(grad)
 
 
@@ -255,17 +255,21 @@ class TestBackward:
 
 
 def ragged_batch(lengths, k, kernel_size, feature_dim, seed):
-    """Tiny-instance-shaped videos of the given lengths, plus their plans."""
+    """Tiny-instance-shaped videos of the given lengths, plus their plan."""
     rng = np.random.default_rng(seed)
     params = init_params(rng, feature_dim, 5, 3, kernel_size)
-    videos, plans = [], []
+    videos = []
     for i, t in enumerate(lengths):
         label = np.zeros(3)
         label[rng.integers(0, 3, size=1 + i % 2)] = 1.0
         videos.append(TrainingVideo(f"v{i}", rng.normal(size=(t, feature_dim)),
                                     rng.normal(size=(t, feature_dim)), label))
-        plans.append(make_plan(t, k, rng))
-    return videos, plans, params
+    return videos, make_plan(lengths, k, rng), params
+
+
+def per_video(plan, videos):
+    """The batch plan split into each video's own rows."""
+    return np.split(plan, np.cumsum([v.x_rgb.shape[0] for v in videos])[:-1])
 
 
 def assert_close_rel(actual, expected, rel=1e-12):
@@ -285,21 +289,21 @@ class TestPackedBatch:
                                              stop, ten, budget, seed):
         # ragged lengths cover T = 1, T < K, T not divisible by k and k >= T;
         # small budgets split the batch into several chunks
-        videos, plans, params = ragged_batch(lengths, k, kernel_size, 6, seed)
-        plans = plans if ten else None
+        videos, plan, params = ragged_batch(lengths, k, kernel_size, 6, seed)
+        plan = plan if ten else None
+        plans = per_video(plan, videos) if ten else [None] * len(videos)
         hp = Hyperparams(stop_gradient_targets=stop)
         with patch.object(losses_mod, "CHUNK_CELLS", budget):
-            grad, parts = backward(videos, plans, params, hp, mode)
-        singles = [backward([v], None if plans is None else [p], params, hp, mode)
-                   for v, p in zip(videos, plans or videos)]
+            grad, parts = backward(videos, plan, params, hp, mode)
+        singles = [backward([v], p, params, hp, mode) for v, p in zip(videos, plans)]
         assert_close_rel(grad, np.mean([g for g, _ in singles], axis=0))
         for field in ("fg", "bg", "att", "kl", "bvl", "total"):
             expected = np.mean([getattr(b, field) for _, b in singles])
             assert getattr(parts, field) == pytest.approx(expected, rel=1e-12, abs=1e-15)
         # each one-video run's losses are those of the per-video reference path
-        for v, p, (_, got) in zip(videos, plans or videos, singles):
+        for v, p, (_, got) in zip(videos, plans, singles):
             bb = forward(v.x_rgb, v.x_flow, params, mode.norm_mode)
-            tcb = None if plans is None else tcb_forward_full(v.x_rgb, v.x_flow, params, p)
+            tcb = None if p is None else tcb_forward_full(v.x_rgb, v.x_flow, params, p)
             ref = compute_losses(bb, tcb, v.video_label, hp, mode)
             for field in ("fg", "bg", "att", "kl", "bvl", "total"):
                 assert getattr(got, field) == pytest.approx(getattr(ref, field),
@@ -307,12 +311,12 @@ class TestPackedBatch:
 
     def test_batch_crossing_the_real_budget(self):
         # two 700-snippet videos at D = 64, K = 3 hold 268,800 cells > 2^18
-        videos, plans, params = ragged_batch([700, 700, 4], 4, 3, 64, 5)
+        videos, plan, params = ragged_batch([700, 700, 4], 4, 3, 64, 5)
         assert list(_chunks(videos, 3)) == [(0, 1), (1, 3)]
         for mode in (GradMode.STANDARD, GradMode.BVL_PLUS_BGES):
-            grad, _ = backward(videos, plans, params, HP, mode)
-            singles = [backward([v], [p], params, HP, mode)[0]
-                       for v, p in zip(videos, plans)]
+            grad, _ = backward(videos, plan, params, HP, mode)
+            singles = [backward([v], p, params, HP, mode)[0]
+                       for v, p in zip(videos, per_video(plan, videos))]
             assert_close_rel(grad, np.mean(singles, axis=0))
 
     def test_chunks_follow_the_world_shapes(self):
@@ -325,10 +329,10 @@ class TestPackedBatch:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_forward_raises(self):
-        videos, plans, params = ragged_batch([6, 6], 2, 3, 6, 1)
+        videos, plan, params = ragged_batch([6, 6], 2, 3, 6, 1)
         videos[1].x_flow[2, 0] = np.inf
         with pytest.raises(NumericError, match="non-finite"):
-            backward(videos, plans, params, HP, GradMode.STANDARD)
+            backward(videos, plan, params, HP, GradMode.STANDARD)
 
 
 class TestCertification:
@@ -379,7 +383,7 @@ class TestTinyInstance:
         np.testing.assert_array_equal(inst.x_rgb, x_rgb)
         np.testing.assert_array_equal(inst.x_flow, x_flow)
         np.testing.assert_array_equal(inst.params.to_vector(), np.concatenate(expected))
-        assert inst.plan == make_plan(8, 3, rng)
+        np.testing.assert_array_equal(inst.plan, make_plan([8], 3, rng))
 
 
 class TestFactorIdentities:

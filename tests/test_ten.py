@@ -6,76 +6,86 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import plan_oracle
-from wtalkit.losses import GradMode, compute_losses, make_tiny_instance
+from wtalkit.losses import GradMode, backward, compute_losses, make_tiny_instance
 from wtalkit.model import Hyperparams, forward
-from wtalkit.ten import SamplePlan, make_plan, refill, tcb_forward_full
+from wtalkit.ten import make_plan, refill, tcb_forward_full
+
+ragged = st.lists(st.integers(min_value=1, max_value=700), min_size=1, max_size=20)
 
 
 class TestSamplePlan:
     def test_segments_cover_sequence(self):
-        plan = make_plan(10, 4, np.random.default_rng(0))
-        assert len(plan.chosen) == 3  # [0,4) [4,8) [8,10)
-        src = plan.snippet_source()
-        assert src.shape == (10,)
-        np.testing.assert_array_equal(src[:4], np.full(4, plan.chosen[0]))
-        np.testing.assert_array_equal(src[4:8], np.full(4, plan.chosen[1]))
-        np.testing.assert_array_equal(src[8:], np.full(2, plan.chosen[2]))
+        src = make_plan([10], 4, np.random.default_rng(0))
+        assert src.shape == (10,) and src.dtype == np.int64
+        # [0,4) [4,8) [8,10)
+        np.testing.assert_array_equal(src[:4], np.full(4, src[0]))
+        np.testing.assert_array_equal(src[4:8], np.full(4, src[4]))
+        np.testing.assert_array_equal(src[8:], np.full(2, src[8]))
 
     def test_out_of_segment_choice_rejected(self):
-        with pytest.raises(ValueError):
-            SamplePlan(num_snippets=8, k=4, chosen=(0, 2))
+        # entries are local to their own video: row 7 of the first video may
+        # not read snippet 8, although the batch holds 16 rows
+        videos = [make_tiny_instance(0), make_tiny_instance(1)]
+        good = np.concatenate([v.plan for v in videos])
+        for row, value in ((7, 8), (8, 8), (3, -1)):
+            plan = good.copy()
+            plan[row] = value
+            with pytest.raises(ValueError, match=f"plan row {row} reads snippet {value} "
+                                                 "of a video with T=8"):
+                backward(videos, plan, videos[0].params, Hyperparams(), GradMode.STANDARD)
 
     def test_k_one_is_identity_plan(self):
-        plan = make_plan(6, 1, np.random.default_rng(1))
-        np.testing.assert_array_equal(plan.snippet_source(), np.arange(6))
+        np.testing.assert_array_equal(make_plan([6], 1, np.random.default_rng(1)),
+                                      np.arange(6))
+        np.testing.assert_array_equal(make_plan([3, 2], 1, np.random.default_rng(1)),
+                                      [0, 1, 2, 0, 1])
 
-    @given(st.integers(min_value=1, max_value=30),
-           st.integers(min_value=1, max_value=6),
+    @given(ragged, st.integers(min_value=1, max_value=8),
            st.integers(min_value=0, max_value=100))
     @settings(max_examples=60)
-    def test_choices_always_inside_segments(self, t, k, seed):
-        plan = make_plan(t, k, np.random.default_rng(seed))
-        src = plan.snippet_source()
-        for pos in range(t):
-            seg = pos // k
-            assert seg * k <= src[pos] < min((seg + 1) * k, t)
-            assert src[pos] // k == seg
+    def test_choices_always_inside_segments(self, lengths, k, seed):
+        src = make_plan(lengths, k, np.random.default_rng(seed))
+        pos = np.concatenate([np.arange(t) for t in lengths])
+        limit = np.repeat(lengths, lengths)
+        assert src.shape == pos.shape
+        assert np.all(src // k == pos // k)
+        assert np.all((src >= 0) & (src < limit))
 
-    def test_vectorised_draw_matches_sequential_oracle(self):
-        # same chosen indices and the same generator state afterwards, so
-        # the vectorised draw changes no plan and no later draw
-        cases = np.random.default_rng(2024)
-        for _ in range(200):
-            t, k = int(cases.integers(1, 701)), int(cases.integers(1, 9))
-            seed = int(cases.integers(0, 2**32))
-            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert make_plan(t, k, fast).chosen == plan_oracle(t, k, slow)
-            assert fast.bit_generator.state == slow.bit_generator.state
+    @given(ragged, st.integers(min_value=1, max_value=8),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100)
+    def test_vectorised_draw_matches_sequential_oracle(self, lengths, k, seed):
+        # one draw for the whole batch gives the per-video, per-segment
+        # scalar draws and leaves the generator in the same state, so the
+        # batched draw changes no plan and no later draw
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [s for t in lengths for s in plan_oracle(t, k, slow)]
+        assert make_plan(lengths, k, fast).tolist() == expected
+        assert fast.bit_generator.state == slow.bit_generator.state
 
     def test_wrong_choice_count_rejected(self):
-        with pytest.raises(ValueError, match="1 choices for 2 segments"):
-            SamplePlan(num_snippets=8, k=4, chosen=(1,))
+        inst = make_tiny_instance(0)
+        for plan in (inst.plan[:-1], np.append(inst.plan, 0), inst.plan[:, None]):
+            with pytest.raises(ValueError, match="for 8 snippets"):
+                backward([inst], plan, inst.params, Hyperparams(), GradMode.STANDARD)
 
     def test_bad_args(self):
         rng = np.random.default_rng(2)
-        with pytest.raises(ValueError):
-            make_plan(0, 4, rng)
-        with pytest.raises(ValueError):
-            make_plan(5, 0, rng)
+        for lengths, k in (([0], 4), ([5, 0], 4), ([], 4), ([5], 0)):
+            with pytest.raises(ValueError):
+                make_plan(lengths, k, rng)
 
 
 class TestRefill:
     def test_piecewise_constant(self):
         x = np.arange(12.0).reshape(6, 2)
-        plan = SamplePlan(num_snippets=6, k=3, chosen=(1, 5))
-        out = refill(x, plan)
+        out = refill(x, np.array([1, 1, 1, 5, 5, 5]))
         np.testing.assert_array_equal(out[:3], np.tile(x[1], (3, 1)))
         np.testing.assert_array_equal(out[3:], np.tile(x[5], (3, 1)))
 
     def test_length_mismatch(self):
-        plan = SamplePlan(num_snippets=6, k=3, chosen=(0, 3))
         with pytest.raises(ValueError):
-            refill(np.zeros((5, 2)), plan)
+            refill(np.zeros((5, 2)), np.array([0, 0, 0, 3, 3, 3]))
 
 
 class TestDegeneracies:
@@ -98,7 +108,7 @@ class TestDegeneracies:
         # vanishes since the row distributions match exactly
         inst = make_tiny_instance(0)
         hp = Hyperparams(k=1)
-        plan = make_plan(inst.x_rgb.shape[0], 1, np.random.default_rng(3))
+        plan = make_plan([inst.x_rgb.shape[0]], 1, np.random.default_rng(3))
         bb = forward(inst.x_rgb, inst.x_flow, inst.params)
         tcb = tcb_forward_full(inst.x_rgb, inst.x_flow, inst.params, plan)
         parts = compute_losses(bb, tcb, inst.video_label, hp, GradMode.STANDARD)
@@ -110,7 +120,7 @@ class TestDegeneracies:
 
     def test_k_one_branches_identical_bitwise(self):
         inst = make_tiny_instance(1)
-        plan = make_plan(inst.x_rgb.shape[0], 1, np.random.default_rng(4))
+        plan = make_plan([inst.x_rgb.shape[0]], 1, np.random.default_rng(4))
         bb = forward(inst.x_rgb, inst.x_flow, inst.params)
         tcb = tcb_forward_full(inst.x_rgb, inst.x_flow, inst.params, plan)
         np.testing.assert_array_equal(tcb.y, bb.y)
@@ -125,7 +135,7 @@ class TestDegeneracies:
         x_rgb = np.tile(inst.x_rgb[0], (t, 1))
         x_flow = np.tile(inst.x_flow[0], (t, 1))
         for seed in range(5):
-            plan = make_plan(t, 4, np.random.default_rng(seed))
+            plan = make_plan([t], 4, np.random.default_rng(seed))
             bb = forward(x_rgb, x_flow, inst.params)
             tcb = tcb_forward_full(x_rgb, x_flow, inst.params, plan)
             np.testing.assert_array_equal(tcb.y, bb.y)
@@ -140,7 +150,7 @@ class TestTcbForward:
         t, k = 8, 4
         idx = np.arange(float(t))[:, None]
         x = np.tile(idx, (1, 6))
-        plan = make_plan(t, k, np.random.default_rng(6))
+        plan = make_plan([t], k, np.random.default_rng(6))
         out_rgb = refill(x, plan)
         out_flow = refill(x + 100.0, plan)
         np.testing.assert_array_equal(out_flow - out_rgb, np.full((t, 6), 100.0))
