@@ -44,6 +44,13 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _writable(*paths) -> None:
+    """Refuse, before any work, an output path whose directory is missing."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
+
+
 def _load(args) -> Config:
     path = args.config
     if path is None:
@@ -89,6 +96,7 @@ def _run_overrides(args, cfg: Config):
 
 
 def cmd_train(args) -> int:
+    _writable(args.out, args.log)
     cfg = _load(args)
     run = _run_overrides(args, cfg)
     dataset = read_dataset(args.data)
@@ -107,6 +115,10 @@ def cmd_train(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.instances < 1:
         raise ConfigError(f"--instances must be >= 1, got {args.instances}")
+    if not 0 < args.eps < float("inf"):
+        raise ConfigError(f"--eps must be finite and > 0, got {args.eps}")
+    if not args.tolerance >= 0:
+        raise ConfigError(f"--tolerance must be >= 0, got {args.tolerance}")
     modes = CERTIFIED_MODES
     if args.modes:
         modes = tuple(parse_mode(m, "--modes") for m in args.modes.split(","))
@@ -138,6 +150,7 @@ def _same_shape(path_a, shape_a: tuple, path_b, shape_b: tuple) -> None:
 
 
 def cmd_localize(args) -> int:
+    _writable(args.out)
     params = load_checkpoint(args.checkpoint)
     cfg = _load(args)
     dataset = read_dataset(args.data)
@@ -154,6 +167,7 @@ def cmd_localize(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _writable(args.out)
     cfg = _load(args)
     dataset = read_dataset(args.data)
     proposals = read_proposals(args.proposals)
@@ -186,6 +200,7 @@ def _ablation_rows(args, run) -> list:
 
 
 def cmd_ablate(args) -> int:
+    _writable(args.out)
     cfg = _load(args)
     run = _run_overrides(args, cfg)
     train_ds = read_dataset(args.data)

@@ -1,20 +1,22 @@
 """Inference: from snippet scores to a final list of action proposals.
 
-Pipeline per video: one Standard-normalized forward pass, video-level class
-selection, then per predicted class a fused localization score, multi-threshold
-run finding, outer-inner contrast scoring, and per-class greedy NMS.
+Per video: video-level class selection, then for all predicted classes at
+once a fused localization score, runs at every threshold from one mask,
+outer-inner contrast scores from one cumulative sum, and per-class greedy NMS
+over the overlapping pairs. `trainer.localize_dataset` feeds it from the
+packed forward that training uses; `localize_video` runs the per-video one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .container import atomic_write
 from .errors import DataFormatError
-from .evaluate import temporal_iou
+# unused here, but bench/test_bench.py checks that its tracer patches this binding
+from .evaluate import temporal_iou  # noqa: F401
 from .model import Hyperparams, ModelParams, forward
 from .numerics import softmax
 
@@ -58,48 +60,48 @@ def predict_classes(p_fg: np.ndarray, rho_cls: float) -> list:
     return chosen
 
 
-def find_runs(mask: np.ndarray) -> list:
-    """Maximal runs of True as half-open (start, end) pairs."""
-    mask = np.asarray(mask, dtype=bool)
-    padded = np.concatenate([[False], mask, [False]])
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return [(int(s), int(e)) for s, e in zip(edges[::2], edges[1::2])]
+def threshold_proposals(scores: np.ndarray, thresholds) -> tuple:
+    """Maximal runs of score >= theta, for every threshold and every row of
+    the (n, T) `scores`: one mask for all of them, runs from one diff.
 
-
-def threshold_proposals(s_l: np.ndarray, thresholds) -> list:
-    """Candidate spans from every threshold, first-seen duplicates collapsed.
-
-    Returns (start, end, threshold) triples; a span found by several
-    thresholds keeps the first (lowest) one.
+    Returns int arrays (row, start, end) of half-open spans and the float
+    array of their thresholds, ordered by (row, start, end). A span that
+    several thresholds find keeps the first of `thresholds` that finds it.
     """
-    thresholds = list(thresholds)
-    if not thresholds:
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    if thresholds.size == 0:
         raise ValueError("threshold_proposals: empty threshold list")
-    s_l = np.asarray(s_l, dtype=np.float64)
-    seen = {}
-    for theta in thresholds:
-        for span in find_runs(s_l >= theta):
-            seen.setdefault(span, float(theta))
-    return [(s, e, theta) for (s, e), theta in seen.items()]
+    t = scores.shape[1]
+    mask = np.zeros((scores.shape[0], thresholds.size, t + 2), dtype=np.int8)
+    mask[:, :, 1:-1] = scores[:, None, :] >= thresholds[:, None]
+    edges = np.diff(mask, axis=2)
+    row, level, start = np.nonzero(edges == 1)
+    end = np.nonzero(edges == -1)[2]
+    # np.unique keeps each key's first occurrence, which is in threshold order
+    _, first = np.unique((row * (t + 1) + start) * (t + 1) + end, return_index=True)
+    return row[first], start[first], end[first], thresholds[level[first]]
 
 
-def score_proposal(s_l: np.ndarray, start: int, end: int) -> float:
-    """Inner mean minus the mean over margins of a quarter span on each side.
+def score_spans(scores: np.ndarray, row: np.ndarray, start: np.ndarray,
+                end: np.ndarray) -> np.ndarray:
+    """Outer-inner contrast of each span [start, end) of row `row` of the
+    (n, T) `scores`.
 
-    Margins are clipped to the sequence; with both margins empty the inner
-    mean stands alone.
+    The inner mean minus the mean over margins of a quarter span (at least one
+    snippet) on each side, clipped to the sequence; with both margins empty
+    the inner mean stands alone. Every mean comes from one cumulative sum.
     """
-    if end <= start:
-        raise ValueError(f"score_proposal: empty span [{start}, {end})")
-    s_l = np.asarray(s_l, dtype=np.float64)
-    t = s_l.shape[0]
-    inner = float(np.mean(s_l[start:end]))
-    margin = max(1, math.ceil((end - start) / 4))
-    outer = np.concatenate([s_l[max(0, start - margin) : start],
-                            s_l[end : min(t, end + margin)]])
-    if outer.size == 0:
-        return inner
-    return inner - float(np.mean(outer))
+    if np.any(end <= start):
+        raise ValueError("score_spans: empty span")
+    t = scores.shape[1]
+    c = np.zeros((scores.shape[0], t + 1))
+    np.cumsum(scores, axis=1, out=c[:, 1:])
+    margin = (end - start + 3) // 4
+    lo, hi = np.maximum(start - margin, 0), np.minimum(end + margin, t)
+    inner = (c[row, end] - c[row, start]) / (end - start)
+    outer_n = (start - lo) + (hi - end)
+    outer = (c[row, start] - c[row, lo] + c[row, hi] - c[row, end]) / np.maximum(outer_n, 1)
+    return np.where(outer_n > 0, inner - outer, inner)
 
 
 def _canonical(props: list) -> list:
@@ -110,32 +112,52 @@ def nms(proposals: list, iou_threshold: float) -> list:
     """Per-class greedy suppression; classes never interact.
 
     Candidates are visited best-q first with ties broken by earlier start then
-    smaller class index, making the result independent of input order.
+    smaller class index, making the result independent of input order; the
+    survivors come back in that order. A candidate is kept iff no kept better
+    one of its class overlaps it by more than `iou_threshold`. That rule
+    settles one rank at a time, so iterating it from "keep all" over the
+    overlapping same-class pairs reaches the greedy result.
     """
-    survivors = []
-    kept_by_class: dict = {}
-    for p in _canonical(proposals):
-        kept = kept_by_class.setdefault(p.cls, [])
-        if any(temporal_iou((p.start, p.end), (k.start, k.end)) > iou_threshold
-               for k in kept):
-            continue
-        kept.append(p)
-        survivors.append(p)
-    return survivors
+    if iou_threshold < 0:
+        raise ValueError(f"nms: iou_threshold must be >= 0, got {iou_threshold}")
+    ranked = _canonical(proposals)
+    cls, start, end = (np.array([getattr(p, f) for p in ranked], dtype=np.int64)
+                       for f in ("cls", "start", "end"))
+    # sorted by (class, start), a candidate's overlapping successors are
+    # those that start before it ends: positions i + 1 .. stop[i] - 1
+    by = np.lexsort((start, cls))
+    key = cls[by] * (int(end.max(initial=0)) + 1)
+    stop = np.searchsorted(key + start[by], key + end[by])
+    count = stop - np.arange(1, cls.size + 1)
+    i = np.repeat(np.arange(cls.size), count)
+    u, v = by[i], by[i + 1 + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)]
+    inter = np.minimum(end[u], end[v]) - np.maximum(start[u], start[v])
+    over = inter / ((end[u] - start[u]) + (end[v] - start[v]) - inter) > iou_threshold
+    better, worse = np.minimum(u, v)[over], np.maximum(u, v)[over]
+    keep = np.ones(cls.size, dtype=bool)
+    while True:
+        settled = np.ones(cls.size, dtype=bool)
+        settled[worse[keep[better]]] = False
+        if np.array_equal(settled, keep):
+            return [p for p, k in zip(ranked, keep) if k]
+        keep = settled
 
 
 def localize_scores(y: np.ndarray, a: np.ndarray, p_fg: np.ndarray,
                     hp: Hyperparams) -> list:
-    """Proposal generation from precomputed per-snippet scores."""
-    y_bar = softmax(np.asarray(y, dtype=np.float64), axis=1)
-    proposals = []
-    for cls in predict_classes(p_fg, hp.rho_cls):
-        s_l = fuse_scores(y_bar[:, cls], a, hp.epsilon)
-        for start, end, theta in threshold_proposals(s_l, hp.proposal_thresholds):
-            proposals.append(ActionProposal(
-                cls=cls, q=score_proposal(s_l, start, end),
-                start=start, end=end, source_threshold=theta))
-    return _canonical(nms(proposals, hp.nms_iou))
+    """Proposals from precomputed per-snippet scores, best first.
+
+    The fused scores of every predicted class are thresholded at every level
+    at once, and the runs scored as arrays before `nms`.
+    """
+    classes = np.array(predict_classes(p_fg, hp.rho_cls))
+    y_bar = softmax(np.asarray(y, dtype=np.float64), axis=1)[:, classes].T
+    s_l = fuse_scores(y_bar, np.broadcast_to(a, y_bar.shape), hp.epsilon)
+    row, start, end, theta = threshold_proposals(s_l, hp.proposal_thresholds)
+    q = score_spans(s_l, row, start, end)
+    columns = (arr.tolist() for arr in (classes[row], q, start, end, theta))
+    return nms([ActionProposal(cls=c, q=v, start=b, end=e, source_threshold=th)
+                for c, v, b, e, th in zip(*columns)], hp.nms_iou)
 
 
 def localize_video(x_rgb: np.ndarray, x_flow: np.ndarray, params: ModelParams,

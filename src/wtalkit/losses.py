@@ -21,8 +21,9 @@ switches full backpropagation through them on, and the finite-difference
 oracle respects whichever convention is configured.
 
 `backward` is the one analytic gradient: it runs a whole batch as packed
-rows. The per-video `forward` and `compute_losses` stay as the inference path
-and as the independent loss that the finite-difference oracle differentiates.
+rows through `packed_forward`, the forward that batched inference shares.
+The per-video `forward` and `compute_losses` stay as the independent loss
+that the finite-difference oracle differentiates.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def compute_losses(bb: ForwardOutputs, tcb: ForwardOutputs | None, video_label: 
 def _chunks(videos: list, kernel_size: int):
     """(start, stop) of each maximal run of consecutive videos whose packed
     window matrix fits in CHUNK_CELLS float64 cells; a video larger than
-    that runs alone."""
+    that runs alone. No videos make no chunks."""
     start, used = 0, 0
     for i, v in enumerate(videos):
         cells = v.x_rgb.shape[0] * kernel_size * v.x_rgb.shape[1]
@@ -211,24 +212,46 @@ def _chunks(videos: list, kernel_size: int):
             yield start, i
             start, used = i, 0
         used += cells
-    yield start, len(videos)
+    if videos:
+        yield start, len(videos)
 
 
-def _chunk_backward(videos: list, plan: np.ndarray | None, params: ModelParams,
-                    hp: Hyperparams, mode: GradMode, grads: ModelParams) -> np.ndarray:
-    """Packed forward and analytic backward of one chunk.
+@dataclass
+class PackedForward:
+    """One chunk's packed forward pass, as training and inference read it.
 
-    Rows are the chunk's videos back to back, then (with a plan) their
-    refilled copies in the same order, so both branches share every GEMM.
-    Per-row head outputs are held class-major, (C+2, rows): the C+1 CAS
-    logits, then the attention logit. Adds the gradient of the summed
-    per-video totals into `grads`; returns the (videos, 6) losses in
-    LossBreakdown order.
+    `wide` is the rows' reflect-padded index table, wide enough for the conv
+    windows and the smoothing taps; `modal` holds each modality's (windows,
+    ReLU embedding, head, CAS logits, attention). `y` (C+1, rows) and `a`
+    are the fused CAS logits and attention; the pooled fields are per video,
+    over its base rows.
+    """
+
+    lengths: np.ndarray
+    starts: np.ndarray
+    wide: np.ndarray
+    modal: dict
+    y: np.ndarray
+    a: np.ndarray
+    n_f: np.ndarray
+    denom: np.ndarray
+    z_fg: np.ndarray
+    z_bg: np.ndarray
+    p_fg: np.ndarray
+    p_bg: np.ndarray
+
+
+def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
+                   hp: Hyperparams, norm_mode: NormMode = NormMode.STANDARD) -> PackedForward:
+    """Forward of one chunk as packed rows: the chunk's videos back to back,
+    then (with a plan) their refilled copies in the same order, so both
+    branches share every GEMM. Per-row head outputs are held class-major,
+    (C+2, rows): the C+1 CAS logits, then the attention logit. The
+    background pooling divides by N_f under BGES and by N_b otherwise.
     """
     lengths = np.array([v.x_rgb.shape[0] for v in videos])
     n = int(lengths.sum())
     starts = np.cumsum(lengths) - lengths
-    seg = np.repeat(np.arange(len(videos)), lengths)
     k = params.header[-1]
     # one table serves the conv windows and the smoothing taps: column
     # width // 2 of every row is the row itself
@@ -236,10 +259,10 @@ def _chunk_backward(videos: list, plan: np.ndarray | None, params: ModelParams,
     wide = packed_windows(lengths, width)
     rows = wide[:, (width - k) // 2 : (width + k) // 2]
     if plan is not None:
-        src = plan + starts[seg]
+        src = plan + starts.repeat(lengths)
         rows = np.concatenate([rows, src[rows]])  # x_R[reflect(t+j)] = x[src[...]]
 
-    cache = {}
+    modal = {}
     for name in MODALITIES:
         mod = params.modality(name)
         x = np.concatenate([getattr(v, f"x_{name}") for v in videos])
@@ -249,20 +272,38 @@ def _chunk_backward(videos: list, plan: np.ndarray | None, params: ModelParams,
         np.maximum(xe, 0.0, out=xe)  # ReLU in place; xe > 0 is the z > 0 mask
         head = np.column_stack([mod.w_cls, mod.w_att])
         h = head.T @ xe.T + np.append(mod.b_cls, mod.b_att)[:, None]
-        cache[name] = (win, xe, head, h[:-1], sigmoid(h[-1]))
-    y = 0.5 * (cache["rgb"][3] + cache["flow"][3])
-    a = 0.5 * (cache["rgb"][4] + cache["flow"][4])
+        modal[name] = (win, xe, head, h[:-1], sigmoid(h[-1]))
+    y = 0.5 * (modal["rgb"][3] + modal["flow"][3])
+    a = 0.5 * (modal["rgb"][4] + modal["flow"][4])
 
     # base-branch pooling, one segment per video
     yb, ab = y[:, :n], a[:n]
     n_f = np.maximum(np.add.reduceat(ab, starts), NORMALIZER_FLOOR)
     n_b = np.maximum(np.add.reduceat(1.0 - ab, starts), NORMALIZER_FLOOR)
-    denom = n_f if mode.norm_mode is NormMode.BGES else n_b
+    denom = n_f if norm_mode is NormMode.BGES else n_b
     z_fg = np.add.reduceat(yb * ab, starts, axis=1) / n_f
     z_bg = np.add.reduceat(yb * (1.0 - ab), starts, axis=1) / denom
     p_fg, p_bg = softmax(z_fg, axis=0), softmax(z_bg, axis=0)
     if not all(np.all(np.isfinite(arr)) for arr in (y, a, p_fg, p_bg)):
         raise NumericError("forward produced non-finite outputs")
+    return PackedForward(lengths=lengths, starts=starts, wide=wide, modal=modal,
+                         y=y, a=a, n_f=n_f, denom=denom, z_fg=z_fg, z_bg=z_bg,
+                         p_fg=p_fg, p_bg=p_bg)
+
+
+def _chunk_backward(videos: list, plan: np.ndarray | None, params: ModelParams,
+                    hp: Hyperparams, mode: GradMode, grads: ModelParams) -> np.ndarray:
+    """Analytic backward of one chunk through its `packed_forward`.
+
+    Adds the gradient of the summed per-video totals into `grads`; returns
+    the (videos, 6) losses in LossBreakdown order.
+    """
+    fwd = packed_forward(videos, plan, params, hp, mode.norm_mode)
+    lengths, starts, y, a, n_f, denom = fwd.lengths, fwd.starts, fwd.y, fwd.a, fwd.n_f, fwd.denom
+    z_fg, z_bg, p_fg, p_bg = fwd.z_fg, fwd.z_bg, fwd.p_fg, fwd.p_bg
+    n = int(lengths.sum())
+    seg = np.repeat(np.arange(len(videos)), lengths)
+    yb, ab = y[:, :n], a[:n]
 
     label = np.array([full_label(v.video_label) for v in videos]).T
     y_hat = label / label.sum(axis=0)
@@ -297,7 +338,8 @@ def _chunk_backward(videos: list, plan: np.ndarray | None, params: ModelParams,
 
     if plan is not None:
         # gaussian_smooth of both branches' tracks, 2 * len(videos) segments
-        taps = wide[:, width // 2 - hp.gauss_radius : width // 2 + hp.gauss_radius + 1]
+        width = fwd.wide.shape[1]
+        taps = fwd.wide[:, width // 2 - hp.gauss_radius : width // 2 + hp.gauss_radius + 1]
         taps = np.concatenate([taps, taps + n])
         kernel = gaussian_kernel(hp.gauss_sigma, hp.gauss_radius)
         smooth = a[taps] @ kernel
@@ -330,14 +372,14 @@ def _chunk_backward(videos: list, plan: np.ndarray | None, params: ModelParams,
     d_h = np.empty((y.shape[0] + 1, y.shape[1]))
     d_h[:-1] = 0.5 * d_y
     for name in MODALITIES:
-        win, xe, head, _, a_m = cache[name]
+        win, xe, head, _, a_m = fwd.modal[name]
         d_h[-1] = 0.5 * d_a * a_m * (1.0 - a_m)
         d_z = d_h.T @ head.T
         d_z *= xe > 0
         d_head = d_h @ xe
         d_b_head = d_h.sum(axis=1)
         g = grads.modality(name)
-        g.w_embed += (win.T @ d_z).reshape(k, -1, d_z.shape[1]).transpose(2, 1, 0)
+        g.w_embed += (win.T @ d_z).reshape(g.w_embed.shape[::-1]).transpose(2, 1, 0)
         g.b_embed += d_z.sum(axis=0)
         g.w_cls += d_head[:-1].T
         g.b_cls += d_b_head[:-1]

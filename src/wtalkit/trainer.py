@@ -9,8 +9,8 @@ import numpy as np
 from .container import atomic_write
 from .errors import NumericError
 from .evaluate import DEFAULT_IOU_THRESHOLDS, EvalReport, evaluate
-from .localize import localize_video
-from .losses import GradMode, LossBreakdown, backward
+from .localize import localize_scores
+from .losses import GradMode, LossBreakdown, _chunks, backward, packed_forward
 # unused here, but bench/test_bench.py checks that its tracer patches this binding
 from .model import Hyperparams, ModelParams, forward, init_params, save_checkpoint  # noqa: F401
 from .numerics import AdamState, adam_step
@@ -122,9 +122,18 @@ def train(videos: list, config: RunConfig) -> TrainResult:
 
 
 def localize_dataset(records: list, params: ModelParams, hp: Hyperparams) -> dict:
-    """Proposals for every record, keyed by video id."""
-    return {r.video_id: localize_video(r.x_rgb, r.x_flow, params, hp)
-            for r in records}
+    """Proposals for every record, keyed by video id.
+
+    One packed Standard forward per size-bounded chunk of records (the
+    forward training uses), then each video's proposals from its rows.
+    """
+    proposals = {}
+    for lo, hi in _chunks(records, params.header[-1]):
+        out = packed_forward(records[lo:hi], None, params, hp)
+        for r, start, t, p_fg in zip(records[lo:hi], out.starts, out.lengths, out.p_fg.T):
+            rows = slice(start, start + t)
+            proposals[r.video_id] = localize_scores(out.y[:, rows].T, out.a[rows], p_fg, hp)
+    return proposals
 
 
 # Component grid: (row label, gradient mode, continuity branch on)

@@ -1,10 +1,14 @@
 """Independent brute-force reference implementations used by several tests.
 
 Everything here is deliberately written with plain loops and no shared code
-with the package, so agreement is evidence rather than tautology. The one
-exception is `adam_oracle`, the straightforward out-of-place form of the
-package's in-place Adam update, kept to pin its bits.
+with the package, so agreement is evidence rather than tautology. The
+exceptions pin bits rather than check a method: `adam_oracle`, the
+straightforward out-of-place form of the package's in-place Adam update,
+and `packed_forward_oracle`, the training step's forward as it stood before
+inference shared it.
 """
+
+import math
 
 import numpy as np
 
@@ -32,6 +36,65 @@ def nms_oracle(proposals, iou_threshold):
                     and iou_oracle((p.start, p.end), (best.start, best.end))
                     <= iou_threshold]
     return sorted(kept, key=rank)
+
+
+def find_runs_oracle(mask):
+    """Maximal runs of True as half-open (start, end) pairs."""
+    mask = np.asarray(mask, dtype=bool)
+    padded = np.concatenate([[False], mask, [False]])
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return [(int(s), int(e)) for s, e in zip(edges[::2], edges[1::2])]
+
+
+def threshold_oracle(s_l, thresholds):
+    """Candidate (start, end, threshold) spans, one threshold at a time; a
+    span found by several thresholds keeps the first."""
+    seen = {}
+    for theta in thresholds:
+        for span in find_runs_oracle(np.asarray(s_l) >= theta):
+            seen.setdefault(span, float(theta))
+    return [(s, e, theta) for (s, e), theta in seen.items()]
+
+
+def score_oracle(s_l, start, end):
+    """Inner mean minus the mean over margins of a quarter span on each side,
+    clipped to the sequence; the inner mean alone when both are empty."""
+    s_l = np.asarray(s_l, dtype=np.float64)
+    inner = float(np.mean(s_l[start:end]))
+    margin = max(1, math.ceil((end - start) / 4))
+    outer = np.concatenate([s_l[max(0, start - margin):start],
+                            s_l[end:min(s_l.shape[0], end + margin)]])
+    if outer.size == 0:
+        return inner
+    return inner - float(np.mean(outer))
+
+
+class _Candidate:
+    def __init__(self, cls, q, start, end, source_threshold):
+        self.cls, self.q, self.start, self.end = cls, q, start, end
+        self.source_threshold = source_threshold
+
+
+def proposals_oracle(y, a, p_fg, thresholds, rho_cls, epsilon, iou_threshold):
+    """The scalar proposal loop: per predicted class, fuse the softmaxed CAS
+    column with the attention, collect runs threshold by threshold, score
+    each with its own means, then suppress with `nms_oracle`. Returns
+    (cls, q, start, end, source_threshold) tuples, best first."""
+    y = np.asarray(y, dtype=np.float64)
+    e = np.exp(y - np.max(y, axis=1, keepdims=True))
+    y_bar = e / np.sum(e, axis=1, keepdims=True)
+    action = np.asarray(p_fg, dtype=np.float64)[:-1]
+    classes = [c for c in range(action.size) if action[c] >= rho_cls]
+    if not classes:
+        classes = [int(np.argmax(action))]
+    candidates = []
+    for cls in classes:
+        s_l = epsilon * y_bar[:, cls] + (1.0 - epsilon) * np.asarray(a, dtype=np.float64)
+        for start, end, theta in threshold_oracle(s_l, thresholds):
+            candidates.append(_Candidate(cls, score_oracle(s_l, start, end),
+                                         start, end, theta))
+    return [(p.cls, p.q, p.start, p.end, p.source_threshold)
+            for p in nms_oracle(candidates, iou_threshold)]
 
 
 def ap_oracle(proposals, ground_truths, iou_threshold):
@@ -88,3 +151,45 @@ def adam_oracle(params, grads, state):
     v_hat = state.second_moment / (1.0 - state.beta2**t)
     out = params * (1.0 - state.learning_rate * state.weight_decay)
     return out - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def packed_forward_oracle(videos, plan, params, hp, norm_mode):
+    """The training step's packed forward and pooling, op for op as they ran
+    inline in the backward before `losses.packed_forward` took them over."""
+    from wtalkit.losses import PackedForward
+    from wtalkit.model import MODALITIES, NORMALIZER_FLOOR, NormMode
+    from wtalkit.numerics import packed_windows, sigmoid, softmax
+
+    lengths = np.array([v.x_rgb.shape[0] for v in videos])
+    n = int(lengths.sum())
+    starts = np.cumsum(lengths) - lengths
+    seg = np.repeat(np.arange(len(videos)), lengths)
+    k = params.header[-1]
+    width = max(k, 2 * hp.gauss_radius + 1)
+    wide = packed_windows(lengths, width)
+    rows = wide[:, (width - k) // 2:(width + k) // 2]
+    if plan is not None:
+        src = plan + starts[seg]
+        rows = np.concatenate([rows, src[rows]])
+    cache = {}
+    for name in MODALITIES:
+        mod = params.modality(name)
+        x = np.concatenate([getattr(v, f"x_{name}") for v in videos])
+        win = np.take(x, rows, axis=0).reshape(rows.shape[0], -1)
+        xe = win @ mod.w_embed.transpose(2, 1, 0).reshape(win.shape[1], -1)
+        xe += mod.b_embed
+        np.maximum(xe, 0.0, out=xe)
+        head = np.column_stack([mod.w_cls, mod.w_att])
+        h = head.T @ xe.T + np.append(mod.b_cls, mod.b_att)[:, None]
+        cache[name] = (win, xe, head, h[:-1], sigmoid(h[-1]))
+    y = 0.5 * (cache["rgb"][3] + cache["flow"][3])
+    a = 0.5 * (cache["rgb"][4] + cache["flow"][4])
+    yb, ab = y[:, :n], a[:n]
+    n_f = np.maximum(np.add.reduceat(ab, starts), NORMALIZER_FLOOR)
+    n_b = np.maximum(np.add.reduceat(1.0 - ab, starts), NORMALIZER_FLOOR)
+    denom = n_f if norm_mode is NormMode.BGES else n_b
+    z_fg = np.add.reduceat(yb * ab, starts, axis=1) / n_f
+    z_bg = np.add.reduceat(yb * (1.0 - ab), starts, axis=1) / denom
+    return PackedForward(lengths=lengths, starts=starts, wide=wide, modal=cache,
+                         y=y, a=a, n_f=n_f, denom=denom, z_fg=z_fg, z_bg=z_bg,
+                         p_fg=softmax(z_fg, axis=0), p_bg=softmax(z_bg, axis=0))

@@ -232,6 +232,59 @@ class TestGradcheck:
         assert f"config error: --instances must be >= 1, got {instances}" in err
 
 
+    @pytest.mark.parametrize("eps", ["0", "-1e-5", "nan", "inf"])
+    def test_bad_step_is_config_error_before_any_certification(self, eps, capsys):
+        assert main(["gradcheck", "--instances", "1", f"--eps={eps}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"config error: --eps must be finite and > 0, got {float(eps)}" in err
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
+    def test_bad_tolerance_is_config_error_before_any_certification(self, tolerance,
+                                                                    capsys):
+        assert main(["gradcheck", "--instances", "1", f"--tolerance={tolerance}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"config error: --tolerance must be >= 0, got {float(tolerance)}" in err
+
+
+class TestMissingOutputDirectory:
+    """An output path in a directory that does not exist is a data error
+    (exit 2) naming that path, raised before any work is done."""
+
+    def _refused(self, argv, path, capsys):
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"data error: cannot write {path}: its directory does not exist" in err
+
+    @pytest.mark.parametrize("flag", ["--log", "--out"])
+    def test_train_writes_no_checkpoint(self, flag, tmp_path, ini, data_dir, capsys):
+        missing = str(tmp_path / "nodir" / "x.out")
+        ckpt = tmp_path / "m.ckpt"
+        argv = ["--config", ini, "train", "--data", str(data_dir / "train.bin"),
+                "--out", str(ckpt), flag, missing]
+        self._refused(argv, missing, capsys)
+        assert not ckpt.exists()
+
+    def test_localize_eval_and_ablate(self, tmp_path, ini, data_dir, capsys):
+        missing = str(tmp_path / "nodir" / "x.out")
+        ckpt = tmp_path / "m.ckpt"
+        props = tmp_path / "p.tsv"
+        test = str(data_dir / "test.bin")
+        assert main(["--config", ini, "train", "--data", str(data_dir / "train.bin"),
+                     "--out", str(ckpt)]) == 0
+        assert main(["--config", ini, "localize", "--checkpoint", str(ckpt),
+                     "--data", test, "--out", str(props)]) == 0
+        self._refused(["--config", ini, "localize", "--checkpoint", str(ckpt),
+                       "--data", test, "--out", missing], missing, capsys)
+        self._refused(["--config", ini, "eval", "--proposals", str(props),
+                       "--data", test, "--out", missing], missing, capsys)
+        self._refused(["--config", ini, "ablate", "--data", str(data_dir / "train.bin"),
+                       "--test", test, "--out", missing], missing, capsys)
+
+
 class TestShapeMismatch:
     """A checkpoint or test set whose (D, C) differs from the data it meets
     is a data error at load, before any work."""

@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import nms_oracle
+from oracles import nms_oracle, proposals_oracle, score_oracle
 from wtalkit.errors import DataFormatError
 from wtalkit.evaluate import evaluate, temporal_iou
 from wtalkit.localize import (
     ActionProposal,
-    find_runs,
     fuse_scores,
     localize_scores,
     localize_video,
     nms,
     predict_classes,
     read_proposals,
-    score_proposal,
+    score_spans,
     threshold_proposals,
     write_proposals,
 )
@@ -76,33 +75,46 @@ class TestPredictClasses:
         assert got == [0, 2]
 
 
+def _runs(s, thresholds):
+    """(start, end, threshold) triples of one score row."""
+    _, start, end, theta = threshold_proposals(np.asarray(s, dtype=np.float64)[None],
+                                               thresholds)
+    return list(zip(start.tolist(), end.tolist(), theta.tolist()))
+
+
 class TestRuns:
     def test_two_runs(self):
         s = np.array([0.9, 0.9, 0.1, 0.9])
-        got = threshold_proposals(s, [0.5])
+        got = _runs(s, [0.5])
         assert [(a, b) for a, b, _ in got] == [(0, 2), (3, 4)]
 
     def test_nothing_passes(self):
-        assert threshold_proposals(np.array([0.1, 0.2]), [0.5, 0.7]) == []
+        assert _runs(np.array([0.1, 0.2]), [0.5, 0.7]) == []
 
     def test_nested_spans_both_retained(self):
         s = np.array([0.3, 0.8, 0.3])
-        got = {(a, b) for a, b, _ in threshold_proposals(s, [0.2, 0.5])}
+        got = {(a, b) for a, b, _ in _runs(s, [0.2, 0.5])}
         assert got == {(0, 3), (1, 2)}
 
     def test_duplicate_keeps_first_threshold(self):
-        got = threshold_proposals(np.array([0.9, 0.9]), [0.1, 0.2, 0.3])
+        got = _runs(np.array([0.9, 0.9]), [0.1, 0.2, 0.3])
         assert got == [(0, 2, 0.1)]
 
     def test_empty_thresholds(self):
         with pytest.raises(ValueError):
-            threshold_proposals(np.array([0.9]), [])
+            threshold_proposals(np.array([[0.9]]), [])
+
+    def test_rows_are_independent(self):
+        s = np.array([[0.9, 0.1, 0.9], [0.1, 0.9, 0.9]])
+        row, start, end, _ = threshold_proposals(s, [0.5])
+        assert list(zip(row.tolist(), start.tolist(), end.tolist())) == [
+            (0, 0, 1), (0, 2, 3), (1, 1, 3)]
 
     @given(st.lists(unit, min_size=1, max_size=20), unit)
     @settings(max_examples=80)
     def test_runs_partition_mask(self, vals, theta):
         s = np.array(vals)
-        runs = find_runs(s >= theta)
+        runs = [(a, b) for a, b, _ in _runs(s, [theta])]
         covered = np.zeros(len(vals), dtype=bool)
         for a, b in runs:
             assert 0 <= a < b <= len(vals)
@@ -119,30 +131,35 @@ class TestRuns:
     def test_raising_threshold_shrinks_runs(self, vals, thetas):
         lo, hi = min(thetas), max(thetas)
         s = np.array(vals)
-        low_runs = find_runs(s >= lo)
-        for a, b in find_runs(s >= hi):
+        low_runs = [(a, b) for a, b, _ in _runs(s, [lo])]
+        for a, b, _ in _runs(s, [hi]):
             assert any(la <= a and b <= lb for la, lb in low_runs)
+
+
+def _score(s, start, end):
+    return float(score_spans(np.asarray(s, dtype=np.float64)[None], np.array([0]),
+                             np.array([start]), np.array([end]))[0])
 
 
 class TestScoreProposal:
     def test_block_on_zero_floor(self):
         s = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 0.0])
-        assert score_proposal(s, 1, 5) == pytest.approx(1.0)
+        assert _score(s, 1, 5) == pytest.approx(1.0)
 
     def test_constant_scores_zero(self):
-        assert score_proposal(np.full(8, 0.4), 2, 5) == pytest.approx(0.0)
+        assert _score(np.full(8, 0.4), 2, 5) == pytest.approx(0.0)
 
     def test_hand_case(self):
         s = np.array([0.2, 0.9, 0.9, 0.2])
-        assert score_proposal(s, 1, 3) == pytest.approx(0.7, abs=1e-12)
+        assert _score(s, 1, 3) == pytest.approx(0.7, abs=1e-12)
 
     def test_whole_sequence_uses_inner_only(self):
         s = np.array([0.3, 0.5, 0.7])
-        assert score_proposal(s, 0, 3) == pytest.approx(0.5)
+        assert _score(s, 0, 3) == pytest.approx(0.5)
 
     def test_empty_span(self):
         with pytest.raises(ValueError):
-            score_proposal(np.ones(4), 2, 2)
+            _score(np.ones(4), 2, 2)
 
     @given(st.lists(unit, min_size=2, max_size=15), st.data())
     @settings(max_examples=60)
@@ -150,7 +167,18 @@ class TestScoreProposal:
         s = np.array(vals)
         start = data.draw(st.integers(0, len(vals) - 2))
         end = data.draw(st.integers(start + 1, len(vals) - 1))
-        assert -1.0 <= score_proposal(s, start, end) <= 1.0
+        assert -1.0 <= _score(s, start, end) <= 1.0
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40), st.data())
+    @settings(max_examples=100, derandomize=True)
+    def test_matches_the_scalar_oracle(self, vals, data):
+        # one cumulative sum per row instead of a mean per span: not the
+        # same rounding, so agreement is to 1e-12 of the scores' scale
+        s = np.array(vals)
+        start = data.draw(st.integers(0, len(vals) - 1))
+        end = data.draw(st.integers(start + 1, len(vals)))
+        scale = max(1.0, float(np.max(np.abs(s))))
+        assert abs(_score(s, start, end) - score_oracle(s, start, end)) <= 1e-12 * scale
 
 
 def _prop(cls, q, start, end):
@@ -194,6 +222,20 @@ class TestNms:
             thr = float(rng.uniform(0.2, 0.8))
             assert nms(props, thr) == nms_oracle(props, thr)
 
+    @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0.1, 0.2, 0.5, 0.9]),
+                              st.integers(0, 30), st.integers(1, 12)), max_size=60),
+           st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 1.0]))
+    @settings(max_examples=200, derandomize=True)
+    def test_long_suppression_chains_match_the_oracle(self, rows, thr):
+        # many overlapping spans and tied scores: chains where a suppressed
+        # candidate no longer suppresses the next one
+        props = [_prop(c, q, s, s + n) for c, q, s, n in rows]
+        assert nms(props, thr) == nms_oracle(props, thr)
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError, match="iou_threshold"):
+            nms([_prop(0, 0.9, 0, 3)], -0.1)
+
 
 class TestLocalizeScores:
     def test_small_pipeline(self):
@@ -225,6 +267,77 @@ class TestLocalizeScores:
         p_fg = np.array([0.3, 0.3, 0.3, 0.1])
         for p in localize_scores(y, a, p_fg, Hyperparams()):
             assert 0 <= p.cls < 3
+
+
+def _one_hot_cas(winners, num_classes):
+    """CAS logits whose softmax is exactly one-hot: the winner of each
+    snippet at 0, every other class 1000 below (exp underflows to 0)."""
+    y = np.full((len(winners), num_classes + 1), -1000.0)
+    y[np.arange(len(winners)), winners] = 0.0
+    return y
+
+
+@st.composite
+def exact_scores(draw):
+    """(y, a, p_fg, nms_iou) whose fused scores are multiples of 1/128: the
+    softmaxed CAS is one-hot and attention a multiple of 1/64, so every sum
+    is exact and the scalar and array paths round identically."""
+    c = draw(st.integers(1, 3))
+    t = draw(st.integers(1, 30))
+    y = _one_hot_cas(draw(st.lists(st.integers(0, c), min_size=t, max_size=t)), c)
+    a = np.array(draw(st.lists(st.integers(0, 64), min_size=t, max_size=t))) / 64.0
+    p_fg = np.array(draw(st.lists(st.sampled_from([0.0, 0.05, 0.25, 0.5]),
+                                  min_size=c + 1, max_size=c + 1)))
+    return y, a, p_fg, draw(st.sampled_from([0.3, 0.5, 0.7]))
+
+
+def _same_as_oracle(y, a, p_fg, nms_iou):
+    hp = Hyperparams(nms_iou=nms_iou)
+    got = [(p.cls, p.start, p.end, p.source_threshold, p.q)
+           for p in localize_scores(y, a, p_fg, hp)]
+    want = [(cls, start, end, theta, q) for cls, q, start, end, theta in proposals_oracle(
+        y, a, p_fg, hp.proposal_thresholds, hp.rho_cls, hp.epsilon, nms_iou)]
+    assert [g[:4] for g in got] == [w[:4] for w in want]
+    assert all(abs(g[4] - w[4]) <= 1e-12 for g, w in zip(got, want))
+    return got
+
+
+class TestAgainstScalarOracle:
+    """The array proposal stage against the scalar loop it replaced."""
+
+    @given(exact_scores())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_exact_scores(self, case):
+        _same_as_oracle(*case)
+
+    def test_single_snippet(self):
+        assert _same_as_oracle(_one_hot_cas([0], 2), np.array([1.0]),
+                               np.array([0.5, 0.0, 0.5]), 0.5) == [(0, 0, 1, 0.1, 1.0)]
+
+    def test_every_snippet_above_every_threshold(self):
+        got = _same_as_oracle(_one_hot_cas([0] * 6, 1), np.ones(6),
+                              np.array([0.9, 0.1]), 0.5)
+        assert got == [(0, 0, 6, 0.1, 1.0)]
+
+    def test_nothing_above_any_threshold(self):
+        # class 0 never wins and attention is 0: its fused score is 0
+        assert _same_as_oracle(_one_hot_cas([1] * 5, 1), np.zeros(5),
+                               np.array([0.9, 0.1]), 0.5) == []
+
+    def test_runs_touching_both_ends(self):
+        got = _same_as_oracle(_one_hot_cas([0, 0, 1, 1, 1, 0], 1),
+                              np.array([1.0, 1.0, 0.0, 0.0, 0.0, 1.0]),
+                              np.array([0.9, 0.1]), 0.5)
+        assert {(start, end) for _, start, end, _, _ in got} == {(0, 2), (5, 6)}
+
+    def test_equal_q_ties_go_to_the_earlier_start_then_smaller_class(self):
+        # two mirrored bumps per class, and two classes with the same scores
+        y = _one_hot_cas([2, 0, 2, 2, 0, 2], 2)
+        y[:, 1] = y[:, 0]  # classes 0 and 1 tie on every snippet
+        got = _same_as_oracle(y, np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0]),
+                              np.array([0.4, 0.4, 0.0, 0.2]), 0.5)
+        best = [(cls, start) for cls, start, _, _, q in got if q == got[0][4]]
+        assert best == [(0, 1), (1, 1), (0, 4), (1, 4)]
 
 
 def _analytic_params():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wtalkit.losses as losses_mod
+from oracles import packed_forward_oracle
 from wtalkit.errors import NumericError
 from wtalkit.losses import (
     CHUNK_CELLS,
@@ -33,7 +34,7 @@ from wtalkit.losses import (
     _forward_pair,
 )
 from wtalkit.model import Hyperparams, embed, forward, init_params
-from wtalkit.synth import TrainingVideo
+from wtalkit.synth import SynthConfig, TrainingVideo, generate, training_view
 from wtalkit.ten import make_plan, tcb_forward_full
 from wtalkit.numerics import finite_diff_grad, gaussian_smooth, softmax
 
@@ -333,6 +334,22 @@ class TestPackedBatch:
         videos[1].x_flow[2, 0] = np.inf
         with pytest.raises(NumericError, match="non-finite"):
             backward(videos, plan, params, HP, GradMode.STANDARD)
+
+
+class TestSharedForward:
+    @pytest.mark.parametrize("mode, ten", [(GradMode.STANDARD, False), (GradMode.BGES, True)],
+                             ids=["bl", "ten_bges"])
+    def test_backward_bits_match_the_pre_sharing_forward(self, mode, ten):
+        # a stock-world batch: the training step's real shapes, one chunk
+        videos = training_view(generate(SynthConfig(num_test=0))[0][:16])
+        params = init_params(np.random.default_rng(0), 32, 32, 5, 3)
+        plan = make_plan([v.x_rgb.shape[0] for v in videos], HP.k,
+                         np.random.default_rng(1)) if ten else None
+        grad, parts = backward(videos, plan, params, HP, mode)
+        with patch.object(losses_mod, "packed_forward", packed_forward_oracle):
+            want_grad, want_parts = backward(videos, plan, params, HP, mode)
+        assert grad.tobytes() == want_grad.tobytes()
+        assert parts == want_parts
 
 
 class TestCertification:

@@ -5,9 +5,10 @@ import pytest
 
 import wtalkit.trainer as trainer_mod
 from wtalkit.errors import NumericError
-from wtalkit.losses import GradMode
-from wtalkit.model import Hyperparams, load_checkpoint
-from wtalkit.synth import training_view
+from wtalkit.localize import localize_video
+from wtalkit.losses import GradMode, _chunks
+from wtalkit.model import Hyperparams, init_params, load_checkpoint
+from wtalkit.synth import VideoRecord, training_view
 from wtalkit.trainer import (
     COMPONENT_GRID,
     RunConfig,
@@ -180,6 +181,39 @@ class TestLocalizeDataset:
         result = train(_videos(tiny_dataset), _cfg(iterations=2))
         props = localize_dataset(test_recs, result.params, Hyperparams(embed_dim=8))
         assert set(props) == {r.video_id for r in test_recs}
+
+
+def _record(vid, t, d, rng):
+    return VideoRecord(video_id=vid, x_rgb=rng.normal(size=(t, d)),
+                       x_flow=rng.normal(size=(t, d)), video_label=np.ones(3),
+                       ground_truth=[])
+
+
+class TestBatchedLocalization:
+    def test_chunks_give_the_per_video_proposals(self):
+        # at D = 64, K = 3 the 1,400-snippet video holds 268,800 window cells,
+        # more than CHUNK_CELLS, so it runs alone between two packed chunks
+        rng = np.random.default_rng(4)
+        lengths = [1, 2, 30, 57, 3, 1400, 64, 5, 41]
+        records = [_record(f"v{i}", t, 64, rng) for i, t in enumerate(lengths)]
+        params = init_params(rng, 64, 16, 3)
+        for block in params.rgb.w_att, params.flow.w_att:
+            block *= 6.0  # sharper attention: more runs, more overlap to suppress
+        hp = Hyperparams(embed_dim=16)
+        assert list(_chunks(records, 3)) == [(0, 5), (5, 6), (6, 9)]
+        got = localize_dataset(records, params, hp)
+        assert list(got) == [r.video_id for r in records]
+        for r in records:
+            want = localize_video(r.x_rgb, r.x_flow, params, hp)
+            assert [(p.cls, p.start, p.end, p.source_threshold) for p in got[r.video_id]] == \
+                [(p.cls, p.start, p.end, p.source_threshold) for p in want]
+            for p, w in zip(got[r.video_id], want):
+                assert abs(p.q - w.q) <= 1e-12
+        assert sum(len(v) for v in got.values()) > 100
+
+    def test_no_records_give_no_proposals(self):
+        params = init_params(np.random.default_rng(0), 4, 4, 2)
+        assert localize_dataset([], params, Hyperparams(embed_dim=4)) == {}
 
 
 class TestAblate:
