@@ -15,7 +15,7 @@ from .evaluate import (
     evaluate,
     temporal_iou,
 )
-from .localize import ActionProposal, localize_scores, localize_video
+from .localize import Proposals, localize_scores, localize_video
 from .losses import (
     CERTIFIED_MODES,
     CertificationResult,
@@ -33,7 +33,6 @@ from .ten import make_plan
 from .trainer import RunConfig, TrainResult, ablate, train
 
 __all__ = [
-    "ActionProposal",
     "CERTIFIED_MODES",
     "CertificationResult",
     "ConfigError",
@@ -45,6 +44,7 @@ __all__ = [
     "LossBreakdown",
     "ModelParams",
     "NumericError",
+    "Proposals",
     "RunConfig",
     "SynthConfig",
     "TrainResult",

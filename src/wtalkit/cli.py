@@ -161,7 +161,7 @@ def cmd_localize(args) -> int:
     write_proposals(args.out, proposals,
                     frames_per_snippet=dataset.frames_per_snippet,
                     fps=dataset.fps)
-    total = sum(len(v) for v in proposals.values())
+    total = sum(v.cls.size for v in proposals.values())
     print(f"wrote {args.out}: {total} proposals over {len(proposals)} videos")
     return 0
 

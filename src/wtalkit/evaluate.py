@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import atomic_write
+from .errors import DataFormatError
 
 DEFAULT_IOU_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 AVERAGE_RANGES = {
@@ -75,14 +76,12 @@ def evaluate(per_video_proposals: dict, records: list,
              num_classes: int | None = None) -> EvalReport:
     """Score proposals against record annotations.
 
-    `per_video_proposals` maps video id to ActionProposal lists; every id must
-    name a record. Classes that never occur in the ground truth are excluded
-    from mAP and listed in `skipped_classes`.
+    `per_video_proposals` maps video id to its `localize.Proposals`. An id
+    that names no record, a class outside [0, num_classes) or an end past the
+    video's T is a `DataFormatError` naming the video. Classes that never
+    occur in the ground truth are excluded from mAP and listed in `skipped_classes`.
     """
-    known = {r.video_id for r in records}
-    for vid in per_video_proposals:
-        if vid not in known:
-            raise ValueError(f"proposals reference unknown video {vid!r}")
+    lengths = {r.video_id: r.x_rgb.shape[0] for r in records}
     if num_classes is None:
         num_classes = records[0].video_label.shape[0] if records else 0
 
@@ -92,9 +91,14 @@ def evaluate(per_video_proposals: dict, records: list,
             gt_by_class[cls].append((rec.video_id, start, end))
     props_by_class: dict = {c: [] for c in range(num_classes)}
     for vid, props in per_video_proposals.items():
-        for p in props:
-            if 0 <= p.cls < num_classes:
-                props_by_class[p.cls].append((vid, p.q, p.start, p.end))
+        if vid not in lengths:
+            raise DataFormatError(f"proposals reference unknown video {vid!r}")
+        cls, q, start, end = (col.tolist() for col in props)
+        if cls and (min(cls) < 0 or max(cls) >= num_classes or max(end) > lengths[vid]):
+            raise DataFormatError(f"video {vid!r}: proposals need a class in [0, "
+                                  f"{num_classes}) and an end <= T = {lengths[vid]}")
+        for c, v, b, e in zip(cls, q, start, end):
+            props_by_class[c].append((vid, v, b, e))
 
     scored = [c for c in range(num_classes) if gt_by_class[c]]
     skipped = tuple(c for c in range(num_classes) if not gt_by_class[c])

@@ -9,7 +9,8 @@ packed forward that training uses; `localize_video` runs the per-video one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,19 +22,14 @@ from .model import Hyperparams, ModelParams, forward
 from .numerics import softmax
 
 
-@dataclass(frozen=True)
-class ActionProposal:
-    """One localized action instance with half-open snippet span [start, end)."""
+class Proposals(NamedTuple):
+    """One video's proposals, best first: class (int64), outer-inner score q
+    (float64) and half-open snippet span [start, end) (int64), one entry each."""
 
-    cls: int
-    q: float
-    start: int
-    end: int
-    source_threshold: float
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"bad span [{self.start}, {self.end})")
+    cls: np.ndarray
+    q: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
 
 
 def fuse_scores(y_bar_c: np.ndarray, a: np.ndarray, epsilon: float) -> np.ndarray:
@@ -64,9 +60,8 @@ def threshold_proposals(scores: np.ndarray, thresholds) -> tuple:
     """Maximal runs of score >= theta, for every threshold and every row of
     the (n, T) `scores`: one mask for all of them, runs from one diff.
 
-    Returns int arrays (row, start, end) of half-open spans and the float
-    array of their thresholds, ordered by (row, start, end). A span that
-    several thresholds find keeps the first of `thresholds` that finds it.
+    Returns int arrays (row, start, end) of the distinct half-open spans,
+    ordered by (row, start, end).
     """
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if thresholds.size == 0:
@@ -75,11 +70,10 @@ def threshold_proposals(scores: np.ndarray, thresholds) -> tuple:
     mask = np.zeros((scores.shape[0], thresholds.size, t + 2), dtype=np.int8)
     mask[:, :, 1:-1] = scores[:, None, :] >= thresholds[:, None]
     edges = np.diff(mask, axis=2)
-    row, level, start = np.nonzero(edges == 1)
+    row, _, start = np.nonzero(edges == 1)
     end = np.nonzero(edges == -1)[2]
-    # np.unique keeps each key's first occurrence, which is in threshold order
     _, first = np.unique((row * (t + 1) + start) * (t + 1) + end, return_index=True)
-    return row[first], start[first], end[first], thresholds[level[first]]
+    return row[first], start[first], end[first]
 
 
 def score_spans(scores: np.ndarray, row: np.ndarray, start: np.ndarray,
@@ -104,25 +98,22 @@ def score_spans(scores: np.ndarray, row: np.ndarray, start: np.ndarray,
     return np.where(outer_n > 0, inner - outer, inner)
 
 
-def _canonical(props: list) -> list:
-    return sorted(props, key=lambda p: (-p.q, p.start, p.cls, p.end))
+def nms(cls: np.ndarray, q: np.ndarray, start: np.ndarray, end: np.ndarray,
+        iou_threshold: float) -> np.ndarray:
+    """Per-class greedy suppression over candidate arrays; classes never interact.
 
-
-def nms(proposals: list, iou_threshold: float) -> list:
-    """Per-class greedy suppression; classes never interact.
-
-    Candidates are visited best-q first with ties broken by earlier start then
-    smaller class index, making the result independent of input order; the
-    survivors come back in that order. A candidate is kept iff no kept better
-    one of its class overlaps it by more than `iou_threshold`. That rule
-    settles one rank at a time, so iterating it from "keep all" over the
-    overlapping same-class pairs reaches the greedy result.
+    Candidates are visited best-q first with ties broken by earlier start,
+    then smaller class, then earlier end, so the result does not depend on
+    input order. Returns the indices of the survivors in that order. A
+    candidate is kept iff no kept better one of its class overlaps it by more
+    than `iou_threshold`. That rule settles one rank at a time, so iterating
+    it from "keep all" over the overlapping same-class pairs reaches the
+    greedy result.
     """
     if iou_threshold < 0:
         raise ValueError(f"nms: iou_threshold must be >= 0, got {iou_threshold}")
-    ranked = _canonical(proposals)
-    cls, start, end = (np.array([getattr(p, f) for p in ranked], dtype=np.int64)
-                       for f in ("cls", "start", "end"))
+    ranked = np.lexsort((end, cls, start, -q))
+    cls, start, end = cls[ranked], start[ranked], end[ranked]
     # sorted by (class, start), a candidate's overlapping successors are
     # those that start before it ends: positions i + 1 .. stop[i] - 1
     by = np.lexsort((start, cls))
@@ -139,29 +130,28 @@ def nms(proposals: list, iou_threshold: float) -> list:
         settled = np.ones(cls.size, dtype=bool)
         settled[worse[keep[better]]] = False
         if np.array_equal(settled, keep):
-            return [p for p, k in zip(ranked, keep) if k]
+            return ranked[keep]
         keep = settled
 
 
 def localize_scores(y: np.ndarray, a: np.ndarray, p_fg: np.ndarray,
-                    hp: Hyperparams) -> list:
+                    hp: Hyperparams) -> Proposals:
     """Proposals from precomputed per-snippet scores, best first.
 
     The fused scores of every predicted class are thresholded at every level
     at once, and the runs scored as arrays before `nms`.
     """
-    classes = np.array(predict_classes(p_fg, hp.rho_cls))
+    classes = np.array(predict_classes(p_fg, hp.rho_cls), dtype=np.int64)
     y_bar = softmax(np.asarray(y, dtype=np.float64), axis=1)[:, classes].T
     s_l = fuse_scores(y_bar, np.broadcast_to(a, y_bar.shape), hp.epsilon)
-    row, start, end, theta = threshold_proposals(s_l, hp.proposal_thresholds)
-    q = score_spans(s_l, row, start, end)
-    columns = (arr.tolist() for arr in (classes[row], q, start, end, theta))
-    return nms([ActionProposal(cls=c, q=v, start=b, end=e, source_threshold=th)
-                for c, v, b, e, th in zip(*columns)], hp.nms_iou)
+    row, start, end = threshold_proposals(s_l, hp.proposal_thresholds)
+    cls, q = classes[row], score_spans(s_l, row, start, end)
+    keep = nms(cls, q, start, end, hp.nms_iou)
+    return Proposals(cls[keep], q[keep], start[keep], end[keep])
 
 
 def localize_video(x_rgb: np.ndarray, x_flow: np.ndarray, params: ModelParams,
-                   hp: Hyperparams) -> list:
+                   hp: Hyperparams) -> Proposals:
     """Full inference for one video (Standard pooling, base branch only)."""
     out = forward(x_rgb, x_flow, params)
     return localize_scores(out.y, out.a, out.p_fg, hp)
@@ -171,24 +161,28 @@ def write_proposals(path, per_video: dict, frames_per_snippet: int = 0,
                     fps: float = 0.0) -> None:
     """One line per proposal: id, class, q, start, end (+ seconds when timed).
 
-    `per_video` maps video id to its proposal list. Column order is stable for
-    downstream scoring.
+    `per_video` maps video id to its `Proposals`, written in id order and
+    each in the order given. Column order is stable for downstream scoring.
     """
     timed = frames_per_snippet > 0 and fps > 0.0
     scale = frames_per_snippet / fps if timed else 0.0
     with atomic_write(path, encoding="utf-8") as fh:
         fh.write("# video_id class q start end" + (" start_sec end_sec" if timed else "") + "\n")
         for vid in sorted(per_video):
-            for p in _canonical(per_video[vid]):
-                line = f"{vid} {p.cls} {p.q:.6f} {p.start} {p.end}"
+            cls, q, start, end = (col.tolist() for col in per_video[vid])
+            for c, v, b, e in zip(cls, q, start, end):
+                line = f"{vid} {c} {v:.6f} {b} {e}"
                 if timed:
-                    line += f" {p.start * scale:.3f} {p.end * scale:.3f}"
+                    line += f" {b * scale:.3f} {e * scale:.3f}"
                 fh.write(line + "\n")
 
 
 def read_proposals(path) -> dict:
-    """Inverse of write_proposals (snippet columns only)."""
-    per_video: dict = {}
+    """Inverse of write_proposals (snippet columns only): video id to `Proposals`.
+
+    A line that is not id, class >= 0, finite q, 0 <= start < end is a data
+    error naming the line."""
+    rows: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -198,11 +192,14 @@ def read_proposals(path) -> dict:
             if len(parts) not in (5, 7):
                 raise DataFormatError(f"line {lineno}: expected 5 or 7 columns, "
                                       f"got {len(parts)}")
-            vid, cls, q, start, end = parts[:5]
             try:
-                prop = ActionProposal(cls=int(cls), q=float(q), start=int(start),
-                                      end=int(end), source_threshold=0.0)
+                cls, q, start, end = int(parts[1]), float(parts[2]), int(parts[3]), int(parts[4])
             except ValueError as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from exc
-            per_video.setdefault(vid, []).append(prop)
-    return per_video
+            if not (cls >= 0 and math.isfinite(q) and 0 <= start < end):
+                raise DataFormatError(f"line {lineno}: need class >= 0, finite q and "
+                                      f"0 <= start < end, got {' '.join(parts[1:5])}")
+            rows.setdefault(parts[0], []).append((cls, q, start, end))
+    return {vid: Proposals(*(np.array(col, dtype=dtype) for col, dtype in
+                             zip(zip(*r), (np.int64, np.float64, np.int64, np.int64))))
+            for vid, r in rows.items()}

@@ -19,7 +19,7 @@ import numpy as np
 
 from .container import read_container, write_container
 from .errors import DataFormatError, NumericError
-from .numerics import reflect_index, sigmoid, softmax
+from .numerics import packed_windows, sigmoid, softmax
 
 MODALITIES = ("rgb", "flow")
 NORMALIZER_FLOOR = 1e-12
@@ -191,10 +191,7 @@ def _check_features(x: np.ndarray, feature_dim: int, name: str) -> np.ndarray:
 
 def temporal_windows(x: np.ndarray, kernel_size: int) -> np.ndarray:
     """(T, K, D) sliding windows with reflect padding, same output length."""
-    t, _ = x.shape
-    pad = kernel_size // 2
-    idx = reflect_index(np.arange(t)[:, None] + np.arange(kernel_size) - pad, t)
-    return x[idx]
+    return x[packed_windows([x.shape[0]], kernel_size)]
 
 
 def embed(x: np.ndarray, mod: ModalityParams):

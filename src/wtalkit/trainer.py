@@ -122,10 +122,10 @@ def train(videos: list, config: RunConfig) -> TrainResult:
 
 
 def localize_dataset(records: list, params: ModelParams, hp: Hyperparams) -> dict:
-    """Proposals for every record, keyed by video id.
+    """Each record's `localize.Proposals`, keyed by video id in record order.
 
     One packed Standard forward per size-bounded chunk of records (the
-    forward training uses), then each video's proposals from its rows.
+    forward training uses), then `localize_scores` on each video's rows.
     """
     proposals = {}
     for lo, hi in _chunks(records, params.header[-1]):

@@ -20,21 +20,21 @@ def iou_oracle(a, b):
 
 
 def nms_oracle(proposals, iou_threshold):
-    """Exhaustive greedy simulation: per class, repeatedly extract the best
-    remaining proposal and drop everything it overlaps too much."""
+    """Exhaustive greedy simulation over (cls, q, start, end) tuples: per
+    class, repeatedly extract the best remaining proposal and drop everything
+    it overlaps too much. Returns the kept tuples, best first."""
     def rank(p):
-        return (-p.q, p.start, p.cls, p.end)
+        cls, q, start, end = p
+        return (-q, start, cls, end)
 
     kept = []
-    for cls in {p.cls for p in proposals}:
-        pool = [p for p in proposals if p.cls == cls]
+    for cls in {p[0] for p in proposals}:
+        pool = [p for p in proposals if p[0] == cls]
         while pool:
             best = min(pool, key=rank)
             kept.append(best)
-            pool = [p for p in pool
-                    if p is not best
-                    and iou_oracle((p.start, p.end), (best.start, best.end))
-                    <= iou_threshold]
+            pool.remove(best)
+            pool = [p for p in pool if iou_oracle(p[2:], best[2:]) <= iou_threshold]
     return sorted(kept, key=rank)
 
 
@@ -47,13 +47,12 @@ def find_runs_oracle(mask):
 
 
 def threshold_oracle(s_l, thresholds):
-    """Candidate (start, end, threshold) spans, one threshold at a time; a
-    span found by several thresholds keeps the first."""
+    """Distinct candidate (start, end) spans, one threshold at a time."""
     seen = {}
     for theta in thresholds:
         for span in find_runs_oracle(np.asarray(s_l) >= theta):
-            seen.setdefault(span, float(theta))
-    return [(s, e, theta) for (s, e), theta in seen.items()]
+            seen.setdefault(span)
+    return list(seen)
 
 
 def score_oracle(s_l, start, end):
@@ -69,17 +68,11 @@ def score_oracle(s_l, start, end):
     return inner - float(np.mean(outer))
 
 
-class _Candidate:
-    def __init__(self, cls, q, start, end, source_threshold):
-        self.cls, self.q, self.start, self.end = cls, q, start, end
-        self.source_threshold = source_threshold
-
-
 def proposals_oracle(y, a, p_fg, thresholds, rho_cls, epsilon, iou_threshold):
     """The scalar proposal loop: per predicted class, fuse the softmaxed CAS
     column with the attention, collect runs threshold by threshold, score
     each with its own means, then suppress with `nms_oracle`. Returns
-    (cls, q, start, end, source_threshold) tuples, best first."""
+    (cls, q, start, end) tuples, best first."""
     y = np.asarray(y, dtype=np.float64)
     e = np.exp(y - np.max(y, axis=1, keepdims=True))
     y_bar = e / np.sum(e, axis=1, keepdims=True)
@@ -90,11 +83,9 @@ def proposals_oracle(y, a, p_fg, thresholds, rho_cls, epsilon, iou_threshold):
     candidates = []
     for cls in classes:
         s_l = epsilon * y_bar[:, cls] + (1.0 - epsilon) * np.asarray(a, dtype=np.float64)
-        for start, end, theta in threshold_oracle(s_l, thresholds):
-            candidates.append(_Candidate(cls, score_oracle(s_l, start, end),
-                                         start, end, theta))
-    return [(p.cls, p.q, p.start, p.end, p.source_threshold)
-            for p in nms_oracle(candidates, iou_threshold)]
+        for start, end in threshold_oracle(s_l, thresholds):
+            candidates.append((cls, score_oracle(s_l, start, end), start, end))
+    return nms_oracle(candidates, iou_threshold)
 
 
 def ap_oracle(proposals, ground_truths, iou_threshold):

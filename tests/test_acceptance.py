@@ -15,7 +15,7 @@ import pytest
 from conftest import record_criterion
 from oracles import ap_oracle, nms_oracle
 from wtalkit.evaluate import average_precision, evaluate
-from wtalkit.localize import ActionProposal, nms
+from wtalkit.localize import nms
 from wtalkit.losses import (
     CERTIFIED_MODES,
     GradMode,
@@ -132,15 +132,16 @@ def test_criterion_4_oracle_equivalence():
     rng = np.random.default_rng(2024)
     nms_bad = 0
     for _ in range(1000):
-        props = []
+        rows = []
         for _ in range(int(rng.integers(1, 7))):
             s = int(rng.integers(0, 15))
-            props.append(ActionProposal(cls=int(rng.integers(0, 3)),
-                                        q=float(np.round(rng.uniform(), 3)),
-                                        start=s, end=s + int(rng.integers(1, 8)),
-                                        source_threshold=0.1))
+            rows.append((int(rng.integers(0, 3)), float(np.round(rng.uniform(), 3)),
+                         s, s + int(rng.integers(1, 8))))
         thr = float(rng.uniform(0.2, 0.8))
-        if nms(props, thr) != nms_oracle(props, thr):
+        cls, q, start, end = (np.array(col) for col in zip(*rows))
+        keep = nms(cls, q, start, end, thr)
+        if list(zip(cls[keep].tolist(), q[keep].tolist(), start[keep].tolist(),
+                    end[keep].tolist())) != nms_oracle(rows, thr):
             nms_bad += 1
 
     ap_bad = 0

@@ -285,6 +285,38 @@ class TestMissingOutputDirectory:
                        "--test", test, "--out", missing], missing, capsys)
 
 
+class TestBadProposals:
+    """`eval` refuses a proposal file that cannot describe the test set: a
+    data error (exit 2) naming the line or the video, with no report."""
+
+    @pytest.mark.parametrize("case", ["unknown_video", "class_c", "class_minus_1",
+                                      "end_past_t", "q_nan", "q_inf"])
+    def test_is_exit_2(self, case, tmp_path, ini, data_dir, capsys):
+        test = data_dir / "test.bin"
+        rec = read_dataset(test).records[0]
+        vid, t = rec.video_id, rec.x_rgb.shape[0]
+        video = f"video {vid!r}: proposals need a class in [0, 3) and an end <= T = {t}"
+        line = "line 3: need class >= 0, finite q and 0 <= start < end, got "
+        line, message = {
+            "unknown_video": ("ghost 0 0.5 1 3", "proposals reference unknown video 'ghost'"),
+            "class_c": (f"{vid} 3 0.5 1 3", video),
+            "class_minus_1": (f"{vid} -1 0.5 1 3", line + "-1 0.5 1 3"),
+            "end_past_t": (f"{vid} 0 0.5 1 {t + 1}", video),
+            "q_nan": (f"{vid} 0 nan 1 3", line + "0 nan 1 3"),
+            "q_inf": (f"{vid} 0 inf 1 3", line + "0 inf 1 3"),
+        }[case]
+        props = tmp_path / "p.txt"
+        props.write_text(f"# video_id class q start end\n{vid} 0 0.9 0 {t}\n{line}\n")
+        report = tmp_path / "report.csv"
+        capsys.readouterr()
+        assert main(["--config", ini, "eval", "--proposals", str(props),
+                     "--data", str(test), "--out", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"data error: {message}" in err
+        assert not report.exists()
+
+
 class TestShapeMismatch:
     """A checkpoint or test set whose (D, C) differs from the data it meets
     is a data error at load, before any work."""

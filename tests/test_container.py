@@ -120,10 +120,10 @@ class Boom:
 
 
 def _proposals(tail):
-    from wtalkit.localize import ActionProposal, write_proposals
+    from wtalkit.localize import Proposals, write_proposals
 
-    good = ActionProposal(cls=1, q=0.5, start=2, end=6, source_threshold=0.5)
-    return write_proposals, {"a": [good], "b": [tail or good]}
+    good = Proposals(np.array([1]), np.array([0.5]), np.array([2]), np.array([6]))
+    return write_proposals, {"a": good, "b": tail or good}
 
 
 def _report(tail):

@@ -15,7 +15,8 @@ from wtalkit.evaluate import (
     temporal_iou,
     write_report_csv,
 )
-from wtalkit.localize import ActionProposal
+from wtalkit.errors import DataFormatError
+from wtalkit.localize import Proposals
 from wtalkit.synth import VideoRecord
 
 
@@ -132,17 +133,18 @@ def _record(vid, t, gts, c=3):
                        ground_truth=gts)
 
 
-def _prop(cls, q, start, end):
-    return ActionProposal(cls=cls, q=q, start=start, end=end,
-                          source_threshold=0.1)
+def _props(*rows):
+    """Proposals of (cls, q, start, end) rows."""
+    return Proposals(*(np.array(col, dtype=dtype) for col, dtype in
+                       zip(zip(*rows), (np.int64, np.float64, np.int64, np.int64))))
 
 
 class TestEvaluate:
     def test_perfect_predictions(self):
         recs = [_record("a", 20, [(0, 2, 6), (1, 10, 15)]),
                 _record("b", 20, [(0, 5, 9)])]
-        props = {"a": [_prop(0, 0.9, 2, 6), _prop(1, 0.8, 10, 15)],
-                 "b": [_prop(0, 0.7, 5, 9)]}
+        props = {"a": _props((0, 0.9, 2, 6), (1, 0.8, 10, 15)),
+                 "b": _props((0, 0.7, 5, 9))}
         rep = evaluate(props, recs, num_classes=3)
         for thr in DEFAULT_IOU_THRESHOLDS:
             assert rep.map_by_threshold[thr] == 1.0
@@ -156,12 +158,20 @@ class TestEvaluate:
 
     def test_unknown_video(self):
         recs = [_record("a", 20, [(0, 2, 6)])]
-        with pytest.raises(ValueError, match="unknown video"):
-            evaluate({"ghost": [_prop(0, 0.9, 2, 6)]}, recs)
+        with pytest.raises(DataFormatError, match="unknown video 'ghost'"):
+            evaluate({"ghost": _props((0, 0.9, 2, 6))}, recs)
+
+    @pytest.mark.parametrize("cls, end", [(-1, 4), (3, 4), (2, 21)])
+    def test_class_or_end_outside_the_record_names_the_video(self, cls, end):
+        recs = [_record("a", 20, [(0, 2, 6)])]
+        evaluate({"a": _props((0, 0.9, 2, 6), (2, 0.5, 1, 20))}, recs, num_classes=3)
+        with pytest.raises(DataFormatError, match=r"video 'a': proposals need a class "
+                                                  r"in \[0, 3\) and an end <= T = 20"):
+            evaluate({"a": _props((0, 0.9, 2, 6), (cls, 0.5, 1, end))}, recs, num_classes=3)
 
     def test_map_is_class_mean(self):
         recs = [_record("a", 20, [(0, 2, 6), (1, 10, 14)])]
-        props = {"a": [_prop(0, 0.9, 2, 6)]}  # class 1 missed entirely
+        props = {"a": _props((0, 0.9, 2, 6))}  # class 1 missed entirely
         rep = evaluate(props, recs, num_classes=2)
         assert rep.map_by_threshold[0.5] == pytest.approx(0.5)
         assert rep.ap_table[(0.5, 0)] == 1.0
@@ -169,8 +179,7 @@ class TestEvaluate:
 
     def test_averages_match_definition(self):
         recs = [_record("a", 30, [(0, 2, 6), (0, 10, 18), (1, 20, 28)])]
-        props = {"a": [_prop(0, 0.9, 2, 6), _prop(0, 0.6, 11, 18),
-                       _prop(1, 0.8, 20, 24)]}
+        props = {"a": _props((0, 0.9, 2, 6), (0, 0.6, 11, 18), (1, 0.8, 20, 24))}
         rep = evaluate(props, recs, num_classes=2)
         for label, needed in AVERAGE_RANGES.items():
             want = float(np.mean([rep.map_by_threshold[t] for t in needed]))
@@ -178,7 +187,7 @@ class TestEvaluate:
 
     def test_report_csv(self, tmp_path):
         recs = [_record("a", 20, [(0, 2, 6)])]
-        rep = evaluate({"a": [_prop(0, 0.9, 2, 6)]}, recs, num_classes=2)
+        rep = evaluate({"a": _props((0, 0.9, 2, 6))}, recs, num_classes=2)
         path = tmp_path / "report.csv"
         write_report_csv(path, rep)
         lines = path.read_text().splitlines()
@@ -191,7 +200,7 @@ class TestEvaluate:
 
     def test_format_summary_mentions_all_thresholds(self):
         recs = [_record("a", 20, [(0, 2, 6)])]
-        rep = evaluate({"a": [_prop(0, 0.9, 2, 6)]}, recs, num_classes=1)
+        rep = evaluate({"a": _props((0, 0.9, 2, 6))}, recs, num_classes=1)
         text = format_summary(rep)
         for thr in DEFAULT_IOU_THRESHOLDS:
             assert f"{thr:<6.2f}" in text

@@ -9,7 +9,7 @@ from oracles import nms_oracle, proposals_oracle, score_oracle
 from wtalkit.errors import DataFormatError
 from wtalkit.evaluate import evaluate, temporal_iou
 from wtalkit.localize import (
-    ActionProposal,
+    Proposals,
     fuse_scores,
     localize_scores,
     localize_video,
@@ -76,29 +76,25 @@ class TestPredictClasses:
 
 
 def _runs(s, thresholds):
-    """(start, end, threshold) triples of one score row."""
-    _, start, end, theta = threshold_proposals(np.asarray(s, dtype=np.float64)[None],
-                                               thresholds)
-    return list(zip(start.tolist(), end.tolist(), theta.tolist()))
+    """(start, end) spans of one score row."""
+    _, start, end = threshold_proposals(np.asarray(s, dtype=np.float64)[None], thresholds)
+    return list(zip(start.tolist(), end.tolist()))
 
 
 class TestRuns:
     def test_two_runs(self):
         s = np.array([0.9, 0.9, 0.1, 0.9])
-        got = _runs(s, [0.5])
-        assert [(a, b) for a, b, _ in got] == [(0, 2), (3, 4)]
+        assert _runs(s, [0.5]) == [(0, 2), (3, 4)]
 
     def test_nothing_passes(self):
         assert _runs(np.array([0.1, 0.2]), [0.5, 0.7]) == []
 
     def test_nested_spans_both_retained(self):
         s = np.array([0.3, 0.8, 0.3])
-        got = {(a, b) for a, b, _ in _runs(s, [0.2, 0.5])}
-        assert got == {(0, 3), (1, 2)}
+        assert set(_runs(s, [0.2, 0.5])) == {(0, 3), (1, 2)}
 
-    def test_duplicate_keeps_first_threshold(self):
-        got = _runs(np.array([0.9, 0.9]), [0.1, 0.2, 0.3])
-        assert got == [(0, 2, 0.1)]
+    def test_duplicate_span_found_once(self):
+        assert _runs(np.array([0.9, 0.9]), [0.1, 0.2, 0.3]) == [(0, 2)]
 
     def test_empty_thresholds(self):
         with pytest.raises(ValueError):
@@ -106,7 +102,7 @@ class TestRuns:
 
     def test_rows_are_independent(self):
         s = np.array([[0.9, 0.1, 0.9], [0.1, 0.9, 0.9]])
-        row, start, end, _ = threshold_proposals(s, [0.5])
+        row, start, end = threshold_proposals(s, [0.5])
         assert list(zip(row.tolist(), start.tolist(), end.tolist())) == [
             (0, 0, 1), (0, 2, 3), (1, 1, 3)]
 
@@ -114,7 +110,7 @@ class TestRuns:
     @settings(max_examples=80)
     def test_runs_partition_mask(self, vals, theta):
         s = np.array(vals)
-        runs = [(a, b) for a, b, _ in _runs(s, [theta])]
+        runs = _runs(s, [theta])
         covered = np.zeros(len(vals), dtype=bool)
         for a, b in runs:
             assert 0 <= a < b <= len(vals)
@@ -131,8 +127,8 @@ class TestRuns:
     def test_raising_threshold_shrinks_runs(self, vals, thetas):
         lo, hi = min(thetas), max(thetas)
         s = np.array(vals)
-        low_runs = [(a, b) for a, b, _ in _runs(s, [lo])]
-        for a, b, _ in _runs(s, [hi]):
+        low_runs = _runs(s, [lo])
+        for a, b in _runs(s, [hi]):
             assert any(la <= a and b <= lb for la, lb in low_runs)
 
 
@@ -181,46 +177,67 @@ class TestScoreProposal:
         assert abs(_score(s, start, end) - score_oracle(s, start, end)) <= 1e-12 * scale
 
 
-def _prop(cls, q, start, end):
-    return ActionProposal(cls=cls, q=q, start=start, end=end,
-                          source_threshold=0.1)
+def _props(rows):
+    """Proposals of (cls, q, start, end) rows, in the order given."""
+    return Proposals(*(np.array(col, dtype=dtype) for col, dtype in zip(
+        zip(*rows) if rows else [()] * 4, (np.int64, np.float64, np.int64, np.int64))))
+
+
+def _rows(props):
+    """(cls, q, start, end) tuples of Proposals."""
+    return list(zip(*(col.tolist() for col in props)))
+
+
+def _nms(rows, iou_threshold):
+    """The rows `nms` keeps, in its order."""
+    cand = _props(rows)
+    keep = nms(*cand, iou_threshold)
+    assert keep.dtype == np.intp
+    return _rows(Proposals(*(col[keep] for col in cand)))
 
 
 class TestNms:
     def test_duplicate_keeps_best(self):
-        got = nms([_prop(0, 0.8, 2, 6), _prop(0, 0.9, 2, 6)], 0.5)
-        assert len(got) == 1 and got[0].q == 0.9
+        got = _nms([(0, 0.8, 2, 6), (0, 0.9, 2, 6)], 0.5)
+        assert got == [(0, 0.9, 2, 6)]
+
+    def test_returns_indices_best_first(self):
+        keep = nms(np.array([0, 0, 1]), np.array([0.2, 0.9, 0.5]),
+                   np.array([0, 5, 0]), np.array([3, 8, 3]), 0.5)
+        assert keep.tolist() == [1, 2, 0]
+
+    def test_no_candidates(self):
+        empty = _props([])
+        assert nms(*empty, 0.5).size == 0
 
     def test_disjoint_all_kept(self):
-        props = [_prop(0, 0.9, 0, 3), _prop(0, 0.8, 5, 8)]
-        assert len(nms(props, 0.5)) == 2
+        assert len(_nms([(0, 0.9, 0, 3), (0, 0.8, 5, 8)], 0.5)) == 2
 
     def test_classes_never_interact(self):
-        props = [_prop(0, 0.9, 2, 6), _prop(1, 0.8, 2, 6)]
-        assert len(nms(props, 0.5)) == 2
+        assert len(_nms([(0, 0.9, 2, 6), (1, 0.8, 2, 6)], 0.5)) == 2
 
     def test_input_order_irrelevant(self):
         rng = np.random.default_rng(3)
-        props = [_prop(int(rng.integers(0, 2)), float(rng.uniform()),
-                       int(s), int(s + rng.integers(1, 6)))
-                 for s in rng.integers(0, 20, size=10)]
-        base = nms(props, 0.5)
+        rows = [(int(rng.integers(0, 2)), float(rng.uniform()),
+                 int(s), int(s + rng.integers(1, 6)))
+                for s in rng.integers(0, 20, size=10)]
+        base = _nms(rows, 0.5)
         for _ in range(5):
-            rng.shuffle(props)
-            assert nms(props, 0.5) == base
+            rng.shuffle(rows)
+            assert _nms(rows, 0.5) == base
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             n = int(rng.integers(1, 7))
-            props = []
+            rows = []
             for _ in range(n):
                 s = int(rng.integers(0, 15))
-                props.append(_prop(int(rng.integers(0, 3)),
-                                   float(np.round(rng.uniform(), 3)),
-                                   s, s + int(rng.integers(1, 8))))
+                rows.append((int(rng.integers(0, 3)),
+                             float(np.round(rng.uniform(), 3)),
+                             s, s + int(rng.integers(1, 8))))
             thr = float(rng.uniform(0.2, 0.8))
-            assert nms(props, thr) == nms_oracle(props, thr)
+            assert _nms(rows, thr) == nms_oracle(rows, thr)
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0.1, 0.2, 0.5, 0.9]),
                               st.integers(0, 30), st.integers(1, 12)), max_size=60),
@@ -229,12 +246,16 @@ class TestNms:
     def test_long_suppression_chains_match_the_oracle(self, rows, thr):
         # many overlapping spans and tied scores: chains where a suppressed
         # candidate no longer suppresses the next one
-        props = [_prop(c, q, s, s + n) for c, q, s, n in rows]
-        assert nms(props, thr) == nms_oracle(props, thr)
+        rows = [(c, q, s, s + n) for c, q, s, n in rows]
+        assert _nms(rows, thr) == nms_oracle(rows, thr)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError, match="iou_threshold"):
-            nms([_prop(0, 0.9, 0, 3)], -0.1)
+            nms(*_props([(0, 0.9, 0, 3)]), -0.1)
+
+
+def _empty(props):
+    return all(col.size == 0 for col in props)
 
 
 class TestLocalizeScores:
@@ -244,12 +265,11 @@ class TestLocalizeScores:
         a = np.array([0.95, 0.95, 0.02, 0.02])
         p_fg = np.array([0.8, 0.05, 0.15])
         got = localize_scores(y, a, p_fg, Hyperparams())
-        assert got, "expected at least one proposal"
-        assert all(p.cls == 0 for p in got)
-        best = got[0]
-        assert (best.start, best.end) == (0, 2)
-        qs = [p.q for p in got]
-        assert qs == sorted(qs, reverse=True)
+        assert [col.dtype for col in got] == [np.int64, np.float64, np.int64, np.int64]
+        assert got.cls.size > 0, "expected at least one proposal"
+        assert np.all(got.cls == 0)
+        assert (got.start[0], got.end[0]) == (0, 2)
+        assert np.all(np.diff(got.q) <= 0)
 
     def test_all_cold_video_is_empty(self):
         y = np.zeros((4, 3))
@@ -258,15 +278,15 @@ class TestLocalizeScores:
         # fused score maxes at 0.5*(1/3) + 0.5*0.01 < 0.18; pick thresholds
         # above that
         hp = Hyperparams(proposal_thresholds=(0.3, 0.5, 0.7))
-        assert localize_scores(y, a, p_fg, hp) == []
+        assert _empty(localize_scores(y, a, p_fg, hp))
 
     def test_background_class_never_emitted(self):
         rng = np.random.default_rng(0)
         y = rng.normal(size=(12, 4))
         a = rng.uniform(size=12)
         p_fg = np.array([0.3, 0.3, 0.3, 0.1])
-        for p in localize_scores(y, a, p_fg, Hyperparams()):
-            assert 0 <= p.cls < 3
+        got = localize_scores(y, a, p_fg, Hyperparams())
+        assert np.all((0 <= got.cls) & (got.cls < 3))
 
 
 def _one_hot_cas(winners, num_classes):
@@ -293,12 +313,12 @@ def exact_scores(draw):
 
 def _same_as_oracle(y, a, p_fg, nms_iou):
     hp = Hyperparams(nms_iou=nms_iou)
-    got = [(p.cls, p.start, p.end, p.source_threshold, p.q)
-           for p in localize_scores(y, a, p_fg, hp)]
-    want = [(cls, start, end, theta, q) for cls, q, start, end, theta in proposals_oracle(
+    got = [(cls, start, end, q) for cls, q, start, end in
+           _rows(localize_scores(y, a, p_fg, hp))]
+    want = [(cls, start, end, q) for cls, q, start, end in proposals_oracle(
         y, a, p_fg, hp.proposal_thresholds, hp.rho_cls, hp.epsilon, nms_iou)]
-    assert [g[:4] for g in got] == [w[:4] for w in want]
-    assert all(abs(g[4] - w[4]) <= 1e-12 for g, w in zip(got, want))
+    assert [g[:3] for g in got] == [w[:3] for w in want]
+    assert all(abs(g[3] - w[3]) <= 1e-12 for g, w in zip(got, want))
     return got
 
 
@@ -312,12 +332,12 @@ class TestAgainstScalarOracle:
 
     def test_single_snippet(self):
         assert _same_as_oracle(_one_hot_cas([0], 2), np.array([1.0]),
-                               np.array([0.5, 0.0, 0.5]), 0.5) == [(0, 0, 1, 0.1, 1.0)]
+                               np.array([0.5, 0.0, 0.5]), 0.5) == [(0, 0, 1, 1.0)]
 
     def test_every_snippet_above_every_threshold(self):
         got = _same_as_oracle(_one_hot_cas([0] * 6, 1), np.ones(6),
                               np.array([0.9, 0.1]), 0.5)
-        assert got == [(0, 0, 6, 0.1, 1.0)]
+        assert got == [(0, 0, 6, 1.0)]
 
     def test_nothing_above_any_threshold(self):
         # class 0 never wins and attention is 0: its fused score is 0
@@ -328,7 +348,7 @@ class TestAgainstScalarOracle:
         got = _same_as_oracle(_one_hot_cas([0, 0, 1, 1, 1, 0], 1),
                               np.array([1.0, 1.0, 0.0, 0.0, 0.0, 1.0]),
                               np.array([0.9, 0.1]), 0.5)
-        assert {(start, end) for _, start, end, _, _ in got} == {(0, 2), (5, 6)}
+        assert {(start, end) for _, start, end, _ in got} == {(0, 2), (5, 6)}
 
     def test_equal_q_ties_go_to_the_earlier_start_then_smaller_class(self):
         # two mirrored bumps per class, and two classes with the same scores
@@ -336,7 +356,7 @@ class TestAgainstScalarOracle:
         y[:, 1] = y[:, 0]  # classes 0 and 1 tie on every snippet
         got = _same_as_oracle(y, np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0]),
                               np.array([0.4, 0.4, 0.0, 0.2]), 0.5)
-        best = [(cls, start) for cls, start, _, _, q in got if q == got[0][4]]
+        best = [(cls, start) for cls, start, _, q in got if q == got[0][3]]
         assert best == [(0, 1), (1, 1), (0, 4), (1, 4)]
 
 
@@ -364,10 +384,8 @@ class TestLocalizeVideo:
         x_flow[span[0]:span[1]] = np.array([8.0, 0.0])
         hp = Hyperparams(kernel_size=1, embed_dim=2)
         got = localize_video(x_rgb, x_flow, _analytic_params(), hp)
-        assert len(got) == 1
-        best = got[0]
-        assert best.cls == 0
-        assert temporal_iou((best.start, best.end), span) == 1.0
+        assert got.cls.tolist() == [0]
+        assert temporal_iou((int(got.start[0]), int(got.end[0])), span) == 1.0
         rec = VideoRecord(video_id="v", x_rgb=x_rgb, x_flow=x_flow,
                           video_label=np.array([1.0]),
                           ground_truth=[(0, span[0], span[1])])
@@ -378,25 +396,46 @@ class TestLocalizeVideo:
 class TestProposalIO:
     def test_round_trip(self, tmp_path):
         per_video = {
-            "vid_b": [_prop(1, 0.5, 0, 4)],
-            "vid_a": [_prop(0, 0.25, 2, 9), _prop(2, 0.75, 1, 3)],
+            "vid_b": _props([(1, 0.5, 0, 4)]),
+            "vid_a": _props([(2, 0.75, 1, 3), (0, 0.25, 2, 9)]),
         }
         path = tmp_path / "props.txt"
         write_proposals(path, per_video)
         got = read_proposals(path)
         assert set(got) == {"vid_a", "vid_b"}
-        assert [(p.cls, p.q, p.start, p.end) for p in got["vid_a"]] == [
-            (2, 0.75, 1, 3), (0, 0.25, 2, 9)]
+        assert _rows(got["vid_a"]) == [(2, 0.75, 1, 3), (0, 0.25, 2, 9)]
+
+    def test_write_read_keeps_dtypes_order_and_q_to_print_precision(self, tmp_path):
+        rng = np.random.default_rng(5)
+        start = rng.integers(0, 50, size=40)
+        props = Proposals(rng.integers(0, 4, size=40), np.sort(rng.normal(size=40))[::-1],
+                          start, start + rng.integers(1, 9, size=40))
+        empty = _props([])
+        path = tmp_path / "props.txt"
+        write_proposals(path, {"v": props, "none": empty})
+        got = read_proposals(path)
+        assert list(got) == ["v"]  # a video with no proposals writes no line
+        back = got["v"]
+        assert [col.dtype for col in back] == [np.int64, np.float64, np.int64, np.int64]
+        for field in ("cls", "start", "end"):
+            np.testing.assert_array_equal(getattr(back, field), getattr(props, field))
+        assert np.max(np.abs(back.q - props.q)) <= 5e-7
+
+    def test_written_in_the_order_given(self, tmp_path):
+        path = tmp_path / "props.txt"
+        write_proposals(path, {"v": _props([(0, 0.25, 2, 9), (2, 0.75, 1, 3)])})
+        assert path.read_text().splitlines()[1:] == ["v 0 0.250000 2 9",
+                                                     "v 2 0.750000 1 3"]
 
     def test_timed_columns(self, tmp_path):
         path = tmp_path / "props.txt"
-        write_proposals(path, {"v": [_prop(0, 0.5, 4, 8)]},
+        write_proposals(path, {"v": _props([(0, 0.5, 4, 8)])},
                         frames_per_snippet=16, fps=25.0)
         text = path.read_text()
         assert "start_sec" in text.splitlines()[0]
         assert " 2.560 5.120" in text.splitlines()[1]
         got = read_proposals(path)
-        assert got["v"][0].start == 4 and got["v"][0].end == 8
+        assert got["v"].start.tolist() == [4] and got["v"].end.tolist() == [8]
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -408,4 +447,21 @@ class TestProposalIO:
         path = tmp_path / "bad.txt"
         path.write_text("v 0 0.5 5 5\n")
         with pytest.raises(DataFormatError):
+            read_proposals(path)
+
+    @pytest.mark.parametrize("fields", ["0 nan 1 3", "0 -inf 1 3", "-1 0.5 1 3",
+                                        "0 0.5 -1 3", "0 0.5 3 3"],
+                             ids=["q_nan", "q_minus_inf", "class_minus_1", "start_minus_1",
+                                  "empty_span"])
+    def test_bad_field_names_its_line(self, tmp_path, fields):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# header\nv 0 0.5 1 3\nv {fields}\n")
+        with pytest.raises(DataFormatError, match=f"line 3: need class >= 0, finite q "
+                                                  f"and 0 <= start < end, got {fields}$"):
+            read_proposals(path)
+
+    def test_unparsable_field_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("v 0 0.5 1 x\n")
+        with pytest.raises(DataFormatError, match="line 1: invalid literal"):
             read_proposals(path)
