@@ -50,6 +50,22 @@ def _parse_float_list(raw: str) -> tuple:
         raise ConfigError(f"bad number list {raw!r}: {exc}") from exc
 
 
+def _parse_iou_thresholds(raw: str) -> tuple:
+    """At least one IoU threshold, each in (0, 1] and none repeated at the 4
+    decimals that eval reports key thresholds by."""
+    values = _parse_float_list(raw)
+    if not values:
+        raise ConfigError("[eval] iou_thresholds: need at least one value")
+    seen = set()
+    for value in values:
+        if not 0.0 < value <= 1.0:
+            raise ConfigError(f"[eval] iou_thresholds: {value} is outside (0, 1]")
+        if round(value, 4) in seen:
+            raise ConfigError(f"[eval] iou_thresholds: {value} is repeated")
+        seen.add(round(value, 4))
+    return values
+
+
 def _coerce(section: str, key: str, raw: str, kind):
     try:
         if kind is bool:
@@ -167,7 +183,7 @@ def load_config(path: str | None) -> Config:
     if parser.has_section("eval"):
         for key, raw in parser.items("eval"):
             if key == "iou_thresholds":
-                cfg.eval_thresholds = _parse_float_list(raw)
+                cfg.eval_thresholds = _parse_iou_thresholds(raw)
             else:
                 raise ConfigError(f"[eval] {_suggest(key, ['iou_thresholds'])}")
     return cfg

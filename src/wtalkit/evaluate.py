@@ -28,38 +28,94 @@ def temporal_iou(seg_a, seg_b) -> float:
     return inter / union
 
 
+def _ap_table(video: np.ndarray, props, gt: np.ndarray, thresholds,
+              num_classes: int) -> np.ndarray:
+    """(thresholds, classes) AP of greedy single-use matching, all at once.
+
+    `video` holds each proposal's video code and `props` its (cls, q, start,
+    end) columns; `gt` is an (n, 4) int array of (video code, class, start,
+    end) rows in ground-truth order. Codes follow video-id order. Classes
+    without ground truth get AP 0.
+    """
+    cls, q, start, end = props
+    if np.any(end <= start) or np.any(gt[:, 3] <= gt[:, 2]):
+        raise ValueError("degenerate segment: need start < end")
+    thr = np.asarray(thresholds, dtype=np.float64)
+    # rank order: class, best q first, then start, video id and end
+    order = np.lexsort((end, video, start, -q, cls))
+    cls, start, end = cls[order], start[order], end[order]
+    # ground truths sorted by (class, video), in ground-truth order within
+    stride = max(video.max(initial=0), gt[:, 0].max(initial=0)) + 1
+    gt_key = gt[:, 1] * stride + gt[:, 0]
+    by_key = np.argsort(gt_key, kind="stable")
+    gt_key, gt_start, gt_end = gt_key[by_key], gt[by_key, 2], gt[by_key, 3]
+    key = cls * stride + video[order]
+    lo = np.searchsorted(gt_key, key)
+    counts = np.searchsorted(gt_key, key, side="right") - lo
+    # every same-class, same-video (proposal, ground truth) pair; a group is
+    # named by its first ground truth
+    pair_p = np.repeat(np.arange(cls.size), counts)
+    group = lo[pair_p]
+    pair_g = group + np.arange(pair_p.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    inter = np.maximum(0, np.minimum(end[pair_p], gt_end[pair_g])
+                       - np.maximum(start[pair_p], gt_start[pair_g]))
+    union = (end[pair_p] - start[pair_p]) + (gt_end[pair_g] - gt_start[pair_g]) - inter
+    iou = inter / union
+    # a zero-IoU ground truth is never the best one; within a group, order the
+    # pairs by proposal rank, then highest IoU, then ground-truth order
+    live = np.flatnonzero(iou > 0)
+    live = live[np.lexsort((pair_g[live], -iou[live], pair_p[live], group[live]))]
+    pair_p, pair_g, group, iou = pair_p[live], pair_g[live], group[live], iou[live]
+    # (threshold, pair) candidates. The greedy state changes only at a true
+    # positive, so each round takes, per (threshold, group), the first
+    # candidate after the group's last true positive: its next true positive.
+    # Candidates that the new state rules out never come back, and go.
+    cand_t, cand = np.nonzero(iou >= thr[:, None])
+    tp = np.zeros((thr.size, cls.size), dtype=bool)
+    matched = np.zeros((thr.size, gt_key.size), dtype=bool)
+    last = np.full((thr.size, gt_key.size), -1)
+    while cand.size:
+        slot = cand_t * gt_key.size + group[cand]
+        first = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
+        t, c = cand_t[first], cand[first]
+        tp[t, pair_p[c]] = True
+        matched[t, pair_g[c]] = True
+        last[t, group[c]] = pair_p[c]
+        keep = ~matched[cand_t, pair_g[cand]] & (pair_p[cand] > last[cand_t, group[cand]])
+        cand_t, cand = cand_t[keep], cand[keep]
+    # precision at each true positive, added one at a time in rank order
+    t, p = np.nonzero(tp)
+    slot = t * num_classes + cls[p]
+    hits = np.arange(slot.size) - np.searchsorted(slot, slot) + 1
+    rank = p - np.searchsorted(cls, cls[p]) + 1
+    sums = np.zeros(thr.size * num_classes)
+    np.add.at(sums, slot, hits / rank)  # unbuffered: one term at a time
+    n_gt = np.bincount(gt[:, 1], minlength=num_classes)
+    return sums.reshape(thr.size, num_classes) / np.maximum(n_gt, 1)
+
+
 def average_precision(proposals: list, ground_truths: list,
                       iou_threshold: float) -> float:
     """Precision-at-each-TP AP with single-use greedy matching.
 
     `proposals` are (video_id, q, start, end), `ground_truths` are
     (video_id, start, end), all one class. Each proposal, visited best score
-    first (ties: earlier start, then video id), matches the highest-IoU still
-    unmatched ground truth of its own video; it is a true positive iff that
-    IoU reaches the threshold.
+    first (ties: earlier start, then video id, then end), matches the
+    highest-IoU still unmatched ground truth of its own video, the first in
+    ground-truth order among equals and only at IoU > 0; it is a true
+    positive iff that IoU reaches the threshold. This is the one-class,
+    one-threshold view of the matcher `evaluate` runs.
     """
     if not ground_truths:
         raise ValueError("average_precision: no ground truths for this class")
-    order = sorted(proposals, key=lambda p: (-p[1], p[2], p[0], p[3]))
-    unmatched = {}
-    for i, (vid, start, end) in enumerate(ground_truths):
-        unmatched.setdefault(vid, []).append((i, start, end))
-    tp_count = 0
-    ap_sum = 0.0
-    for rank, (vid, _, start, end) in enumerate(order, start=1):
-        candidates = unmatched.get(vid, [])
-        best = None
-        best_iou = 0.0
-        for entry in candidates:
-            iou = temporal_iou((start, end), (entry[1], entry[2]))
-            if iou > best_iou:
-                best_iou = iou
-                best = entry
-        if best is not None and best_iou >= iou_threshold:
-            candidates.remove(best)
-            tp_count += 1
-            ap_sum += tp_count / rank
-    return ap_sum / len(ground_truths)
+    ids = sorted({p[0] for p in proposals} | {g[0] for g in ground_truths})
+    code = {vid: i for i, vid in enumerate(ids)}
+    rows = np.array([(code[vid], 0, s, e) for vid, _, s, e in proposals],
+                    dtype=np.int64).reshape(-1, 4)
+    q = np.array([p[1] for p in proposals], dtype=np.float64)
+    gt = np.array([(code[vid], 0, s, e) for vid, s, e in ground_truths], dtype=np.int64)
+    props = (rows[:, 1], q, rows[:, 2], rows[:, 3])
+    return float(_ap_table(rows[:, 0], props, gt, (iou_threshold,), 1)[0, 0])
 
 
 @dataclass
@@ -78,40 +134,48 @@ def evaluate(per_video_proposals: dict, records: list,
 
     `per_video_proposals` maps video id to its `localize.Proposals`. An id
     that names no record, a class outside [0, num_classes) or an end past the
-    video's T is a `DataFormatError` naming the video. Classes that never
-    occur in the ground truth are excluded from mAP and listed in `skipped_classes`.
+    video's T is a `DataFormatError` naming the video. Every (threshold,
+    class) AP comes from one array matcher: the `average_precision` rule for
+    all thresholds and classes at once. Record ids must be unique. Classes
+    that never occur in the ground truth are excluded from mAP and listed in
+    `skipped_classes`.
     """
     lengths = {r.video_id: r.x_rgb.shape[0] for r in records}
+    ids = sorted(lengths)
+    code = {vid: i for i, vid in enumerate(ids)}
     if num_classes is None:
         num_classes = records[0].video_label.shape[0] if records else 0
-
-    gt_by_class: dict = {c: [] for c in range(num_classes)}
-    for rec in records:
-        for cls, start, end in rec.ground_truth:
-            gt_by_class[cls].append((rec.video_id, start, end))
-    props_by_class: dict = {c: [] for c in range(num_classes)}
-    for vid, props in per_video_proposals.items():
-        if vid not in lengths:
+    vids = list(per_video_proposals)
+    empty = (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64))
+    columns = [np.concatenate(col) for col in zip(empty, *per_video_proposals.values())]
+    at = np.repeat(np.arange(len(vids)),
+                   [props.cls.size for props in per_video_proposals.values()])
+    # an unknown id gets the sentinel code len(ids), whose T of -1 flags it
+    video = np.array([code.get(vid, len(ids)) for vid in vids], dtype=np.int64)[at]
+    n_snippets = np.array([lengths[vid] for vid in ids] + [-1], dtype=np.int64)
+    bad = np.array([vid not in code for vid in vids], dtype=bool)
+    bad[at[(columns[0] < 0) | (columns[0] >= num_classes)
+           | (columns[3] > n_snippets[video])]] = True
+    if bad.any():  # the first offending video in dict order
+        vid = vids[np.argmax(bad)]
+        if vid not in code:
             raise DataFormatError(f"proposals reference unknown video {vid!r}")
-        cls, q, start, end = (col.tolist() for col in props)
-        if cls and (min(cls) < 0 or max(cls) >= num_classes or max(end) > lengths[vid]):
-            raise DataFormatError(f"video {vid!r}: proposals need a class in [0, "
-                                  f"{num_classes}) and an end <= T = {lengths[vid]}")
-        for c, v, b, e in zip(cls, q, start, end):
-            props_by_class[c].append((vid, v, b, e))
+        raise DataFormatError(f"video {vid!r}: proposals need a class in [0, "
+                              f"{num_classes}) and an end <= T = {lengths[vid]}")
+    gt = np.array([(code[r.video_id], *inst) for r in records for inst in r.ground_truth],
+                  dtype=np.int64).reshape(-1, 4)
 
-    scored = [c for c in range(num_classes) if gt_by_class[c]]
-    skipped = tuple(c for c in range(num_classes) if not gt_by_class[c])
     thresholds = tuple(round(float(t), 4) for t in iou_thresholds)
+    table = _ap_table(video, columns, gt, thresholds, num_classes)
+    has_gt = np.bincount(gt[:, 1], minlength=num_classes) > 0
+    scored = np.flatnonzero(has_gt).tolist()
+    skipped = tuple(np.flatnonzero(~has_gt).tolist())
 
     ap_table = {}
     map_by_threshold = {}
-    for thr in thresholds:
-        aps = []
-        for cls in scored:
-            ap = average_precision(props_by_class[cls], gt_by_class[cls], thr)
-            ap_table[(thr, cls)] = ap
-            aps.append(ap)
+    for thr, row in zip(thresholds, table.tolist()):
+        aps = [row[cls] for cls in scored]
+        ap_table.update(((thr, cls), row[cls]) for cls in scored)
         map_by_threshold[thr] = float(np.mean(aps)) if aps else 0.0
 
     averages = {}

@@ -194,11 +194,15 @@ def temporal_windows(x: np.ndarray, kernel_size: int) -> np.ndarray:
     return x[packed_windows([x.shape[0]], kernel_size)]
 
 
-def embed(x: np.ndarray, mod: ModalityParams):
-    """Temporal conv + ReLU. Returns (windows, pre-activation, activation)."""
+def embed(x: np.ndarray, mod: ModalityParams, windows: np.ndarray):
+    """Temporal conv + ReLU. Returns (windows, pre-activation, activation).
+
+    `windows` is the (T, K) index table `numerics.packed_windows([T], K)`,
+    built once by the caller and shared by both modalities.
+    """
     e, d, k = mod.w_embed.shape
     x = _check_features(x, d, "embed")
-    win = temporal_windows(x, k)
+    win = x[windows]
     # contraction over (k, d) as one flattened matmul
     w2d = mod.w_embed.transpose(2, 1, 0).reshape(k * d, e)
     z = win.reshape(win.shape[0], k * d) @ w2d + mod.b_embed
@@ -243,10 +247,13 @@ def pool(y: np.ndarray, a: np.ndarray, norm_mode: NormMode = NormMode.STANDARD):
 def forward(x_rgb: np.ndarray, x_flow: np.ndarray, params: ModelParams,
             norm_mode: NormMode = NormMode.STANDARD) -> ForwardOutputs:
     """Full base-branch forward pass over one video."""
-    _, z_r, xe_r = embed(x_rgb, params.rgb)
-    _, z_o, xe_o = embed(x_flow, params.flow)
-    if xe_r.shape[0] != xe_o.shape[0]:
+    t = len(x_rgb)
+    if len(x_flow) != t:
         raise ValueError("forward: modalities disagree on snippet count")
+    # one window index table serves both modalities
+    windows = packed_windows([t], params.header[-1])
+    _, z_r, xe_r = embed(x_rgb, params.rgb, windows)
+    _, z_o, xe_o = embed(x_flow, params.flow, windows)
     y_r = cas(xe_r, params.rgb)
     y_o = cas(xe_o, params.flow)
     a_r = attention(xe_r, params.rgb)

@@ -217,8 +217,12 @@ def write_dataset(path, records: list, num_classes: int | None = None,
     parts = [struct.pack("<IIIQ", DATASET_VERSION, num_classes, feature_dim,
                          len(records)),
              struct.pack("<Id", frames_per_snippet, fps)]
+    seen = set()
     for rec in records:
         rec.validate()
+        if rec.video_id in seen:
+            raise ValueError(f"duplicate video id {rec.video_id!r}")
+        seen.add(rec.video_id)
         if rec.video_label.shape[0] != num_classes:
             raise ValueError(f"{rec.video_id}: label length != {num_classes}")
         if rec.x_rgb.shape[1] != feature_dim:
@@ -256,10 +260,14 @@ def read_dataset(path) -> Dataset:
         def snippet(i):
             return f" at snippet {i // feature_dim}"
 
-        records = []
+        records, seen = [], set()
         for _ in range(count):
             (id_len,) = cur.unpack("<I", "id length")
+            id_pos = cur.pos
             vid = str(cur.take(id_len, "video id"), "utf-8")
+            if vid in seen:
+                raise DataFormatError(f"duplicate video id {vid!r}", offset=id_pos)
+            seen.add(vid)
             (t,) = cur.unpack("<I", "snippet count")
             label = _label_from_bytes(cur.take(mask_len, "label bitmask"), num_classes)
             (n_inst,) = cur.unpack("<I", "instance count")

@@ -4,8 +4,9 @@ Everything here is deliberately written with plain loops and no shared code
 with the package, so agreement is evidence rather than tautology. The
 exceptions pin bits rather than check a method: `adam_oracle`, the
 straightforward out-of-place form of the package's in-place Adam update,
-and `packed_forward_oracle`, the training step's forward as it stood before
-inference shared it.
+`packed_forward_oracle`, the training step's forward as it stood before
+inference shared it, and `evaluate_oracle`, which fills the package's
+report record from `ap_oracle`.
 """
 
 import math
@@ -113,6 +114,41 @@ def ap_oracle(proposals, ground_truths, iou_threshold):
             tp += 1
             ap_sum += tp / rank
     return ap_sum / len(ground_truths)
+
+
+def evaluate_oracle(per_video_proposals, records, iou_thresholds, num_classes):
+    """`evaluate` as the scalar code ran it, with `ap_oracle` for every
+    (threshold, class) AP and without the input checks: proposals become
+    per-class (video_id, q, start, end) tuples, ground truths per-class
+    (video_id, start, end) tuples in record order."""
+    from wtalkit.evaluate import AVERAGE_RANGES, EvalReport
+
+    gt_by_class = {c: [] for c in range(num_classes)}
+    for rec in records:
+        for cls, start, end in rec.ground_truth:
+            gt_by_class[cls].append((rec.video_id, start, end))
+    props_by_class = {c: [] for c in range(num_classes)}
+    for vid, props in per_video_proposals.items():
+        for c, v, b, e in zip(*(col.tolist() for col in props)):
+            props_by_class[c].append((vid, v, b, e))
+
+    scored = [c for c in range(num_classes) if gt_by_class[c]]
+    skipped = tuple(c for c in range(num_classes) if not gt_by_class[c])
+    thresholds = tuple(round(float(t), 4) for t in iou_thresholds)
+    ap_table, map_by_threshold = {}, {}
+    for thr in thresholds:
+        aps = []
+        for cls in scored:
+            ap = ap_oracle(props_by_class[cls], gt_by_class[cls], thr)
+            ap_table[(thr, cls)] = ap
+            aps.append(ap)
+        map_by_threshold[thr] = float(np.mean(aps)) if aps else 0.0
+    averages = {}
+    for label, needed in AVERAGE_RANGES.items():
+        if set(needed) <= set(map_by_threshold):
+            averages[label] = float(np.mean([map_by_threshold[t] for t in needed]))
+    return EvalReport(iou_thresholds=thresholds, map_by_threshold=map_by_threshold,
+                      ap_table=ap_table, skipped_classes=skipped, averages=averages)
 
 
 def plan_oracle(num_snippets, k, rng):

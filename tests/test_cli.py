@@ -143,6 +143,25 @@ class TestTrainLocalizeEval:
         assert f"{second.video_id} flow features at snippet 2" in err
         assert f"byte offset {bad})" in err
 
+    def test_duplicate_video_id_is_exit_2_naming_id_and_offset(
+            self, tmp_path, ini, data_dir, capsys):
+        # the second test video takes the first one's id (same length), CRC
+        # recomputed so that only the id check can catch it
+        path = data_dir / "test.bin"
+        first, second = read_dataset(path).records[:2]
+        blob = bytearray(path.read_bytes())
+        at = blob.index(second.video_id.encode())
+        blob[at:at + len(first.video_id)] = first.video_id.encode()
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[8:-4])))
+        path.write_bytes(bytes(blob))
+        props = tmp_path / "p.txt"
+        props.write_text(f"{first.video_id} 0 0.9 0 1\n")
+        capsys.readouterr()
+        assert main(["--config", ini, "eval", "--proposals", str(props),
+                     "--data", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: duplicate video id {first.video_id!r} (at byte offset {at})" in err
+
     def test_zero_snippet_video_is_exit_2_naming_video_and_offset(
             self, tmp_path, ini, data_dir, monkeypatch, capsys):
         ds = read_dataset(data_dir / "train.bin")

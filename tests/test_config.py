@@ -62,6 +62,23 @@ iou_thresholds = 0.3 0.5 0.7
         assert cfg.run.batch_size == 4
         assert cfg.eval_thresholds == (0.3, 0.5, 0.7)
 
+    @pytest.mark.parametrize("raw, message", [
+        ("", "need at least one value"),
+        ("0.5 0", "0.0 is outside"),
+        ("-0.1", "-0.1 is outside"),
+        ("0.5 1.5", "1.5 is outside"),
+        ("nan", "nan is outside"),
+        ("0.3 0.5 0.3", "0.3 is repeated"),
+        ("0.5, 0.50001", "0.50001 is repeated"),
+    ])
+    def test_bad_iou_thresholds(self, tmp_path, raw, message):
+        with pytest.raises(ConfigError, match=r"\[eval\] iou_thresholds: " + message):
+            load_config(_write(tmp_path, f"[eval]\niou_thresholds = {raw}\n"))
+
+    def test_iou_threshold_of_one_is_valid(self, tmp_path):
+        cfg = load_config(_write(tmp_path, "[eval]\niou_thresholds = 1 0.1\n"))
+        assert cfg.eval_thresholds == (1.0, 0.1)
+
     def test_partial_range_override_keeps_other_end(self, tmp_path):
         cfg = load_config(_write(tmp_path, "[synth]\nt_min = 70\n"))
         assert cfg.synth.t_range == (70, 120)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ap_oracle
+from oracles import ap_oracle, evaluate_oracle
 from wtalkit.evaluate import (
     AVERAGE_RANGES,
     DEFAULT_IOU_THRESHOLDS,
@@ -136,7 +136,8 @@ def _record(vid, t, gts, c=3):
 def _props(*rows):
     """Proposals of (cls, q, start, end) rows."""
     return Proposals(*(np.array(col, dtype=dtype) for col, dtype in
-                       zip(zip(*rows), (np.int64, np.float64, np.int64, np.int64))))
+                       zip(list(zip(*rows)) or [()] * 4,
+                           (np.int64, np.float64, np.int64, np.int64))))
 
 
 class TestEvaluate:
@@ -168,6 +169,21 @@ class TestEvaluate:
         with pytest.raises(DataFormatError, match=r"video 'a': proposals need a class "
                                                   r"in \[0, 3\) and an end <= T = 20"):
             evaluate({"a": _props((0, 0.9, 2, 6), (cls, 0.5, 1, end))}, recs, num_classes=3)
+
+    @pytest.mark.parametrize("order, message", [
+        (("a", "ghost", "b"), "video 'a': proposals need a class"),
+        (("ghost", "a", "b"), "unknown video 'ghost'"),
+        (("b", "a", "ghost"), "video 'b': proposals need a class"),
+        (("empty_ghost", "b", "a"), "unknown video 'empty_ghost'"),
+    ])
+    def test_first_offending_video_in_dict_order_is_named(self, order, message):
+        recs = [_record("a", 20, [(0, 2, 6)]), _record("b", 20, [(0, 2, 6)])]
+        kinds = {"a": _props((0, 0.9, 2, 6), (3, 0.5, 1, 4)),  # class out of range
+                 "b": _props((0, 0.9, 2, 21)),                  # end past T
+                 "ghost": _props((0, 0.9, 2, 6)),               # unknown id
+                 "empty_ghost": _props()}                       # unknown, no proposals
+        with pytest.raises(DataFormatError, match=message):
+            evaluate({vid: kinds[vid] for vid in order}, recs, num_classes=3)
 
     def test_map_is_class_mean(self):
         recs = [_record("a", 20, [(0, 2, 6), (1, 10, 14)])]
@@ -204,3 +220,59 @@ class TestEvaluate:
         text = format_summary(rep)
         for thr in DEFAULT_IOU_THRESHOLDS:
             assert f"{thr:<6.2f}" in text
+
+
+def _random_world(rng):
+    """Records and proposals that exercise every tie rule of the matcher:
+    ids whose string order is not their number order, videos with no ground
+    truth or no proposals, a class with no ground truth, ground truths of 10
+    snippets with proposals at IoU exactly 0.1-0.7, tied q and duplicates."""
+    num_classes = int(rng.integers(1, 6))
+    gt_classes = rng.permutation(num_classes)[:max(1, num_classes - 1)]
+    ids = [f"v{i}" for i in rng.choice(120, size=int(rng.integers(1, 12)), replace=False)]
+    records, proposals = [], {}
+    for vid in ids:
+        t = int(rng.integers(12, 40))
+        gts = []
+        for _ in range(int(rng.integers(0, 5))):
+            s = int(rng.integers(0, t - 10))
+            e = s + 10 if rng.random() < 0.5 else int(rng.integers(s + 1, t + 1))
+            gts.append((int(rng.choice(gt_classes)), s, e))
+        records.append(_record(vid, t, gts, c=num_classes))
+        rows = []
+        for _ in range(int(rng.integers(0, 14))):
+            q = float(rng.choice([0.2, 0.5, 0.9, round(float(rng.random()), 2)]))
+            if gts and rng.random() < 0.6:
+                cls, s, e = gts[int(rng.integers(len(gts)))]
+                if e - s == 10 and rng.random() < 0.7:  # IoU k/10 exactly
+                    e = s + int(rng.integers(1, 8))
+            else:
+                cls = int(rng.integers(num_classes))
+                s = int(rng.integers(0, t - 1))
+                e = int(rng.integers(s + 1, t + 1))
+            rows.append((cls, q, s, e))
+        rows += [rows[int(i)] for i in rng.integers(0, len(rows), size=len(rows) // 3)]
+        if rows or rng.random() < 0.5:
+            proposals[vid] = _props(*rows)
+    thresholds = rng.permutation(DEFAULT_IOU_THRESHOLDS + (0.25,))
+    thresholds = tuple(float(t) for t in thresholds[:int(rng.integers(1, 9))])
+    # a shuffled dict: no output may depend on its order
+    proposals = dict(sorted(proposals.items(), key=lambda kv: rng.random()))
+    return proposals, records, thresholds, num_classes
+
+
+class TestAgainstEvaluateOracle:
+    def test_ap_table_and_report_bytes_are_exact(self, tmp_path):
+        rng = np.random.default_rng(909)
+        true_positives = 0
+        for case in range(200):
+            props, recs, thresholds, c = _random_world(rng)
+            got = evaluate(props, recs, iou_thresholds=thresholds, num_classes=c)
+            want = evaluate_oracle(props, recs, thresholds, c)
+            assert got == want, f"case {case}"
+            write_report_csv(tmp_path / "got.csv", got)
+            write_report_csv(tmp_path / "want.csv", want)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+            assert format_summary(got) == format_summary(want)
+            true_positives += sum(ap > 0 for ap in got.ap_table.values())
+        assert true_positives > 500  # the cases score, not just miss

@@ -36,7 +36,7 @@ from wtalkit.losses import (
 from wtalkit.model import Hyperparams, embed, forward, init_params
 from wtalkit.synth import SynthConfig, TrainingVideo, generate, training_view
 from wtalkit.ten import make_plan, tcb_forward_full
-from wtalkit.numerics import finite_diff_grad, gaussian_smooth, softmax
+from wtalkit.numerics import finite_diff_grad, gaussian_smooth, packed_windows, softmax
 
 HP = Hyperparams()
 # every mode that claims to be a gradient; GRL is covered by its sign flip
@@ -235,7 +235,8 @@ class TestBackward:
         for mode, sign in ((GradMode.STANDARD, 1.0), (GradMode.GRL, -1.0)):
             on = backward_one(inst, HP, mode)
             for name, x in (("rgb", inst.x_rgb), ("flow", inst.x_flow)):
-                xe = embed(x, inst.params.modality(name))[2]
+                mod = inst.params.modality(name)
+                xe = embed(x, mod, packed_windows([len(x)], mod.w_embed.shape[2]))[2]
                 factors = sign * HP.lam * honest_attention_factors(bb, name)
                 d_on, d_off = on.modality(name), off.modality(name)
                 np.testing.assert_allclose(d_on.w_att - d_off.w_att,

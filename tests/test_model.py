@@ -23,7 +23,7 @@ from wtalkit.model import (
     save_checkpoint,
     temporal_windows,
 )
-from wtalkit.numerics import sigmoid, softmax
+from wtalkit.numerics import packed_windows, sigmoid, softmax
 
 
 def make_params(rng, d=6, e=5, c=3, k=3):
@@ -126,7 +126,7 @@ class TestHeads:
                 z_expected[t, e_i] = np.sum(
                     win[t].T * params.rgb.w_embed[e_i]
                 ) + params.rgb.b_embed[e_i]
-        _, z, xe = embed(x, params.rgb)
+        _, z, xe = embed(x, params.rgb, packed_windows([7], 3))
         np.testing.assert_allclose(z, z_expected, atol=1e-12)
         np.testing.assert_allclose(xe, np.maximum(z_expected, 0.0), atol=1e-12)
 

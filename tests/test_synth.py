@@ -246,6 +246,18 @@ class TestFormatErrors:
         with pytest.raises(DataFormatError, match="version"):
             read_dataset(path)
 
+    def test_duplicate_video_id_names_it_and_its_offset(self, tmp_path):
+        import struct
+        import zlib
+        path, blob = self._blob(tmp_path)
+        at = blob.index(struct.pack("<I", 2) + b"v1") + 4
+        blob[at:at + 2] = b"v0"
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[len(DATASET_MAGIC):-4])))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="duplicate video id 'v0'") as ei:
+            read_dataset(path)
+        assert ei.value.offset == at
+
     def test_not_a_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_dataset(tmp_path / "missing.bin")
@@ -263,6 +275,13 @@ class TestWriteValidation:
         recs[0].ground_truth = [(0, 2, 2)]
         with pytest.raises(ValueError):
             write_dataset(tmp_path / "bad.bin", recs)
+
+    def test_duplicate_video_id_rejected(self, tmp_path):
+        recs = _tiny_records()
+        recs[1].video_id = recs[0].video_id
+        with pytest.raises(ValueError, match="duplicate video id 'v0'"):
+            write_dataset(tmp_path / "bad.bin", recs)
+        assert not (tmp_path / "bad.bin").exists()
 
     def test_zero_snippet_video_rejected(self, tmp_path):
         recs = _tiny_records()
