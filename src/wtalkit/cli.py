@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage or config error, 2 data error, 3 numeric
 failure (training blow-up or failed gradient certification). The default
-config path comes from $WTALKIT_CONFIG when --config is not given.
+config path comes from $WTALKIT_CONFIG when --config is not given. The
+settings types check every value when the file loads and when a flag or an
+ablation row overrides one, so a bad value is refused before any data is read.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ def cmd_gen(args) -> int:
 
 def _run_overrides(args, cfg: Config):
     run = cfg.run
-    hp = run.hp
     if getattr(args, "mode", None) is not None:
         run = replace(run, grad_mode=MODE_NAMES[args.mode])
     if getattr(args, "ten", None) is not None:
@@ -90,8 +91,7 @@ def _run_overrides(args, cfg: Config):
     if args.seed is not None:
         run = replace(run, seed=args.seed)
     if getattr(args, "lam", None) is not None:
-        hp = replace(hp, lam=args.lam)
-        run = replace(run, hp=hp)
+        run = replace(run, hp=replace(run.hp, lam=args.lam))
     return run
 
 
@@ -108,7 +108,7 @@ def cmd_train(args) -> int:
     else:
         print(f"wrote {args.out}")
     print(f"final losses: fg={last.fg:.4f} bg={last.bg:.4f} att={last.att:.4f} "
-          f"kl={last.kl:.4f} total={last.total:.4f}")
+          f"kl={last.kl:.4f} bvl={last.bvl:.4f} total={last.total:.4f}")
     return 0
 
 
@@ -202,13 +202,13 @@ def _ablation_rows(args, run) -> list:
 def cmd_ablate(args) -> int:
     _writable(args.out)
     cfg = _load(args)
-    run = _run_overrides(args, cfg)
+    grid = _ablation_rows(args, _run_overrides(args, cfg))
     train_ds = read_dataset(args.data)
     test_ds = read_dataset(args.test)
     _same_shape(args.data, (train_ds.feature_dim, train_ds.num_classes),
                 args.test, (test_ds.feature_dim, test_ds.num_classes))
-    rows = ablate(training_view(train_ds.records), test_ds.records,
-                  _ablation_rows(args, run), cfg.eval_thresholds)
+    rows = ablate(training_view(train_ds.records), test_ds.records, grid,
+                  cfg.eval_thresholds)
     print(format_ablation(rows))
     if args.out:
         write_ablation_csv(args.out, rows)

@@ -121,31 +121,9 @@ def loss_bvl(y: np.ndarray) -> float:
     return float(-np.log(max(float(p[-1]), LOG_FLOOR)))
 
 
-def loss_att(a: np.ndarray, a_refill: np.ndarray, sigma: float = 1.0, radius: int = 2) -> float:
-    """Symmetric L1 between each attention track and the other's smoothing."""
-    a = np.asarray(a, dtype=np.float64)
-    a_refill = np.asarray(a_refill, dtype=np.float64)
-    if a.shape != a_refill.shape:
-        raise ValueError(f"loss_att: shape mismatch {a.shape} vs {a_refill.shape}")
-    g_a = gaussian_smooth(a, sigma, radius)
-    g_r = gaussian_smooth(a_refill, sigma, radius)
-    return float(np.mean(np.abs(a - g_r) + np.abs(a_refill - g_a)))
-
-
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     logs = np.log(np.maximum(p, LOG_FLOOR)) - np.log(np.maximum(q, LOG_FLOOR))
     return np.sum(p * logs, axis=1)
-
-
-def loss_kl(y: np.ndarray, y_refill: np.ndarray) -> float:
-    """Snippet-averaged symmetric KL between the two branches' CAS rows."""
-    y = np.asarray(y, dtype=np.float64)
-    y_refill = np.asarray(y_refill, dtype=np.float64)
-    if y.shape != y_refill.shape:
-        raise ValueError(f"loss_kl: shape mismatch {y.shape} vs {y_refill.shape}")
-    p = softmax(y, axis=1)
-    q = softmax(y_refill, axis=1)
-    return float(np.mean(_kl_rows(q, p) + _kl_rows(p, q)))
 
 
 @dataclass
@@ -176,25 +154,28 @@ def compute_losses(bb: ForwardOutputs, tcb: ForwardOutputs | None, video_label: 
                    frozen: FrozenTargets | None = None) -> LossBreakdown:
     """Evaluate all loss components and the weighted total.
 
-    When `frozen` is given, the continuity losses use those constant targets
-    instead of live smoothed/softened counterparts (identical value at the
-    capture point, different gradient).
+    The continuity losses are the mean L1 between each branch's attention
+    and the other's smoothed attention, plus the snippet-averaged symmetric
+    KL between the branches' softened CAS rows. Those counterparts are the
+    `frozen` targets when given (same value at their capture point,
+    different gradient), and otherwise captured from `bb` and `tcb`.
     """
     label = full_label(video_label)
     l_fg = loss_fg(bb.p_fg, label)
     l_bg = loss_bg(bb.p_bg)
     l_att = l_kl = 0.0
     if tcb is not None:
+        if bb.a.shape != tcb.a.shape or bb.y.shape != tcb.y.shape:
+            raise ValueError(f"compute_losses: branch shapes differ: a {bb.a.shape} "
+                             f"vs {tcb.a.shape}, y {bb.y.shape} vs {tcb.y.shape}")
         if frozen is None:
-            l_att = loss_att(bb.a, tcb.a, hp.gauss_sigma, hp.gauss_radius)
-            l_kl = loss_kl(bb.y, tcb.y)
-        else:
-            l_att = float(np.mean(np.abs(bb.a - frozen.smooth_a_refill)
-                                  + np.abs(tcb.a - frozen.smooth_a)))
-            p = softmax(bb.y, axis=1)
-            q = softmax(tcb.y, axis=1)
-            l_kl = float(np.mean(_kl_rows(frozen.p_rows_refill, p)
-                                 + _kl_rows(frozen.p_rows, q)))
+            frozen = capture_targets(bb, tcb, hp)
+        l_att = float(np.mean(np.abs(bb.a - frozen.smooth_a_refill)
+                              + np.abs(tcb.a - frozen.smooth_a)))
+        p = softmax(bb.y, axis=1)
+        q = softmax(tcb.y, axis=1)
+        l_kl = float(np.mean(_kl_rows(frozen.p_rows_refill, p)
+                             + _kl_rows(frozen.p_rows, q)))
     l_bvl = loss_bvl(bb.y) if mode.uses_bvl else 0.0
     total = (l_fg + hp.lam * l_bg + hp.beta * (l_kl + l_att)
              + hp.resolved_bvl_weight() * l_bvl)

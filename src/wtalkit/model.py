@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import read_container, write_container
-from .errors import DataFormatError, NumericError
+from .errors import DataFormatError, NumericError, at_least, check_settings, within
 from .numerics import packed_windows, sigmoid, softmax
 
 MODALITIES = ("rgb", "flow")
@@ -119,13 +119,14 @@ class ModelParams:
         return _views(np.asarray(vec, dtype=np.float64), _layout(*self.header))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparams:
     """Loss weights, sampling interval, and inference thresholds.
 
     Defaults follow the reference training setup: fusion weight 0.5,
     continuity-loss weight 0.1, sampling interval 4, background-loss weight
-    0.1, class threshold 0.1, NMS IoU 0.5.
+    0.1, class threshold 0.1, NMS IoU 0.5. Frozen: construction (and so
+    `dataclasses.replace`) checks every value and raises ConfigError.
     """
 
     lam: float = 0.1
@@ -141,6 +142,15 @@ class Hyperparams:
     gauss_radius: int = 2
     stop_gradient_targets: bool = True
     bvl_weight: float | None = None  # None means "use lam"
+
+    def __post_init__(self):
+        check_settings(
+            self, lam=at_least(0), beta=at_least(0), k=at_least(1),
+            epsilon=within(0, 1), nms_iou=at_least(0), embed_dim=at_least(0),
+            kernel_size=(lambda v: v >= 1 and v % 2 == 1, "must be odd and >= 1"),
+            gauss_sigma=(lambda v: v > 0, "must be > 0"), gauss_radius=at_least(0),
+            proposal_thresholds=(len, "must not be empty"),
+            bvl_weight=(lambda v: v is None or v >= 0, "must be >= 0 or none"))
 
     def resolved_bvl_weight(self) -> float:
         return self.lam if self.bvl_weight is None else self.bvl_weight

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import read_container, write_container
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, at_least, check_settings
 
 DATASET_MAGIC = b"WTALDS01"
 DATASET_VERSION = 1
@@ -73,8 +73,11 @@ def training_view(records: list) -> list:
             for r in records]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
+    """The synthetic world. Frozen: construction (and so
+    `dataclasses.replace`) runs `validate` and raises ConfigError."""
+
     num_classes: int = 5
     feature_dim: int = 32
     t_range: tuple = (60, 120)
@@ -86,6 +89,10 @@ class SynthConfig:
     num_train: int = 200
     num_test: int = 60
     seed: int = 7
+
+    def __post_init__(self):
+        check_settings(self, seed=at_least(0))
+        self.validate()
 
     def validate(self) -> None:
         if self.num_classes < 1 or self.feature_dim < 1:
@@ -170,7 +177,6 @@ def _render(cfg: SynthConfig, proto: Prototypes, video_id: str, t: int,
 
 def generate(cfg: SynthConfig) -> tuple:
     """Draw (train, test) record lists, deterministic under cfg.seed."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     proto = draw_prototypes(cfg, rng)
     t_lo, t_hi = cfg.t_range
@@ -187,20 +193,12 @@ def generate(cfg: SynthConfig) -> tuple:
 
 
 def _label_bytes(label: np.ndarray) -> bytes:
-    c = label.shape[0]
-    mask = bytearray((c + 7) // 8)
-    for i in range(c):
-        if label[i] != 0:
-            mask[i // 8] |= 1 << (i % 8)
-    return bytes(mask)
+    return np.packbits(label != 0, bitorder="little").tobytes()
 
 
 def _label_from_bytes(mask: bytes, c: int) -> np.ndarray:
-    label = np.zeros(c)
-    for i in range(c):
-        if mask[i // 8] & (1 << (i % 8)):
-            label[i] = 1.0
-    return label
+    bits = np.unpackbits(np.frombuffer(mask, dtype=np.uint8), count=c, bitorder="little")
+    return bits.astype(np.float64)
 
 
 def write_dataset(path, records: list, num_classes: int | None = None,

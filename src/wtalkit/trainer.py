@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .container import atomic_write
-from .errors import NumericError
+from .errors import NumericError, at_least, check_settings, within
 from .evaluate import DEFAULT_IOU_THRESHOLDS, EvalReport, evaluate
 from .localize import localize_scores
 from .losses import GradMode, LossBreakdown, _chunks, backward, packed_forward
@@ -17,14 +17,15 @@ from .numerics import AdamState, adam_step
 from .ten import make_plan
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """One training run: mode, branch wiring, optimizer, and bookkeeping.
 
     `iterations` is the number of Adam steps; nothing else sets it. With
     use_ten off, or with k=1 (where sample-and-refill is the identity and the
     branch would duplicate the base pass), the continuity branch never runs
-    and its losses are exactly 0.
+    and its losses are exactly 0. Frozen: construction (and so
+    `dataclasses.replace`) checks every value and raises ConfigError.
     """
 
     grad_mode: GradMode = GradMode.STANDARD
@@ -39,6 +40,12 @@ class RunConfig:
     checkpoint_path: str | None = None
     log_path: str | None = None
     checkpoint_every: int = 0  # 0 = write only the final checkpoint
+
+    def __post_init__(self):
+        check_settings(
+            self, learning_rate=at_least(0), decay_fraction=within(0, 1),
+            weight_decay=at_least(0), iterations=at_least(1), batch_size=at_least(1),
+            seed=at_least(0), checkpoint_every=at_least(0))
 
 
 @dataclass
@@ -56,11 +63,11 @@ class TrainResult:
 
 def write_log_csv(path, log: list) -> None:
     with atomic_write(path, encoding="utf-8") as fh:
-        fh.write("step,loss_fg,loss_bg,loss_att,loss_kl,loss_all,learning_rate\n")
+        fh.write("step,loss_fg,loss_bg,loss_att,loss_kl,loss_bvl,loss_all,learning_rate\n")
         for row in log:
             b = row.losses
             fh.write(f"{row.step},{b.fg:.8f},{b.bg:.8f},{b.att:.8f},"
-                     f"{b.kl:.8f},{b.total:.8f},{row.learning_rate:.8g}\n")
+                     f"{b.kl:.8f},{b.bvl:.8f},{b.total:.8f},{row.learning_rate:.8g}\n")
 
 
 def train(videos: list, config: RunConfig) -> TrainResult:
@@ -71,10 +78,6 @@ def train(videos: list, config: RunConfig) -> TrainResult:
     """
     if not videos:
         raise ValueError("train: empty dataset")
-    if not 0.0 <= config.decay_fraction <= 1.0:
-        raise ValueError("decay_fraction must lie in [0, 1]")
-    if config.iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {config.iterations}")
     hp = config.hp
     rng = np.random.default_rng(config.seed)
     # plans draw from their own stream so enabling the continuity branch

@@ -151,6 +151,16 @@ def evaluate_oracle(per_video_proposals, records, iou_thresholds, num_classes):
                       ap_table=ap_table, skipped_classes=skipped, averages=averages)
 
 
+def label_bytes_oracle(label):
+    """The dataset label bitmask set one bit at a time: bit i % 8 of byte
+    i // 8 is set when class i is present."""
+    mask = bytearray((len(label) + 7) // 8)
+    for i, value in enumerate(label):
+        if value != 0:
+            mask[i // 8] |= 1 << (i % 8)
+    return bytes(mask)
+
+
 def plan_oracle(num_snippets, k, rng):
     """Sampling plan drawn one segment at a time: a scalar draw from
     [start, min(start + k, T)) per segment, in segment order, repeated over

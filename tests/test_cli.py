@@ -110,6 +110,18 @@ class TestTrainLocalizeEval:
                    "--iterations", "2", "--seed", "1"])
         assert rc == 0
 
+    def test_bvl_mode_logs_and_prints_the_bvl_term(self, tmp_path, ini, data_dir,
+                                                   capsys):
+        log = tmp_path / "log.csv"
+        capsys.readouterr()
+        assert main(["--config", ini, "train", "--data", str(data_dir / "train.bin"),
+                     "--mode", "bvl", "--iterations", "3", "--log", str(log)]) == 0
+        header, *rows = [line.split(",") for line in log.read_text().splitlines()]
+        assert header[5:7] == ["loss_bvl", "loss_all"]
+        assert len(rows) == 3 and all(float(row[5]) > 0 for row in rows)
+        printed = capsys.readouterr().out
+        assert f" bvl={float(rows[-1][5]):.4f} total=" in printed
+
     def test_train_missing_data_is_exit_2(self, tmp_path, ini):
         rc = main(["--config", ini, "train", "--data",
                    str(tmp_path / "missing.bin")])
@@ -215,6 +227,68 @@ class TestTrainLocalizeEval:
         # then row 1, column 2 of the (8, 4) classifier
         assert f"byte offset {28 + 8 * (192 + 8 + 1 * 4 + 2)})" in err
         assert not (tmp_path / "p.tsv").exists()
+
+
+class TestBadSettings:
+    """Every setting is checked when the config loads and when a flag or an
+    ablation row overrides it: a bad value is a config error (exit 1) naming
+    the key, before any data is read."""
+
+    @pytest.fixture(autouse=True)
+    def no_data(self, monkeypatch):
+        from wtalkit import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("data was read before the settings were checked")
+
+        monkeypatch.setattr(cli, "read_dataset", never)
+        monkeypatch.setattr(cli, "ablate", None)  # no row may train
+
+    def _refused(self, argv, message, output, capsys):
+        capsys.readouterr()
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"config error: {message}" in err
+        assert not output.exists()
+
+    @pytest.mark.parametrize("ini_text, flags, message", [
+        ("[hyperparams]\nk = 0\n", ["--ten"], "[hyperparams] k must be >= 1, got 0"),
+        ("[hyperparams]\nlam = nan\n", [], "[hyperparams] lam must be finite, got nan"),
+        ("[run]\nlearning_rate = -1\n", [],
+         "[run] learning_rate must be >= 0, got -1.0"),
+        ("[run]\nbatch_size = 0\n", [], "[run] batch_size must be >= 1, got 0"),
+        ("[hyperparams]\nepsilon = 2\n", [],
+         "[hyperparams] epsilon must lie in [0, 1], got 2.0"),
+        ("[hyperparams]\nnms_iou = -1\n", [],
+         "[hyperparams] nms_iou must be >= 0, got -1.0"),
+        ("[hyperparams]\nproposal_thresholds =\n", [],
+         "[hyperparams] proposal_thresholds must not be empty, got ()"),
+        ("[hyperparams]\nembed_dim = -4\n", [],
+         "[hyperparams] embed_dim must be >= 0, got -4"),
+        ("", ["--lam", "nan"], "lam must be finite, got nan"),
+    ], ids=["k_0", "lam_nan", "learning_rate_-1", "batch_size_0", "epsilon_2",
+            "nms_iou_-1", "proposal_thresholds_empty", "embed_dim_-4", "flag_lam_nan"])
+    def test_train(self, ini_text, flags, message, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(ini_text)
+        ckpt = tmp_path / "m.ckpt"
+        argv = ["--config", str(ini), "train", "--data", str(tmp_path / "train.bin"),
+                "--out", str(ckpt), *flags]
+        self._refused(argv, message, ckpt, capsys)
+
+    @pytest.mark.parametrize("grid, values, message", [
+        ("k", "0,2", "k must be >= 1, got 0"),
+        ("lambda", "nan", "lam must be finite, got nan"),
+    ])
+    def test_ablate_grid_row(self, grid, values, message, tmp_path, capsys):
+        ini = tmp_path / "empty.ini"
+        ini.write_text("")
+        out_csv = tmp_path / "grid.csv"
+        argv = ["--config", str(ini), "ablate", "--data", str(tmp_path / "train.bin"),
+                "--test", str(tmp_path / "test.bin"), "--grid", grid,
+                "--values", values, "--out", str(out_csv)]
+        self._refused(argv, message, out_csv, capsys)
 
 
 class TestGradcheck:

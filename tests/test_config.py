@@ -1,10 +1,16 @@
 """INI config parsing: coercion, range pairs, and typo suggestions."""
 
+from dataclasses import replace
+from typing import get_type_hints
+
 import pytest
 
 from wtalkit.config import Config, load_config
 from wtalkit.errors import ConfigError
 from wtalkit.losses import GradMode
+from wtalkit.model import Hyperparams
+from wtalkit.synth import SynthConfig
+from wtalkit.trainer import RunConfig
 
 
 def _write(tmp_path, text):
@@ -152,3 +158,78 @@ class TestErrors:
     def test_unknown_eval_key(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[eval\]"):
             load_config(_write(tmp_path, "[eval]\nthresholds = 0.5\n"))
+
+
+class TestFieldKeys:
+    @pytest.mark.parametrize("section, cls", [
+        ("synth", SynthConfig), ("hyperparams", Hyperparams), ("run", RunConfig)])
+    def test_every_scalar_field_is_a_key_of_its_type(self, tmp_path, section, cls):
+        scalars = {name: kind for name, kind in get_type_hints(cls).items()
+                   if kind in (int, float, bool)}
+        assert len(scalars) >= 8
+        default = cls()
+        values = {}
+        for name, kind in scalars.items():
+            old = getattr(default, name)
+            values[name] = (not old if kind is bool
+                            else old + 2 if kind is int else old / 2)
+        text = "".join(f"{name} = {value!r}\n" for name, value in values.items())
+        cfg = load_config(_write(tmp_path, f"[{section}]\n{text}"))
+        got = {"synth": cfg.synth, "hyperparams": cfg.run.hp, "run": cfg.run}[section]
+        for name, kind in scalars.items():
+            assert type(getattr(got, name)) is kind, name
+            assert getattr(got, name) == values[name], name
+
+    def test_int_key_refuses_a_fraction(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"\[hyperparams\] k: invalid literal"):
+            load_config(_write(tmp_path, "[hyperparams]\nk = 2.5\n"))
+
+
+class TestChecks:
+    """The settings types check their values when built and replaced."""
+
+    @pytest.mark.parametrize("cls, changes, message", [
+        (Hyperparams, {"k": 0}, "k must be >= 1, got 0"),
+        (Hyperparams, {"lam": float("inf")}, "lam must be finite, got inf"),
+        (Hyperparams, {"beta": -0.1}, "beta must be >= 0, got -0.1"),
+        (Hyperparams, {"rho_cls": float("nan")}, "rho_cls must be finite, got nan"),
+        (Hyperparams, {"epsilon": -0.5}, r"epsilon must lie in \[0, 1\], got -0.5"),
+        (Hyperparams, {"kernel_size": 4}, "kernel_size must be odd and >= 1, got 4"),
+        (Hyperparams, {"gauss_sigma": 0.0}, "gauss_sigma must be > 0, got 0.0"),
+        (Hyperparams, {"gauss_radius": -1}, "gauss_radius must be >= 0, got -1"),
+        (Hyperparams, {"proposal_thresholds": (0.2, float("nan"))},
+         "proposal_thresholds must be finite, got nan"),
+        (Hyperparams, {"bvl_weight": -0.5}, "bvl_weight must be >= 0 or none, got -0.5"),
+        (RunConfig, {"decay_fraction": 1.5},
+         r"decay_fraction must lie in \[0, 1\], got 1.5"),
+        (RunConfig, {"weight_decay": -1e-3}, "weight_decay must be >= 0, got -0.001"),
+        (RunConfig, {"iterations": 0}, "iterations must be >= 1, got 0"),
+        (RunConfig, {"checkpoint_every": -1}, "checkpoint_every must be >= 0, got -1"),
+        (RunConfig, {"seed": -1}, "seed must be >= 0, got -1"),
+        (SynthConfig, {"seed": -1}, "seed must be >= 0, got -1"),
+        (SynthConfig, {"noise_sigma": float("nan")}, "noise_sigma must be finite, got nan"),
+    ])
+    def test_bad_value_is_refused_on_build_and_replace(self, cls, changes, message):
+        with pytest.raises(ConfigError, match=message):
+            cls(**changes)
+        with pytest.raises(ConfigError, match=message):
+            replace(cls(), **changes)
+
+    @pytest.mark.parametrize("cls, changes", [
+        (Hyperparams, {"k": 1, "epsilon": 0.0, "nms_iou": 0.0, "embed_dim": 0,
+                       "gauss_radius": 0, "lam": 0.0, "beta": 0.0, "kernel_size": 1,
+                       "bvl_weight": 0.0}),
+        (Hyperparams, {"epsilon": 1.0, "bvl_weight": None}),
+        (RunConfig, {"learning_rate": 0.0, "decay_fraction": 0.0, "weight_decay": 0.0,
+                     "iterations": 1, "batch_size": 1, "seed": 0,
+                     "checkpoint_every": 0}),
+        (RunConfig, {"decay_fraction": 1.0}),
+    ])
+    def test_range_ends_are_accepted(self, cls, changes):
+        got = replace(cls(), **changes)
+        assert all(getattr(got, name) == value for name, value in changes.items())
+
+    def test_load_names_the_section(self, tmp_path):
+        with pytest.raises(ConfigError,
+                           match=r"^\[run\] learning_rate must be >= 0, got -1.0$"):
+            load_config(_write(tmp_path, "[run]\nlearning_rate = -1\n"))

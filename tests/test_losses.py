@@ -1,5 +1,6 @@
 """Losses, hand-derived gradients, certification harness, factor identities."""
 
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -24,11 +25,9 @@ from wtalkit.losses import (
     full_label,
     honest_attention_factors,
     instance_margin,
-    loss_att,
     loss_bg,
     loss_bvl,
     loss_fg,
-    loss_kl,
     make_tiny_instance,
     _chunks,
     _forward_pair,
@@ -113,6 +112,28 @@ class TestLossBvl:
         y = rng.normal(size=(5, 4))
         expected = -np.log(softmax(y.mean(axis=0))[-1])
         assert loss_bvl(y) == pytest.approx(expected, abs=1e-12)
+
+
+def _continuity(a, a_r, y, y_r):
+    """compute_losses of two stub branches with attention tracks a, a_r and
+    CAS logits y, y_r (the pooled outputs are placeholders)."""
+    def branch(a, y):
+        return SimpleNamespace(a=np.asarray(a, dtype=np.float64),
+                               y=np.asarray(y, dtype=np.float64),
+                               p_fg=np.full(2, 0.5), p_bg=np.full(2, 0.5))
+
+    return compute_losses(branch(a, y), branch(a_r, y_r), np.ones(1), HP,
+                          GradMode.STANDARD)
+
+
+def loss_att(a, a_r):
+    """The continuity attention loss of tracks a, a_r, with equal CAS rows."""
+    return _continuity(a, a_r, np.zeros((len(a), 2)), np.zeros((len(a_r), 2))).att
+
+
+def loss_kl(y, y_r):
+    """The continuity KL loss of CAS logits y, y_r, with equal attention."""
+    return _continuity(np.full(len(y), 0.5), np.full(len(y_r), 0.5), y, y_r).kl
 
 
 class TestLossAtt:

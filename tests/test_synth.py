@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import label_bytes_oracle
 from wtalkit.errors import ConfigError, DataFormatError
 from wtalkit.synth import (
     DATASET_MAGIC,
     SynthConfig,
     VideoRecord,
+    _label_bytes,
+    _label_from_bytes,
     draw_prototypes,
     generate,
     read_dataset,
@@ -153,6 +156,18 @@ def _tiny_records():
 
 
 class TestRoundTrip:
+    def test_label_bitmask_matches_bitwise_oracle(self):
+        rng = np.random.default_rng(0)
+        labels = [np.zeros(c) for c in range(1, 65)] + [np.ones(c) for c in range(1, 65)]
+        labels += [(rng.random(c) < 0.4).astype(float) for c in range(1, 65) for _ in range(8)]
+        for label in labels:
+            num_classes = len(label)
+            mask = _label_bytes(label)
+            assert mask == label_bytes_oracle(label)
+            back = _label_from_bytes(mask, num_classes)
+            assert back.dtype == np.float64
+            np.testing.assert_array_equal(back, label)
+
     def test_bitwise(self, tmp_path):
         path = tmp_path / "d.bin"
         recs = _tiny_records()

@@ -21,7 +21,7 @@ from wtalkit.trainer import (
     write_log_csv,
 )
 
-LOG_HEADER = "step,loss_fg,loss_bg,loss_att,loss_kl,loss_all,learning_rate"
+LOG_HEADER = "step,loss_fg,loss_bg,loss_att,loss_kl,loss_bvl,loss_all,learning_rate"
 
 
 def _videos(tiny_dataset):
@@ -165,14 +165,14 @@ class TestLogCsv:
         assert first[0] == "0"
         assert float(first[1]) == pytest.approx(result.log[0].losses.fg,
                                                 abs=1e-8)
-        assert float(first[6]) == 1e-3
+        assert float(first[7]) == 1e-3
 
     def test_write_log_csv_round_numbers(self, tmp_path, tiny_dataset):
         result = train(_videos(tiny_dataset), _cfg(iterations=2))
         path = tmp_path / "log.csv"
         write_log_csv(path, result.log)
         rows = path.read_text().splitlines()[1:]
-        assert all(len(r.split(",")) == 7 for r in rows)
+        assert all(len(r.split(",")) == 8 for r in rows)
 
 
 class TestLocalizeDataset:
