@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import MODE_NAMES, Config, load_config, parse_mode
+from .config import MODE_NAMES, Config, coerce, load_config, parse_mode
 from .errors import ConfigError, DataFormatError, NumericError
 from .evaluate import evaluate, format_summary, write_report_csv
 from .localize import read_proposals, write_proposals
@@ -60,15 +60,16 @@ def _load(args) -> Config:
     return load_config(path)
 
 
+def _given(settings, **flags):
+    """`settings` with every flag that was given (is not None) applied, in one
+    checked `replace`."""
+    return replace(settings, **{name: v for name, v in flags.items() if v is not None})
+
+
 def cmd_gen(args) -> int:
     cfg = _load(args)
-    synth = cfg.synth
-    if args.seed is not None:
-        synth = replace(synth, seed=args.seed)
-    if args.confound is not None:
-        synth = replace(synth, confound_strength=args.confound)
-    if args.noise is not None:
-        synth = replace(synth, noise_sigma=args.noise)
+    synth = _given(cfg.synth, seed=args.seed, confound_strength=args.confound,
+                   noise_sigma=args.noise)
     train_recs, test_recs = generate(synth)
     os.makedirs(args.out, exist_ok=True)
     train_path = os.path.join(args.out, "train.bin")
@@ -81,18 +82,10 @@ def cmd_gen(args) -> int:
 
 
 def _run_overrides(args, cfg: Config):
-    run = cfg.run
-    if getattr(args, "mode", None) is not None:
-        run = replace(run, grad_mode=MODE_NAMES[args.mode])
-    if getattr(args, "ten", None) is not None:
-        run = replace(run, use_ten=args.ten)
-    if args.iterations is not None:
-        run = replace(run, iterations=args.iterations)
-    if args.seed is not None:
-        run = replace(run, seed=args.seed)
-    if getattr(args, "lam", None) is not None:
-        run = replace(run, hp=replace(run.hp, lam=args.lam))
-    return run
+    run = _given(cfg.run, grad_mode=MODE_NAMES.get(getattr(args, "mode", None)),
+                 use_ten=getattr(args, "ten", None), iterations=args.iterations,
+                 seed=args.seed)
+    return _given(run, hp=_given(run.hp, lam=getattr(args, "lam", None)))
 
 
 def cmd_train(args) -> int:
@@ -189,14 +182,14 @@ def _ablation_rows(args, run) -> list:
         return component_rows(run)
     if not args.values:
         raise ConfigError(f"--values is required for --grid {args.grid}")
-    values = args.values.split(",")
+    kind = int if args.grid == "k" else float
+    values = [coerce(f"--values for --grid {args.grid}", v, kind)
+              for v in args.values.split(",")]
     if args.grid == "k":
         # the sampling interval only acts through the continuity branch
-        return [(f"k={int(v)}",
-                 replace(run, use_ten=True, hp=replace(run.hp, k=int(v))))
+        return [(f"k={v}", replace(run, use_ten=True, hp=replace(run.hp, k=v)))
                 for v in values]
-    return [(f"lambda={float(v):g}", replace(run, hp=replace(run.hp, lam=float(v))))
-            for v in values]
+    return [(f"lambda={v:g}", replace(run, hp=replace(run.hp, lam=v))) for v in values]
 
 
 def cmd_ablate(args) -> int:

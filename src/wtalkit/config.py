@@ -4,9 +4,11 @@ Sections mirror the settings dataclasses: [synth] is `SynthConfig`, [run]
 `RunConfig`, [hyperparams] `Hyperparams` and [eval] the scoring thresholds.
 Every int, float or bool field of a section's dataclass is a key of that
 name and type; `_EXTRA_KEYS` lists the few keys that differ from a field.
-The dataclasses check their own values when built, so a bad value is a
-ConfigError on load, as is an unknown section or key (with the closest valid
-name suggested). An empty (or absent) file yields the stock desk-scale setup.
+The dataclasses, `Config` among them, check their own values when built
+(with `errors.check_settings` rules, and [eval] with
+`evaluate.check_iou_thresholds`), so a bad value is a ConfigError on load,
+as is an unknown section or key (with the closest valid name suggested). An
+empty (or absent) file yields the stock desk-scale setup.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import difflib
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
-from .evaluate import DEFAULT_IOU_THRESHOLDS
+from .evaluate import DEFAULT_IOU_THRESHOLDS, check_iou_thresholds
 from .losses import GradMode
 from .synth import SynthConfig
 from .trainer import RunConfig
@@ -34,11 +36,17 @@ def parse_mode(name: str, where: str) -> GradMode:
     return MODE_NAMES[name]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
+    """Everything one INI file sets. Frozen: construction (and so `replace`)
+    checks the IoU thresholds and raises ConfigError."""
+
     synth: SynthConfig = field(default_factory=SynthConfig)
     run: RunConfig = field(default_factory=RunConfig)
     eval_thresholds: tuple = DEFAULT_IOU_THRESHOLDS
+
+    def __post_init__(self):
+        check_iou_thresholds(self.eval_thresholds)
 
 
 def _suggest(key: str, valid) -> str:
@@ -47,30 +55,15 @@ def _suggest(key: str, valid) -> str:
     return f"unknown key {key!r}{hint}"
 
 
-def _parse_float_list(where: str, raw: str, _=None) -> tuple:
+def _parse_float_list(where: str, raw: str, _) -> tuple:
     try:
         return tuple(float(v) for v in raw.replace(",", " ").split())
     except ValueError as exc:
         raise ConfigError(f"{where}: bad number list {raw!r}: {exc}") from exc
 
 
-def _parse_iou_thresholds(where: str, raw: str, _) -> tuple:
-    """At least one IoU threshold, each in (0, 1] and none repeated at the 4
-    decimals that eval reports key thresholds by."""
-    values = _parse_float_list(where, raw)
-    if not values:
-        raise ConfigError(f"{where}: need at least one value")
-    seen = set()
-    for value in values:
-        if not 0.0 < value <= 1.0:
-            raise ConfigError(f"{where}: {value} is outside (0, 1]")
-        if round(value, 4) in seen:
-            raise ConfigError(f"{where}: {value} is repeated")
-        seen.add(round(value, 4))
-    return values
-
-
-def _coerce(where: str, raw: str, kind):
+def coerce(where: str, raw: str, kind):
+    """The text `raw` as an int, float or bool, or a ConfigError naming `where`."""
     try:
         if kind is bool:
             low = raw.strip().lower()
@@ -88,7 +81,7 @@ def _range_end(name: str, index: int) -> tuple:
     """The extra key that sets end `index` of the (low, high) field `name`."""
     def parse(where, raw, ends):
         ends = list(ends)
-        ends[index] = _coerce(where, raw, int)
+        ends[index] = coerce(where, raw, int)
         return tuple(ends)
     return name, parse
 
@@ -96,7 +89,7 @@ def _range_end(name: str, index: int) -> tuple:
 def _bvl_weight(where, raw, _):
     if raw.strip().lower() in ("", "none", "lam"):
         return None
-    return _coerce(where, raw, float)
+    return coerce(where, raw, float)
 
 
 # Per section, each key that is not an int, float or bool field of the same
@@ -109,7 +102,7 @@ _EXTRA_KEYS = {
                      lambda where, raw, _: parse_mode(raw.strip().lower(), where))},
     "hyperparams": {"proposal_thresholds": ("proposal_thresholds", _parse_float_list),
                     "bvl_weight": ("bvl_weight", _bvl_weight)},
-    "eval": {"iou_thresholds": ("eval_thresholds", _parse_iou_thresholds)},
+    "eval": {"iou_thresholds": ("eval_thresholds", _parse_float_list)},
 }
 
 
@@ -124,7 +117,7 @@ def _apply(parser, section: str, settings):
     for key, raw in parser.items(section):
         where = f"[{section}] {key}"
         if key in kinds:
-            updates[key] = _coerce(where, raw, kinds[key])
+            updates[key] = coerce(where, raw, kinds[key])
         elif key in extra:
             name, parse = extra[key]
             updates[name] = parse(where, raw, updates.get(name, getattr(settings, name)))

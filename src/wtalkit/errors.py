@@ -37,12 +37,13 @@ def within(low, high):
 def check_settings(settings, **rules) -> None:
     """Raise ConfigError naming the first field of the dataclass `settings`
     that holds a non-finite float (alone or in a tuple), then the first that
-    fails its (test, phrase) rule, e.g. "k must be >= 1, got 0"."""
+    fails its (test, phrase) rule or list of them, e.g. "k must be >= 1, got 0"."""
     for name, value in vars(settings).items():
         for v in value if isinstance(value, tuple) else (value,):
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
-    for name, (test, phrase) in rules.items():
+    for name, rule in rules.items():
         value = getattr(settings, name)
-        if not test(value):
-            raise ConfigError(f"{name} {phrase}, got {value}")
+        for test, phrase in rule if isinstance(rule, list) else [rule]:
+            if not test(value):
+                raise ConfigError(f"{name} {phrase}, got {value}")

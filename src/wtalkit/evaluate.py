@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import atomic_write
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 
 DEFAULT_IOU_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 AVERAGE_RANGES = {
@@ -15,6 +15,18 @@ AVERAGE_RANGES = {
     "0.3:0.7": (0.3, 0.4, 0.5, 0.6, 0.7),
     "0.1:0.7": (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7),
 }
+
+
+def check_iou_thresholds(thresholds) -> None:
+    """Raise ConfigError unless there is at least one IoU threshold, each in
+    (0, 1] and none repeated at the 4 decimals that reports key them by."""
+    if not len(thresholds):
+        raise ConfigError("iou_thresholds: need at least one value")
+    for i, value in enumerate(thresholds):
+        if not 0.0 < value <= 1.0:
+            raise ConfigError(f"iou_thresholds: {value} is outside (0, 1]")
+        if round(value, 4) in {round(v, 4) for v in thresholds[:i]}:
+            raise ConfigError(f"iou_thresholds: {value} is repeated")
 
 
 def temporal_iou(seg_a, seg_b) -> float:
@@ -138,8 +150,9 @@ def evaluate(per_video_proposals: dict, records: list,
     class) AP comes from one array matcher: the `average_precision` rule for
     all thresholds and classes at once. Record ids must be unique. Classes
     that never occur in the ground truth are excluded from mAP and listed in
-    `skipped_classes`.
+    `skipped_classes`. The thresholds must pass `check_iou_thresholds`.
     """
+    check_iou_thresholds(iou_thresholds)
     lengths = {r.video_id: r.x_rgb.shape[0] for r in records}
     ids = sorted(lengths)
     code = {vid: i for i, vid in enumerate(ids)}

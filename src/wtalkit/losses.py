@@ -403,6 +403,10 @@ def backward(videos: list, plan: np.ndarray | None, params: ModelParams,
     return grad, LossBreakdown(*(float(m) for m in means))
 
 
+# tiny instance shape: snippets T, features D, embedding E, classes C, taps K, interval k
+TINY_T, TINY_D, TINY_E, TINY_C, TINY_K, TINY_INTERVAL = 8, 6, 5, 3, 3, 3
+
+
 @dataclass
 class TinyInstance:
     """One randomly drawn model + video, small enough to finite-difference."""
@@ -415,22 +419,20 @@ class TinyInstance:
     seed: int
 
 
-def make_tiny_instance(seed: int, num_snippets: int = 8, feature_dim: int = 6,
-                       embed_dim: int = 5, num_classes: int = 3,
-                       kernel_size: int = 3, interval: int = 3) -> TinyInstance:
+def make_tiny_instance(seed: int) -> TinyInstance:
     rng = np.random.default_rng(seed)
-    x_rgb = rng.normal(0.0, 1.0, size=(num_snippets, feature_dim))
-    x_flow = rng.normal(0.0, 1.0, size=(num_snippets, feature_dim))
+    x_rgb = rng.normal(0.0, 1.0, size=(TINY_T, TINY_D))
+    x_flow = rng.normal(0.0, 1.0, size=(TINY_T, TINY_D))
 
-    params = ModelParams.zeros(feature_dim, embed_dim, num_classes, kernel_size)
+    params = ModelParams.zeros(TINY_D, TINY_E, TINY_C, TINY_K)
     for name, block in params.blocks():
         scale = 0.5 if ".w_" in name else 0.1
         block[...] = rng.normal(0.0, scale, size=block.shape)
-    plan = make_plan([num_snippets], interval, rng)
-    label = np.zeros(num_classes)
-    label[rng.integers(0, num_classes)] = 1.0
+    plan = make_plan([TINY_T], TINY_INTERVAL, rng)
+    label = np.zeros(TINY_C)
+    label[rng.integers(0, TINY_C)] = 1.0
     if rng.random() < 0.5:
-        label[rng.integers(0, num_classes)] = 1.0
+        label[rng.integers(0, TINY_C)] = 1.0
     return TinyInstance(x_rgb=x_rgb, x_flow=x_flow, params=params, plan=plan,
                         video_label=label, seed=seed)
 
@@ -485,6 +487,8 @@ def build_fd_loss(inst: TinyInstance, hp: Hyperparams, mode: GradMode):
 
 
 CERTIFIED_MODES = (GradMode.STANDARD, GradMode.BGES, GradMode.BVL)
+# certification draws instances from this seed on, skipping margins below MIN_MARGIN
+FIRST_SEED, MIN_MARGIN = 1000, 2e-3
 
 
 @dataclass
@@ -497,26 +501,27 @@ class CertificationResult:
 
 def certify_gradients(num_instances: int = 20, tolerance: float = 1e-5,
                       modes: tuple = CERTIFIED_MODES, hp: Hyperparams | None = None,
-                      fd_epsilon: float = 1e-5, min_margin: float = 2e-3,
-                      start_seed: int = 1000, flip_block: str | None = None) -> list:
+                      fd_epsilon: float = 1e-5, flip_block: str | None = None) -> list:
     """Compare analytic and central-difference gradients on tiny instances.
 
-    Returns one CertificationResult per (mode, instance). `flip_block` names a
-    parameter block ("rgb.w_att", "flow.b_cls", ...) whose analytic gradient
-    is negated before comparison; a certification that still passes with a
-    flipped block would prove the harness toothless, so the hook exists for
-    exactly that self-test.
+    Returns one CertificationResult per (mode, instance), of at least one
+    instance. `flip_block` names a parameter block ("rgb.w_att", ...) whose
+    analytic gradient is negated before comparison; a certification that
+    still passes with a flipped block would prove the harness toothless, so
+    the hook exists for exactly that self-test.
     """
+    if num_instances < 1:
+        raise ValueError(f"certify_gradients: num_instances must be >= 1, got {num_instances}")
     if hp is None:
         hp = Hyperparams()
     results = []
     for mode in modes:
         accepted = 0
-        seed = start_seed
+        seed = FIRST_SEED
         while accepted < num_instances:
             inst = make_tiny_instance(seed)
             seed += 1
-            if instance_margin(inst, hp, mode) < min_margin:
+            if instance_margin(inst, hp, mode) < MIN_MARGIN:
                 continue
             accepted += 1
             analytic, _ = backward([inst], inst.plan, inst.params, hp, mode)

@@ -146,10 +146,12 @@ class Hyperparams:
     def __post_init__(self):
         check_settings(
             self, lam=at_least(0), beta=at_least(0), k=at_least(1),
-            epsilon=within(0, 1), nms_iou=at_least(0), embed_dim=at_least(0),
+            epsilon=within(0, 1), rho_cls=within(0, 1), nms_iou=at_least(0),
+            embed_dim=at_least(0), gauss_radius=at_least(0),
             kernel_size=(lambda v: v >= 1 and v % 2 == 1, "must be odd and >= 1"),
-            gauss_sigma=(lambda v: v > 0, "must be > 0"), gauss_radius=at_least(0),
-            proposal_thresholds=(len, "must not be empty"),
+            gauss_sigma=(lambda v: v > 0, "must be > 0"),
+            proposal_thresholds=[(len, "must not be empty"),  # fused scores lie in [0, 1]
+                                 (lambda v: all(0 < t < 1 for t in v), "must each lie in (0, 1)")],
             bvl_weight=(lambda v: v is None or v >= 0, "must be >= 0 or none"))
 
     def resolved_bvl_weight(self) -> float:

@@ -87,28 +87,26 @@ def gaussian_smooth(seq: np.ndarray, sigma: float = 1.0, radius: int = 2) -> np.
     return seq[packed_windows([seq.size], k.size)] @ k
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moments plus the update-rule settings that travel with them.
-
-    `learning_rate` is the current step size, which the trainer lowers once,
-    halfway through a run. Weight decay is decoupled (applied to the
-    parameter directly, never folded into the gradient).
+    """Adam moments plus the step size and weight decay, which `RunConfig`
+    checks. The trainer lowers `learning_rate` once, halfway through a run.
+    Weight decay is decoupled (applied to the parameter directly, never
+    folded into the gradient).
     """
 
     shape: tuple
     learning_rate: float = 1e-3
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     first_moment: np.ndarray = field(init=False)
     second_moment: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
         self.first_moment = np.zeros(self.shape)
         self.second_moment = np.zeros(self.shape)
 
@@ -123,12 +121,12 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     state.step += 1
     t = state.step
     m, v = state.first_moment, state.second_moment
-    np.add(state.beta1 * m, (1.0 - state.beta1) * grads, out=m)
-    np.add(state.beta2 * v, (1.0 - state.beta2) * grads**2, out=v)
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
+    np.add(ADAM_BETA1 * m, (1.0 - ADAM_BETA1) * grads, out=m)
+    np.add(ADAM_BETA2 * v, (1.0 - ADAM_BETA2) * grads**2, out=v)
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
     params *= 1.0 - state.learning_rate * state.weight_decay
-    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     if not np.all(np.isfinite(params)):
         raise NumericError("adam_step produced non-finite parameters")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import read_container, write_container
-from .errors import ConfigError, DataFormatError, at_least, check_settings
+from .errors import ConfigError, DataFormatError, at_least, check_settings, within
 
 DATASET_MAGIC = b"WTALDS01"
 DATASET_VERSION = 1
@@ -73,10 +73,14 @@ def training_view(records: list) -> list:
             for r in records]
 
 
+_RANGE = (lambda v: len(v) == 2 and 1 <= v[0] <= v[1],
+          "must be a (low, high) pair with 1 <= low <= high")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """The synthetic world. Frozen: construction (and so
-    `dataclasses.replace`) runs `validate` and raises ConfigError."""
+    `dataclasses.replace`) checks every value and raises ConfigError."""
 
     num_classes: int = 5
     feature_dim: int = 32
@@ -91,28 +95,17 @@ class SynthConfig:
     seed: int = 7
 
     def __post_init__(self):
-        check_settings(self, seed=at_least(0))
-        self.validate()
-
-    def validate(self) -> None:
-        if self.num_classes < 1 or self.feature_dim < 1:
-            raise ConfigError("num_classes and feature_dim must be >= 1")
-        t_lo, t_hi = self.t_range
-        i_lo, i_hi = self.instances_range
-        l_lo, l_hi = self.instance_len_range
-        if not (1 <= t_lo <= t_hi and 1 <= i_lo <= i_hi and 1 <= l_lo <= l_hi):
-            raise ConfigError("ranges must be non-empty with positive lower bounds")
+        check_settings(
+            self, num_classes=at_least(1), feature_dim=at_least(1), t_range=_RANGE,
+            instances_range=_RANGE, instance_len_range=_RANGE,
+            confound_strength=within(0, 1), noise_sigma=at_least(0),
+            num_train=at_least(1), num_test=at_least(0), seed=at_least(0))
         # minimal draw must fit: i_lo instances of l_lo snippets plus a
         # background snippet before, between, and after each
+        t_lo, i_lo, l_lo = self.t_range[0], self.instances_range[0], self.instance_len_range[0]
         if i_lo * l_lo + (i_lo + 1) > t_lo:
             raise ConfigError(f"instances cannot fit: {i_lo} x {l_lo} snippets plus "
                               f"{i_lo + 1} background gaps exceed min T={t_lo}")
-        if not 0.0 <= self.confound_strength <= 1.0:
-            raise ConfigError("confound_strength must be in [0, 1]")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
-        if self.num_train < 1 or self.num_test < 0:
-            raise ConfigError("num_train >= 1 and num_test >= 0 required")
 
 
 @dataclass
@@ -136,7 +129,7 @@ def _layout(cfg: SynthConfig, t: int, rng: np.random.Generator):
     i_lo, i_hi = cfg.instances_range
     l_lo, l_hi = cfg.instance_len_range
     n = int(rng.integers(i_lo, i_hi + 1))
-    n = min(n, (t - 1) // (l_lo + 1))  # cfg.validate guarantees n >= i_lo fits
+    n = min(n, (t - 1) // (l_lo + 1))  # SynthConfig guarantees n >= i_lo fits
     lens = rng.integers(l_lo, l_hi + 1, size=n)
     while lens.sum() + n + 1 > t:
         lens[int(np.argmax(lens))] -= 1

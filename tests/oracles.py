@@ -179,15 +179,17 @@ def adam_oracle(params, grads, state):
 
     Rebinds fresh moment arrays on `state` and returns new parameters, doing
     the same float64 operations in the same order as `numerics.adam_step`.
+    Beta1 = 0.9, beta2 = 0.999 and eps = 1e-8 are written out here, so the
+    oracle states the rule independently of the package's constants.
     """
     state.step += 1
     t = state.step
-    state.first_moment = state.beta1 * state.first_moment + (1.0 - state.beta1) * grads
-    state.second_moment = state.beta2 * state.second_moment + (1.0 - state.beta2) * grads**2
-    m_hat = state.first_moment / (1.0 - state.beta1**t)
-    v_hat = state.second_moment / (1.0 - state.beta2**t)
+    state.first_moment = 0.9 * state.first_moment + (1.0 - 0.9) * grads
+    state.second_moment = 0.999 * state.second_moment + (1.0 - 0.999) * grads**2
+    m_hat = state.first_moment / (1.0 - 0.9**t)
+    v_hat = state.second_moment / (1.0 - 0.999**t)
     out = params * (1.0 - state.learning_rate * state.weight_decay)
-    return out - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    return out - state.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
 def packed_forward_oracle(videos, plan, params, hp, norm_mode):

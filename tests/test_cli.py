@@ -267,8 +267,15 @@ class TestBadSettings:
         ("[hyperparams]\nembed_dim = -4\n", [],
          "[hyperparams] embed_dim must be >= 0, got -4"),
         ("", ["--lam", "nan"], "lam must be finite, got nan"),
+        ("[hyperparams]\nproposal_thresholds = 2\n", [],
+         "[hyperparams] proposal_thresholds must each lie in (0, 1), got (2.0,)"),
+        ("[hyperparams]\nrho_cls = 1.5\n", [],
+         "[hyperparams] rho_cls must lie in [0, 1], got 1.5"),
+        ("[eval]\niou_thresholds = 0.5 2\n", [],
+         "[eval] iou_thresholds: 2.0 is outside (0, 1]"),
     ], ids=["k_0", "lam_nan", "learning_rate_-1", "batch_size_0", "epsilon_2",
-            "nms_iou_-1", "proposal_thresholds_empty", "embed_dim_-4", "flag_lam_nan"])
+            "nms_iou_-1", "proposal_thresholds_empty", "embed_dim_-4", "flag_lam_nan",
+            "proposal_thresholds_2", "rho_cls_1.5", "iou_thresholds_2"])
     def test_train(self, ini_text, flags, message, tmp_path, capsys):
         ini = tmp_path / "bad.ini"
         ini.write_text(ini_text)
@@ -280,6 +287,10 @@ class TestBadSettings:
     @pytest.mark.parametrize("grid, values, message", [
         ("k", "0,2", "k must be >= 1, got 0"),
         ("lambda", "nan", "lam must be finite, got nan"),
+        ("k", "2,2.5",
+         "--values for --grid k: invalid literal for int() with base 10: '2.5'"),
+        ("lambda", "0.1,big",
+         "--values for --grid lambda: could not convert string to float: 'big'"),
     ])
     def test_ablate_grid_row(self, grid, values, message, tmp_path, capsys):
         ini = tmp_path / "empty.ini"

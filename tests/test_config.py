@@ -208,6 +208,36 @@ class TestChecks:
         (RunConfig, {"seed": -1}, "seed must be >= 0, got -1"),
         (SynthConfig, {"seed": -1}, "seed must be >= 0, got -1"),
         (SynthConfig, {"noise_sigma": float("nan")}, "noise_sigma must be finite, got nan"),
+        (Hyperparams, {"rho_cls": 1.5}, r"rho_cls must lie in \[0, 1\], got 1.5"),
+        (Hyperparams, {"rho_cls": -0.1}, r"rho_cls must lie in \[0, 1\], got -0.1"),
+        (Hyperparams, {"proposal_thresholds": (0.2, 2.0)},
+         r"proposal_thresholds must each lie in \(0, 1\), got \(0.2, 2.0\)"),
+        (Hyperparams, {"proposal_thresholds": (0.0,)},
+         r"proposal_thresholds must each lie in \(0, 1\), got \(0.0,\)"),
+        (Hyperparams, {"proposal_thresholds": (0.5, 1.0)},
+         r"proposal_thresholds must each lie in \(0, 1\), got \(0.5, 1.0\)"),
+        (Hyperparams, {"proposal_thresholds": ()}, r"proposal_thresholds must not be empty"),
+        (SynthConfig, {"num_classes": 0}, "num_classes must be >= 1, got 0"),
+        (SynthConfig, {"feature_dim": 0}, "feature_dim must be >= 1, got 0"),
+        (SynthConfig, {"t_range": (40, 30)},
+         r"t_range must be a \(low, high\) pair with 1 <= low <= high, got \(40, 30\)"),
+        (SynthConfig, {"instances_range": (0, 2)},
+         r"instances_range must be a \(low, high\) pair .*, got \(0, 2\)"),
+        (SynthConfig, {"instance_len_range": (8,)},
+         r"instance_len_range must be a \(low, high\) pair .*, got \(8,\)"),
+        (SynthConfig, {"confound_strength": 1.5},
+         r"confound_strength must lie in \[0, 1\], got 1.5"),
+        (SynthConfig, {"noise_sigma": -0.1}, "noise_sigma must be >= 0, got -0.1"),
+        (SynthConfig, {"num_train": 0}, "num_train must be >= 1, got 0"),
+        (SynthConfig, {"num_test": -1}, "num_test must be >= 0, got -1"),
+        (SynthConfig, {"t_range": (8, 12), "instances_range": (3, 3),
+                       "instance_len_range": (4, 6)},
+         "instances cannot fit: 3 x 4 snippets plus 4 background gaps exceed min T=8"),
+        (Config, {"eval_thresholds": (2.0, 0.5)},
+         r"^iou_thresholds: 2.0 is outside \(0, 1\]$"),
+        (Config, {"eval_thresholds": (0.5, 0.50001)},
+         r"^iou_thresholds: 0.50001 is repeated$"),
+        (Config, {"eval_thresholds": ()}, "^iou_thresholds: need at least one value$"),
     ])
     def test_bad_value_is_refused_on_build_and_replace(self, cls, changes, message):
         with pytest.raises(ConfigError, match=message):
@@ -224,6 +254,14 @@ class TestChecks:
                      "iterations": 1, "batch_size": 1, "seed": 0,
                      "checkpoint_every": 0}),
         (RunConfig, {"decay_fraction": 1.0}),
+        (Hyperparams, {"rho_cls": 0.0, "proposal_thresholds": (0.001, 0.999)}),
+        (Hyperparams, {"rho_cls": 1.0}),
+        (SynthConfig, {"num_classes": 1, "feature_dim": 1, "t_range": (3, 3),
+                       "instances_range": (1, 1), "instance_len_range": (1, 1),
+                       "confound_strength": 0.0, "noise_sigma": 0.0, "num_train": 1,
+                       "num_test": 0, "seed": 0}),
+        (SynthConfig, {"confound_strength": 1.0}),
+        (Config, {"eval_thresholds": (1.0, 0.5, 0.5001)}),
     ])
     def test_range_ends_are_accepted(self, cls, changes):
         got = replace(cls(), **changes)

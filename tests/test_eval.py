@@ -15,7 +15,7 @@ from wtalkit.evaluate import (
     temporal_iou,
     write_report_csv,
 )
-from wtalkit.errors import DataFormatError
+from wtalkit.errors import ConfigError, DataFormatError
 from wtalkit.localize import Proposals
 from wtalkit.synth import VideoRecord
 
@@ -156,6 +156,18 @@ class TestEvaluate:
         recs = [_record("a", 20, [(0, 2, 6)])]
         rep = evaluate({}, recs, num_classes=3)
         assert rep.map_by_threshold[0.5] == 0.0
+
+    @pytest.mark.parametrize("thresholds, message", [
+        ((2.0, 0.5), r"2.0 is outside \(0, 1\]"),
+        ((0.5, 0.0), r"0.0 is outside \(0, 1\]"),
+        ((0.5, 0.50001), "0.50001 is repeated"),
+        ((), "need at least one value"),
+    ])
+    def test_bad_thresholds_are_a_config_error(self, thresholds, message):
+        # the rule [eval] iou_thresholds is held to, for library callers too
+        recs = [_record("a", 20, [(0, 2, 6)])]
+        with pytest.raises(ConfigError, match=f"^iou_thresholds: {message}$"):
+            evaluate({"a": _props((0, 0.9, 2, 6))}, recs, iou_thresholds=thresholds)
 
     def test_unknown_video(self):
         recs = [_record("a", 20, [(0, 2, 6)])]

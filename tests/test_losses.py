@@ -403,6 +403,12 @@ class TestCertification:
         with pytest.raises(ValueError, match="no parameter block 'rgb.w_nope'"):
             certify_gradients(num_instances=1, flip_block="rgb.w_nope")
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_no_instances_is_refused(self, count):
+        # an empty result list would make every all(r.passed ...) vacuously true
+        with pytest.raises(ValueError, match=f"num_instances must be >= 1, got {count}"):
+            certify_gradients(num_instances=count)
+
 
 class TestTinyInstance:
     def test_draws_in_the_recorded_order(self):

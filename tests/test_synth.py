@@ -28,24 +28,24 @@ SMALL = dict(num_classes=3, feature_dim=6, t_range=(20, 32), instances_range=(1,
 
 class TestConfig:
     def test_defaults_valid(self):
-        SynthConfig().validate()
+        SynthConfig()  # construction runs every check
 
     def test_infeasible_layout(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="instances cannot fit"):
             SynthConfig(t_range=(8, 12), instances_range=(3, 3),
-                        instance_len_range=(4, 6)).validate()
+                        instance_len_range=(4, 6))
 
     def test_bad_confound(self):
         with pytest.raises(ConfigError):
-            SynthConfig(confound_strength=1.5).validate()
+            SynthConfig(confound_strength=1.5)
 
     def test_negative_noise(self):
         with pytest.raises(ConfigError):
-            SynthConfig(noise_sigma=-0.1).validate()
+            SynthConfig(noise_sigma=-0.1)
 
     def test_empty_range(self):
         with pytest.raises(ConfigError):
-            SynthConfig(t_range=(40, 30)).validate()
+            SynthConfig(t_range=(40, 30))
 
 
 class TestGenerate:
