@@ -86,12 +86,6 @@ def _range_end(name: str, index: int) -> tuple:
     return name, parse
 
 
-def _bvl_weight(where, raw, _):
-    if raw.strip().lower() in ("", "none", "lam"):
-        return None
-    return coerce(where, raw, float)
-
-
 # Per section, each key that is not an int, float or bool field of the same
 # name: key -> (field it sets, parse(where, raw text, field's current value)).
 _EXTRA_KEYS = {
@@ -100,8 +94,7 @@ _EXTRA_KEYS = {
               for i, end in enumerate(("min", "max"))},
     "run": {"mode": ("grad_mode",
                      lambda where, raw, _: parse_mode(raw.strip().lower(), where))},
-    "hyperparams": {"proposal_thresholds": ("proposal_thresholds", _parse_float_list),
-                    "bvl_weight": ("bvl_weight", _bvl_weight)},
+    "hyperparams": {"proposal_thresholds": ("proposal_thresholds", _parse_float_list)},
     "eval": {"iou_thresholds": ("eval_thresholds", _parse_float_list)},
 }
 

@@ -17,16 +17,22 @@ AVERAGE_RANGES = {
 }
 
 
-def check_iou_thresholds(thresholds) -> None:
-    """Raise ConfigError unless there is at least one IoU threshold, each in
-    (0, 1] and none repeated at the 4 decimals that reports key them by."""
+def check_iou_thresholds(thresholds) -> tuple:
+    """The IoU thresholds as reports key them: rounded to 4 decimals. Raise
+    ConfigError unless there is at least one, each in (0, 1], and no key is
+    0 or repeated."""
     if not len(thresholds):
         raise ConfigError("iou_thresholds: need at least one value")
-    for i, value in enumerate(thresholds):
+    keys = []
+    for value in thresholds:
         if not 0.0 < value <= 1.0:
             raise ConfigError(f"iou_thresholds: {value} is outside (0, 1]")
-        if round(value, 4) in {round(v, 4) for v in thresholds[:i]}:
+        keys.append(round(float(value), 4))
+        if keys[-1] == 0.0:
+            raise ConfigError(f"iou_thresholds: {value} rounds to 0 at 4 decimals")
+        if keys[-1] in keys[:-1]:
             raise ConfigError(f"iou_thresholds: {value} is repeated")
+    return tuple(keys)
 
 
 def temporal_iou(seg_a, seg_b) -> float:
@@ -152,7 +158,7 @@ def evaluate(per_video_proposals: dict, records: list,
     that never occur in the ground truth are excluded from mAP and listed in
     `skipped_classes`. The thresholds must pass `check_iou_thresholds`.
     """
-    check_iou_thresholds(iou_thresholds)
+    thresholds = check_iou_thresholds(iou_thresholds)
     lengths = {r.video_id: r.x_rgb.shape[0] for r in records}
     ids = sorted(lengths)
     code = {vid: i for i, vid in enumerate(ids)}
@@ -178,7 +184,6 @@ def evaluate(per_video_proposals: dict, records: list,
     gt = np.array([(code[r.video_id], *inst) for r in records for inst in r.ground_truth],
                   dtype=np.int64).reshape(-1, 4)
 
-    thresholds = tuple(round(float(t), 4) for t in iou_thresholds)
     table = _ap_table(video, columns, gt, thresholds, num_classes)
     has_gt = np.bincount(gt[:, 1], minlength=num_classes) > 0
     scored = np.flatnonzero(has_gt).tolist()

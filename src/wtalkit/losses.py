@@ -12,13 +12,12 @@ GRL             gradient-reversal comparison: the STANDARD attention-path
                 difference is negated per snippet; classifier-path gradients
                 are untouched. Not the gradient of any loss.
 BVL             adds an auxiliary cross-entropy that treats the video's mean
-                CAS as background.
+                CAS as background, weighted like the background loss by lam.
 BVL_PLUS_BGES   both of the above.
 
-The smoothed / softened counterparts in the continuity losses are constant
-targets by default (mutual learning); `Hyperparams.stop_gradient_targets`
-switches full backpropagation through them on, and the finite-difference
-oracle respects whichever convention is configured.
+The continuity losses tie the branches by mutual learning (Zhang et al.,
+CVPR 2018): each branch's smoothed attention and softened CAS are a constant
+target for the other, and the finite-difference oracle freezes them too.
 
 `backward` is the one analytic gradient: it runs a whole batch as packed
 rows through `packed_forward`, the forward that batched inference shares.
@@ -54,9 +53,9 @@ from .numerics import (
 from .ten import make_plan, tcb_forward_full
 
 LOG_FLOOR = 1e-12
-# Budget of one chunk's packed window matrix (sum of T * K * D), in float64
-# cells: 2 MiB. A whole golden batch fits; each long video runs alone, so
-# packing never grows the working set beyond one video's.
+# Budget of one chunk, in float64 cells (2 MiB): the sum of T * K * D over its
+# videos, one modality's window matrix over the base rows only (a plan doubles
+# the rows). A whole golden batch fits; each long video runs alone.
 CHUNK_CELLS = 1 << 18
 
 
@@ -177,8 +176,7 @@ def compute_losses(bb: ForwardOutputs, tcb: ForwardOutputs | None, video_label: 
         l_kl = float(np.mean(_kl_rows(frozen.p_rows_refill, p)
                              + _kl_rows(frozen.p_rows, q)))
     l_bvl = loss_bvl(bb.y) if mode.uses_bvl else 0.0
-    total = (l_fg + hp.lam * l_bg + hp.beta * (l_kl + l_att)
-             + hp.resolved_bvl_weight() * l_bvl)
+    total = l_fg + hp.lam * l_bg + hp.beta * (l_kl + l_att) + hp.lam * l_bvl
     return LossBreakdown(fg=l_fg, bg=l_bg, att=l_att, kl=l_kl, bvl=l_bvl, total=total)
 
 
@@ -309,13 +307,12 @@ def _chunk_backward(videos: list, plan: np.ndarray | None, params: ModelParams,
     d_a[:n] += hp.lam * (-att_path if mode is GradMode.GRL else att_path)
 
     # background video loss on the mean CAS
-    w_bvl = hp.resolved_bvl_weight()
     if mode.uses_bvl:
         p_mean = softmax(np.add.reduceat(yb, starts, axis=1) / lengths, axis=0)
         losses[:, 4] = -np.log(np.maximum(p_mean[-1], LOG_FLOOR))
-        if w_bvl != 0.0:
+        if hp.lam != 0.0:
             p_mean[-1] -= 1.0
-            d_y[:, :n] += w_bvl * (p_mean / lengths)[:, seg]
+            d_y[:, :n] += hp.lam * (p_mean / lengths)[:, seg]
 
     if plan is not None:
         # gaussian_smooth of both branches' tracks, 2 * len(videos) segments
@@ -338,16 +335,8 @@ def _chunk_backward(videos: list, plan: np.ndarray | None, params: ModelParams,
             d_y[:, :n] += scale[:n] * (p - q)
             d_y[:, n:] += scale[:n] * (q - p)
             d_a += scale * signs
-            if not hp.stop_gradient_targets:
-                d_y[:, n:] += scale[:n] * q * (log_ratio - kl_qp)
-                d_y[:, :n] -= scale[:n] * p * (log_ratio + kl_pq)
-                # each branch's sign pulls back through the other's
-                # smoothing: the transpose of the gather above
-                pulled = np.concatenate([signs[n:], signs[:n]])[:, None] * kernel
-                d_a -= scale * np.bincount(taps.ravel(), weights=pulled.ravel(),
-                                           minlength=a.size)
     losses[:, 5] = (losses[:, 0] + hp.lam * losses[:, 1]
-                    + hp.beta * (losses[:, 2] + losses[:, 3]) + w_bvl * losses[:, 4])
+                    + hp.beta * (losses[:, 2] + losses[:, 3]) + hp.lam * losses[:, 4])
 
     # through both modality heads (0.5 fusion)
     d_h = np.empty((y.shape[0] + 1, y.shape[1]))
@@ -467,16 +456,9 @@ def instance_margin(inst: TinyInstance, hp: Hyperparams, mode: GradMode) -> floa
 
 
 def build_fd_loss(inst: TinyInstance, hp: Hyperparams, mode: GradMode):
-    """Scalar loss over the flat parameter vector, for the difference oracle.
-
-    With stop-gradient targets configured, the smoothed/softened counterparts
-    are frozen at the base parameters so the oracle differentiates exactly the
-    function the analytic backward claims to.
-    """
-    frozen = None
-    if hp.stop_gradient_targets:
-        bb0, tcb0 = _forward_pair(inst, inst.params, mode)
-        frozen = capture_targets(bb0, tcb0, hp)
+    """Scalar loss over the flat parameter vector, for the difference oracle,
+    with the continuity targets frozen at the base parameters as in `backward`."""
+    frozen = capture_targets(*_forward_pair(inst, inst.params, mode), hp)
 
     def fd_loss(vec: np.ndarray) -> float:
         p = inst.params.from_vector(vec)
@@ -500,7 +482,7 @@ class CertificationResult:
 
 
 def certify_gradients(num_instances: int = 20, tolerance: float = 1e-5,
-                      modes: tuple = CERTIFIED_MODES, hp: Hyperparams | None = None,
+                      modes: tuple = CERTIFIED_MODES,
                       fd_epsilon: float = 1e-5, flip_block: str | None = None) -> list:
     """Compare analytic and central-difference gradients on tiny instances.
 
@@ -512,8 +494,7 @@ def certify_gradients(num_instances: int = 20, tolerance: float = 1e-5,
     """
     if num_instances < 1:
         raise ValueError(f"certify_gradients: num_instances must be >= 1, got {num_instances}")
-    if hp is None:
-        hp = Hyperparams()
+    hp = Hyperparams()
     results = []
     for mode in modes:
         accepted = 0
@@ -563,8 +544,8 @@ def honest_attention_factors(out: ForwardOutputs, modality: str) -> np.ndarray:
     return att_path * 0.5 * a_m * (1.0 - a_m)
 
 
-def factor_discrepancy(out: ForwardOutputs, modality: str = "rgb") -> dict:
-    """Honest gradient factors vs the printed closed form, side by side.
+def factor_discrepancy(out: ForwardOutputs) -> dict:
+    """Honest rgb-stream gradient factors vs the printed closed form, side by side.
 
     The closed form keeps only the background class's softmax term and elides
     the 0.5 fusion, so a residual difference is expected; it is reported here
@@ -572,8 +553,8 @@ def factor_discrepancy(out: ForwardOutputs, modality: str = "rgb") -> dict:
     """
     if out.norm_mode is not NormMode.STANDARD:
         raise ValueError("factor_discrepancy expects a STANDARD forward")
-    honest = honest_attention_factors(out, modality)
-    closed = closed_form_attention_factors(out, modality)["std"]
+    honest = honest_attention_factors(out, "rgb")
+    closed = closed_form_attention_factors(out, "rgb")["std"]
     return {
         "honest": honest,
         "closed_form": closed,

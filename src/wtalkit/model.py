@@ -140,8 +140,6 @@ class Hyperparams:
     kernel_size: int = 3
     gauss_sigma: float = 1.0
     gauss_radius: int = 2
-    stop_gradient_targets: bool = True
-    bvl_weight: float | None = None  # None means "use lam"
 
     def __post_init__(self):
         check_settings(
@@ -151,11 +149,7 @@ class Hyperparams:
             kernel_size=(lambda v: v >= 1 and v % 2 == 1, "must be odd and >= 1"),
             gauss_sigma=(lambda v: v > 0, "must be > 0"),
             proposal_thresholds=[(len, "must not be empty"),  # fused scores lie in [0, 1]
-                                 (lambda v: all(0 < t < 1 for t in v), "must each lie in (0, 1)")],
-            bvl_weight=(lambda v: v is None or v >= 0, "must be >= 0 or none"))
-
-    def resolved_bvl_weight(self) -> float:
-        return self.lam if self.bvl_weight is None else self.bvl_weight
+                                 (lambda v: all(0 < t < 1 for t in v), "must each lie in (0, 1)")])
 
 
 @dataclass

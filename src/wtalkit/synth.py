@@ -44,6 +44,10 @@ class VideoRecord:
         return self.x_rgb.shape[0]
 
     def validate(self) -> None:
+        vid = self.video_id  # a proposal file's first column; `#` starts a comment
+        if vid.split() != [vid] or vid.startswith("#"):
+            raise ValueError(f"video id {vid!r} must be non-empty, hold no whitespace "
+                             "and not start with '#'")
         if self.x_rgb.shape != self.x_flow.shape or self.x_rgb.ndim != 2:
             raise ValueError(f"{self.video_id}: modality shapes differ or not 2-D: "
                              f"{self.x_rgb.shape} vs {self.x_flow.shape}")
@@ -87,7 +91,6 @@ class SynthConfig:
     t_range: tuple = (60, 120)
     instances_range: tuple = (1, 3)
     instance_len_range: tuple = (8, 20)
-    prototype_scale: float = 1.0
     confound_strength: float = 0.8
     noise_sigma: float = 0.7
     num_train: int = 200
@@ -116,11 +119,10 @@ class Prototypes:
 
 
 def draw_prototypes(cfg: SynthConfig, rng: np.random.Generator) -> Prototypes:
-    scale = cfg.prototype_scale
     return Prototypes(
-        static=scale * rng.normal(size=(cfg.num_classes, cfg.feature_dim)),
-        motion=scale * rng.normal(size=(cfg.num_classes, cfg.feature_dim)),
-        static_bg=scale * rng.normal(size=cfg.feature_dim),
+        static=rng.normal(size=(cfg.num_classes, cfg.feature_dim)),
+        motion=rng.normal(size=(cfg.num_classes, cfg.feature_dim)),
+        static_bg=rng.normal(size=cfg.feature_dim),
     )
 
 

@@ -190,6 +190,28 @@ class TestTrainLocalizeEval:
         assert f"data error: {empty.video_id}: no snippets" in err
         assert "byte offset" in err
 
+    @pytest.mark.parametrize("vid", ["#x", "a b", "a\tb", ""])
+    def test_video_id_a_proposal_line_cannot_carry_is_exit_2(
+            self, tmp_path, ini, data_dir, monkeypatch, vid, capsys):
+        # such an id would be dropped as a comment, or split into columns,
+        # when eval reads the proposal file back
+        ds = read_dataset(data_dir / "test.bin")
+        ds.records[1].video_id = vid
+        path = tmp_path / "bad_id.bin"
+        with monkeypatch.context() as m:  # the writer refuses such an id
+            m.setattr(VideoRecord, "validate", lambda self: None)
+            write_dataset(path, ds.records, num_classes=ds.num_classes)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["--config", ini, "train", "--data", str(data_dir / "train.bin"),
+                     "--out", str(ckpt)]) == 0
+        props = tmp_path / "p.txt"
+        capsys.readouterr()
+        assert main(["--config", ini, "localize", "--checkpoint", str(ckpt),
+                     "--data", str(path), "--out", str(props)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: video id {vid!r} must be non-empty" in err
+        assert not props.exists()
+
     def test_decay_fraction_out_of_range_is_exit_1(self, tmp_path, data_dir,
                                                   capsys):
         bad = tmp_path / "bad.ini"
@@ -273,9 +295,16 @@ class TestBadSettings:
          "[hyperparams] rho_cls must lie in [0, 1], got 1.5"),
         ("[eval]\niou_thresholds = 0.5 2\n", [],
          "[eval] iou_thresholds: 2.0 is outside (0, 1]"),
+        # keys of settings that were removed, not renamed
+        ("[hyperparams]\nstop_gradient_targets = false\n", [],
+         "[hyperparams] unknown key 'stop_gradient_targets'"),
+        ("[hyperparams]\nbvl_weight = 0.5\n", [], "[hyperparams] unknown key 'bvl_weight'"),
+        ("[synth]\nprototype_scale = 2\n", [], "[synth] unknown key 'prototype_scale'"),
     ], ids=["k_0", "lam_nan", "learning_rate_-1", "batch_size_0", "epsilon_2",
             "nms_iou_-1", "proposal_thresholds_empty", "embed_dim_-4", "flag_lam_nan",
-            "proposal_thresholds_2", "rho_cls_1.5", "iou_thresholds_2"])
+            "proposal_thresholds_2", "rho_cls_1.5", "iou_thresholds_2",
+            "removed_stop_gradient_targets", "removed_bvl_weight",
+            "removed_prototype_scale"])
     def test_train(self, ini_text, flags, message, tmp_path, capsys):
         ini = tmp_path / "bad.ini"
         ini.write_text(ini_text)

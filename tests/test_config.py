@@ -1,11 +1,13 @@
 """INI config parsing: coercion, range pairs, and typo suggestions."""
 
+import re
 from dataclasses import replace
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
 
-from wtalkit.config import Config, load_config
+from wtalkit.config import _EXTRA_KEYS, Config, load_config
 from wtalkit.errors import ConfigError
 from wtalkit.losses import GradMode
 from wtalkit.model import Hyperparams
@@ -132,19 +134,6 @@ class TestHyperparamKeys:
             tmp_path, "[hyperparams]\nproposal_thresholds = 0.2, 0.4, 0.6\n"))
         assert cfg.run.hp.proposal_thresholds == (0.2, 0.4, 0.6)
 
-    def test_bvl_weight_none(self, tmp_path):
-        cfg = load_config(_write(tmp_path, "[hyperparams]\nbvl_weight = none\n"))
-        assert cfg.run.hp.bvl_weight is None
-
-    def test_bvl_weight_number(self, tmp_path):
-        cfg = load_config(_write(tmp_path, "[hyperparams]\nbvl_weight = 0.25\n"))
-        assert cfg.run.hp.bvl_weight == 0.25
-
-    def test_stop_gradient_targets_bool(self, tmp_path):
-        cfg = load_config(_write(
-            tmp_path, "[hyperparams]\nstop_gradient_targets = off\n"))
-        assert cfg.run.hp.stop_gradient_targets is False
-
 
 class TestErrors:
     def test_missing_file(self, tmp_path):
@@ -166,7 +155,7 @@ class TestFieldKeys:
     def test_every_scalar_field_is_a_key_of_its_type(self, tmp_path, section, cls):
         scalars = {name: kind for name, kind in get_type_hints(cls).items()
                    if kind in (int, float, bool)}
-        assert len(scalars) >= 8
+        assert len(scalars) == {"synth": 7, "hyperparams": 10, "run": 8}[section]
         default = cls()
         values = {}
         for name, kind in scalars.items():
@@ -199,7 +188,8 @@ class TestChecks:
         (Hyperparams, {"gauss_radius": -1}, "gauss_radius must be >= 0, got -1"),
         (Hyperparams, {"proposal_thresholds": (0.2, float("nan"))},
          "proposal_thresholds must be finite, got nan"),
-        (Hyperparams, {"bvl_weight": -0.5}, "bvl_weight must be >= 0 or none, got -0.5"),
+        (Config, {"eval_thresholds": (0.00001, 0.5)},
+         r"^iou_thresholds: 1e-05 rounds to 0 at 4 decimals$"),
         (RunConfig, {"decay_fraction": 1.5},
          r"decay_fraction must lie in \[0, 1\], got 1.5"),
         (RunConfig, {"weight_decay": -1e-3}, "weight_decay must be >= 0, got -0.001"),
@@ -247,9 +237,8 @@ class TestChecks:
 
     @pytest.mark.parametrize("cls, changes", [
         (Hyperparams, {"k": 1, "epsilon": 0.0, "nms_iou": 0.0, "embed_dim": 0,
-                       "gauss_radius": 0, "lam": 0.0, "beta": 0.0, "kernel_size": 1,
-                       "bvl_weight": 0.0}),
-        (Hyperparams, {"epsilon": 1.0, "bvl_weight": None}),
+                       "gauss_radius": 0, "lam": 0.0, "beta": 0.0, "kernel_size": 1}),
+        (Hyperparams, {"epsilon": 1.0}),
         (RunConfig, {"learning_rate": 0.0, "decay_fraction": 0.0, "weight_decay": 0.0,
                      "iterations": 1, "batch_size": 1, "seed": 0,
                      "checkpoint_every": 0}),
@@ -271,3 +260,37 @@ class TestChecks:
         with pytest.raises(ConfigError,
                            match=r"^\[run\] learning_rate must be >= 0, got -1.0$"):
             load_config(_write(tmp_path, "[run]\nlearning_rate = -1\n"))
+
+
+def _readme_table() -> dict:
+    """Section -> keys named in the README's key table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table, section = {}, None
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.split("|")[1:-1]]
+        if len(cells) != 4 or cells[0] in ("Section", "---"):
+            continue
+        section = cells[0].strip("`[]") or section
+        table.setdefault(section, set()).update(re.findall(r"`(\w+)`", cells[1]))
+    return table
+
+
+class TestReadmeKeyTable:
+    """The README's key table lists exactly the keys `load_config` accepts."""
+
+    @pytest.mark.parametrize("section, cls", [
+        ("synth", SynthConfig), ("hyperparams", Hyperparams), ("run", RunConfig),
+        ("eval", None)])
+    def test_table_names_every_accepted_key_and_no_other(self, tmp_path, section, cls):
+        scalars = {name for name, kind in get_type_hints(cls).items()
+                   if kind in (int, float, bool)} if cls else set()
+        accepted = scalars | set(_EXTRA_KEYS[section])
+        assert _readme_table()[section] == accepted
+        for key in accepted:  # each is a key, whatever its value's fate
+            try:
+                load_config(_write(tmp_path, f"[{section}]\n{key} = 1\n"))
+            except ConfigError as exc:
+                assert "unknown key" not in str(exc), key
+
+    def test_table_has_only_the_config_sections(self):
+        assert set(_readme_table()) == set(_EXTRA_KEYS)

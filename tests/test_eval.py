@@ -162,6 +162,8 @@ class TestEvaluate:
         ((0.5, 0.0), r"0.0 is outside \(0, 1\]"),
         ((0.5, 0.50001), "0.50001 is repeated"),
         ((), "need at least one value"),
+        # reports key thresholds at 4 decimals, where this one would read 0.0
+        ((0.00001, 0.5), "1e-05 rounds to 0 at 4 decimals"),
     ])
     def test_bad_thresholds_are_a_config_error(self, thresholds, message):
         # the rule [eval] iou_thresholds is held to, for library callers too

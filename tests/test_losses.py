@@ -206,7 +206,7 @@ class TestBreakdown:
         assert parts.bvl > 0.0
         expected = (parts.fg + HP.lam * parts.bg
                     + HP.beta * (parts.kl + parts.att)
-                    + HP.resolved_bvl_weight() * parts.bvl)
+                    + HP.lam * parts.bvl)
         assert parts.total == pytest.approx(expected, abs=1e-10)
 
     def test_frozen_targets_match_at_capture_point(self):
@@ -265,12 +265,6 @@ class TestBackward:
                 assert d_on.b_att - d_off.b_att == pytest.approx(
                     factors.sum(), rel=1e-9, abs=1e-15)
 
-    def test_full_backprop_convention_also_certifies(self):
-        hp = Hyperparams(stop_gradient_targets=False)
-        results = certify_gradients(num_instances=3, hp=hp, modes=GRADIENT_MODES)
-        assert len(results) == 3 * len(GRADIENT_MODES)
-        assert all(r.passed for r in results)
-
     def test_frozen_targets_certify_every_gradient_mode(self):
         # CERTIFIED_MODES (the CLI default) leaves out BVL+BGES
         results = certify_gradients(num_instances=3, modes=GRADIENT_MODES)
@@ -304,21 +298,20 @@ class TestPackedBatch:
     @given(lengths=st.lists(st.sampled_from([1, 2, 3, 5, 7, 10, 13]),
                             min_size=1, max_size=5),
            k=st.integers(1, 14), kernel_size=st.sampled_from([1, 3, 5]),
-           mode=st.sampled_from(list(GradMode)), stop=st.booleans(),
+           mode=st.sampled_from(list(GradMode)),
            ten=st.booleans(), budget=st.sampled_from([1, 200, 600, CHUNK_CELLS]),
            seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_batch_is_mean_of_one_video_runs(self, lengths, k, kernel_size, mode,
-                                             stop, ten, budget, seed):
+                                             ten, budget, seed):
         # ragged lengths cover T = 1, T < K, T not divisible by k and k >= T;
         # small budgets split the batch into several chunks
         videos, plan, params = ragged_batch(lengths, k, kernel_size, 6, seed)
         plan = plan if ten else None
         plans = per_video(plan, videos) if ten else [None] * len(videos)
-        hp = Hyperparams(stop_gradient_targets=stop)
         with patch.object(losses_mod, "CHUNK_CELLS", budget):
-            grad, parts = backward(videos, plan, params, hp, mode)
-        singles = [backward([v], p, params, hp, mode) for v, p in zip(videos, plans)]
+            grad, parts = backward(videos, plan, params, HP, mode)
+        singles = [backward([v], p, params, HP, mode) for v, p in zip(videos, plans)]
         assert_close_rel(grad, np.mean([g for g, _ in singles], axis=0))
         for field in ("fg", "bg", "att", "kl", "bvl", "total"):
             expected = np.mean([getattr(b, field) for _, b in singles])
@@ -327,7 +320,7 @@ class TestPackedBatch:
         for v, p, (_, got) in zip(videos, plans, singles):
             bb = forward(v.x_rgb, v.x_flow, params, mode.norm_mode)
             tcb = None if p is None else tcb_forward_full(v.x_rgb, v.x_flow, params, p)
-            ref = compute_losses(bb, tcb, v.video_label, hp, mode)
+            ref = compute_losses(bb, tcb, v.video_label, HP, mode)
             for field in ("fg", "bg", "att", "kl", "bvl", "total"):
                 assert getattr(got, field) == pytest.approx(getattr(ref, field),
                                                             rel=1e-12, abs=1e-15)

@@ -401,7 +401,3 @@ class TestHyperparams:
         assert len(hp.proposal_thresholds) == 13
         assert hp.proposal_thresholds[0] == pytest.approx(0.10)
         assert hp.proposal_thresholds[-1] == pytest.approx(0.70)
-
-    def test_bvl_weight_defaults_to_lam(self):
-        assert Hyperparams(lam=0.3).resolved_bvl_weight() == 0.3
-        assert Hyperparams(lam=0.3, bvl_weight=0.05).resolved_bvl_weight() == 0.05

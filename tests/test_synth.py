@@ -1,6 +1,7 @@
 """Generator world invariants and the dataset container format."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,17 @@ class TestFormatErrors:
         with pytest.raises(FileNotFoundError):
             read_dataset(tmp_path / "missing.bin")
 
+    @pytest.mark.parametrize("vid", ["", "a b", "a\tb", "#x"])
+    def test_video_id_a_proposal_line_cannot_carry(self, tmp_path, monkeypatch, vid):
+        recs = _tiny_records()
+        recs[1].video_id = vid
+        path = tmp_path / "d.bin"
+        with monkeypatch.context() as m:  # the writer refuses such an id
+            m.setattr(VideoRecord, "validate", lambda self: None)
+            write_dataset(path, recs)
+        with pytest.raises(DataFormatError, match=re.escape(f"video id {vid!r} must be")):
+            read_dataset(path)
+
 
 class TestWriteValidation:
     def test_label_length_mismatch(self, tmp_path):
@@ -295,6 +307,16 @@ class TestWriteValidation:
         recs = _tiny_records()
         recs[1].video_id = recs[0].video_id
         with pytest.raises(ValueError, match="duplicate video id 'v0'"):
+            write_dataset(tmp_path / "bad.bin", recs)
+        assert not (tmp_path / "bad.bin").exists()
+
+    @pytest.mark.parametrize("vid", ["", "a b", "a\tb", "a\nb", "#x"])
+    def test_video_id_a_proposal_line_cannot_carry_rejected(self, tmp_path, vid):
+        # proposal files are whitespace-separated lines with `#` comments
+        recs = _tiny_records()
+        recs[1].video_id = vid
+        message = f"video id {vid!r} must be non-empty, hold no whitespace and not start with '#'"
+        with pytest.raises(ValueError, match=re.escape(message)):
             write_dataset(tmp_path / "bad.bin", recs)
         assert not (tmp_path / "bad.bin").exists()
 
