@@ -25,6 +25,14 @@ DATASET_MAGIC = b"WTALDS01"
 DATASET_VERSION = 1
 
 
+def check_video_id(vid: str) -> None:
+    """Refuse an id that a proposal file's first column cannot carry
+    (`#` starts a comment there)."""
+    if vid.split() != [vid] or vid.startswith("#"):
+        raise ValueError(f"video id {vid!r} must be non-empty, hold no whitespace "
+                         "and not start with '#'")
+
+
 @dataclass
 class VideoRecord:
     """One untrimmed video as feature matrices plus annotations.
@@ -44,10 +52,7 @@ class VideoRecord:
         return self.x_rgb.shape[0]
 
     def validate(self) -> None:
-        vid = self.video_id  # a proposal file's first column; `#` starts a comment
-        if vid.split() != [vid] or vid.startswith("#"):
-            raise ValueError(f"video id {vid!r} must be non-empty, hold no whitespace "
-                             "and not start with '#'")
+        check_video_id(self.video_id)
         if self.x_rgb.shape != self.x_flow.shape or self.x_rgb.ndim != 2:
             raise ValueError(f"{self.video_id}: modality shapes differ or not 2-D: "
                              f"{self.x_rgb.shape} vs {self.x_flow.shape}")
@@ -258,6 +263,10 @@ def read_dataset(path) -> Dataset:
             (id_len,) = cur.unpack("<I", "id length")
             id_pos = cur.pos
             vid = str(cur.take(id_len, "video id"), "utf-8")
+            try:
+                check_video_id(vid)
+            except ValueError as exc:
+                raise DataFormatError(str(exc), offset=id_pos) from exc
             if vid in seen:
                 raise DataFormatError(f"duplicate video id {vid!r}", offset=id_pos)
             seen.add(vid)

@@ -4,12 +4,14 @@ Everything here is deliberately written with plain loops and no shared code
 with the package, so agreement is evidence rather than tautology. The
 exceptions pin bits rather than check a method: `adam_oracle`, the
 straightforward out-of-place form of the package's in-place Adam update,
-`packed_forward_oracle`, the training step's forward as it stood before
-inference shared it, and `evaluate_oracle`, which fills the package's
+`packed_forward_oracle` and `backward_oracle`, the training step's
+window-matrix forward and backward, which share the package's chunk rule
+and loss part, and `evaluate_oracle`, which fills the package's
 report record from `ap_oracle`.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -193,9 +195,10 @@ def adam_oracle(params, grads, state):
 
 
 def packed_forward_oracle(videos, plan, params, hp, norm_mode):
-    """The training step's packed forward and pooling, op for op as they ran
-    inline in the backward before `losses.packed_forward` took them over."""
-    from wtalkit.losses import PackedForward
+    """The packed forward with window matrices for both branches, as it ran
+    before the refilled copy was embedded from its per-segment sources: each
+    refilled row gathers its own (K·D) window of refilled snippets and
+    multiplies it like a base row. Returns the fields the loss part reads."""
     from wtalkit.model import MODALITIES, NORMALIZER_FLOOR, NormMode
     from wtalkit.numerics import packed_windows, sigmoid, softmax
 
@@ -229,6 +232,44 @@ def packed_forward_oracle(videos, plan, params, hp, norm_mode):
     denom = n_f if norm_mode is NormMode.BGES else n_b
     z_fg = np.add.reduceat(yb * ab, starts, axis=1) / n_f
     z_bg = np.add.reduceat(yb * (1.0 - ab), starts, axis=1) / denom
-    return PackedForward(lengths=lengths, starts=starts, wide=wide, modal=cache,
-                         y=y, a=a, n_f=n_f, denom=denom, z_fg=z_fg, z_bg=z_bg,
-                         p_fg=softmax(z_fg, axis=0), p_bg=softmax(z_bg, axis=0))
+    return SimpleNamespace(lengths=lengths, starts=starts, wide=wide, modal=cache,
+                           y=y, a=a, n_f=n_f, denom=denom, z_fg=z_fg, z_bg=z_bg,
+                           p_fg=softmax(z_fg, axis=0), p_bg=softmax(z_bg, axis=0))
+
+
+def backward_oracle(videos, plan, params, hp, mode):
+    """`losses.backward` through `packed_forward_oracle`: the same chunks and
+    loss part, then each chunk's head and window-matrix embedding gradient
+    added into the flat gradient, op for op as the training step ran them
+    before the refilled copy was embedded from its sources."""
+    from wtalkit.losses import LossBreakdown, _chunks, _output_grads
+    from wtalkit.model import MODALITIES
+
+    offsets = np.append(0, np.cumsum([v.x_rgb.shape[0] for v in videos]))
+    grad = np.zeros(params.size)
+    grads = params.from_vector(grad)
+    losses = []
+    for lo, hi in _chunks(videos, params.header[-1]):
+        chunk_plan = None if plan is None else plan[offsets[lo]:offsets[hi]]
+        fwd = packed_forward_oracle(videos[lo:hi], chunk_plan, params, hp, mode.norm_mode)
+        parts, d_y, d_a = _output_grads(fwd, videos[lo:hi], hp, mode)
+        losses.append(parts)
+        d_h = np.empty((d_y.shape[0] + 1, d_y.shape[1]))
+        d_h[:-1] = 0.5 * d_y
+        for name in MODALITIES:
+            win, xe, head, _, a_m = fwd.modal[name]
+            d_h[-1] = 0.5 * d_a * a_m * (1.0 - a_m)
+            d_z = d_h.T @ head.T
+            d_z *= xe > 0
+            d_head = d_h @ xe
+            d_b_head = d_h.sum(axis=1)
+            g = grads.modality(name)
+            g.w_embed += (win.T @ d_z).reshape(g.w_embed.shape[::-1]).transpose(2, 1, 0)
+            g.b_embed += d_z.sum(axis=0)
+            g.w_cls += d_head[:-1].T
+            g.b_cls += d_b_head[:-1]
+            g.w_att += d_head[-1]
+            g.b_att += d_b_head[-1]
+    grad /= len(videos)
+    means = np.concatenate(losses).mean(axis=0)
+    return grad, LossBreakdown(*(float(m) for m in means))

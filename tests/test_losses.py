@@ -5,16 +5,18 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wtalkit.losses as losses_mod
-from oracles import packed_forward_oracle
+from oracles import backward_oracle, packed_forward_oracle
 from wtalkit.errors import NumericError
 from wtalkit.losses import (
     CHUNK_CELLS,
     CERTIFIED_MODES,
+    MIN_MARGIN,
     GradMode,
+    TinyInstance,
     backward,
     build_fd_loss,
     capture_targets,
@@ -29,10 +31,12 @@ from wtalkit.losses import (
     loss_bvl,
     loss_fg,
     make_tiny_instance,
+    packed_forward,
+    packed_weights,
     _chunks,
     _forward_pair,
 )
-from wtalkit.model import Hyperparams, embed, forward, init_params
+from wtalkit.model import Hyperparams, ModelParams, embed, forward, init_params
 from wtalkit.synth import SynthConfig, TrainingVideo, generate, training_view
 from wtalkit.ten import make_plan, tcb_forward_full
 from wtalkit.numerics import finite_diff_grad, gaussian_smooth, packed_windows, softmax
@@ -42,12 +46,12 @@ HP = Hyperparams()
 GRADIENT_MODES = tuple(m for m in GradMode if m is not GradMode.GRL)
 
 
-def accepted_instance(start_seed, mode=GradMode.STANDARD, hp=HP):
-    """First tiny instance at or after start_seed that clears the kink filter."""
+def accepted_instance(start_seed, mode=GradMode.STANDARD, draw=make_tiny_instance):
+    """First instance `draw(seed)` at or after start_seed that clears the kink filter."""
     seed = start_seed
     while True:
-        inst = make_tiny_instance(seed)
-        if instance_margin(inst, hp, mode) >= 2e-3:
+        inst = draw(seed)
+        if instance_margin(inst, mode) >= MIN_MARGIN:
             return inst
         seed += 1
 
@@ -351,20 +355,106 @@ class TestPackedBatch:
             backward(videos, plan, params, HP, GradMode.STANDARD)
 
 
-class TestSharedForward:
+def drawn_plan(lengths, k, kind, rng):
+    """A batch plan: make_plan's, one in-range source per row, or runs of
+    random length that each read one random snippet of their video."""
+    if kind == "make_plan":
+        return make_plan(lengths, k, rng)
+    plans = []
+    for t in lengths:
+        if kind == "rows":
+            plans.append(rng.integers(0, t, size=t))
+        else:
+            cuts = np.flatnonzero(rng.random(t) < 0.4)
+            plans.append(np.repeat(rng.integers(0, t, size=cuts.size + 1),
+                                   np.diff(np.concatenate([[0], cuts, [t]]))))
+    return np.concatenate(plans)
+
+
+class TestWindowMatrixOracle:
     @pytest.mark.parametrize("mode, ten", [(GradMode.STANDARD, False), (GradMode.BGES, True)],
                              ids=["bl", "ten_bges"])
-    def test_backward_bits_match_the_pre_sharing_forward(self, mode, ten):
-        # a stock-world batch: the training step's real shapes, one chunk
+    def test_stock_batch_matches_the_window_matrix_path(self, mode, ten):
+        # a stock-world batch: the training step's real shapes, one chunk.
+        # Without a plan the rows are the parent's, so the bits are too.
         videos = training_view(generate(SynthConfig(num_test=0))[0][:16])
+        lengths = [v.x_rgb.shape[0] for v in videos]
         params = init_params(np.random.default_rng(0), 32, 32, 5, 3)
-        plan = make_plan([v.x_rgb.shape[0] for v in videos], HP.k,
-                         np.random.default_rng(1)) if ten else None
+        plan = make_plan(lengths, HP.k, np.random.default_rng(1)) if ten else None
         grad, parts = backward(videos, plan, params, HP, mode)
-        with patch.object(losses_mod, "packed_forward", packed_forward_oracle):
-            want_grad, want_parts = backward(videos, plan, params, HP, mode)
-        assert grad.tobytes() == want_grad.tobytes()
-        assert parts == want_parts
+        want_grad, want_parts = backward_oracle(videos, plan, params, HP, mode)
+        if not ten:
+            assert grad.tobytes() == want_grad.tobytes()
+            assert parts == want_parts
+            return
+        assert_close_rel(grad, want_grad)
+        for field in ("fg", "bg", "att", "kl", "bvl", "total"):
+            assert getattr(parts, field) == pytest.approx(getattr(want_parts, field),
+                                                          rel=1e-12, abs=1e-15)
+        # the refilled copy multiplies one source row per segment, no window
+        fwd = packed_forward(videos, plan, packed_weights(params), HP, mode.norm_mode)
+        assert fwd.refill.sources.size == sum(-(-t // HP.k) for t in lengths)
+        assert fwd.win.shape == (2, sum(lengths), 3 * 32)
+
+    @given(lengths=st.lists(st.integers(1, 13), min_size=1, max_size=5),
+           k=st.integers(1, 8), kernel_size=st.sampled_from([1, 3, 5, 7]),
+           plan_kind=st.sampled_from(["make_plan", "rows", "runs"]),
+           mode=st.sampled_from(list(GradMode)),
+           budget=st.sampled_from([1, 150, 400, CHUNK_CELLS]), seed=st.integers(0, 2**16))
+    # T mod k = 1 (a one-row last segment whose reflected tap reads the
+    # previous segment), T < K, T = 1, k >= T and K // 2 >= k
+    @example(lengths=[7, 1, 4], k=3, kernel_size=5, plan_kind="make_plan",
+             mode=GradMode.BGES, budget=CHUNK_CELLS, seed=0)
+    @example(lengths=[9, 2, 5], k=2, kernel_size=7, plan_kind="make_plan",
+             mode=GradMode.STANDARD, budget=150, seed=1)
+    @example(lengths=[3, 13], k=1, kernel_size=5, plan_kind="make_plan",
+             mode=GradMode.BVL_PLUS_BGES, budget=CHUNK_CELLS, seed=2)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_matches_the_window_matrix_path(self, lengths, k, kernel_size, plan_kind,
+                                            mode, budget, seed):
+        videos, _, params = ragged_batch(lengths, k, kernel_size, 6, seed)
+        plan = drawn_plan(lengths, k, plan_kind, np.random.default_rng(seed))
+        weights = packed_weights(params)
+        with patch.object(losses_mod, "CHUNK_CELLS", budget):
+            chunks = list(_chunks(videos, kernel_size))
+            grad, parts = backward(videos, plan, params, HP, mode)
+            want_grad, want_parts = backward_oracle(videos, plan, params, HP, mode)
+        assert_close_rel(grad, want_grad)
+        for field in ("fg", "bg", "att", "kl", "bvl", "total"):
+            assert getattr(parts, field) == pytest.approx(getattr(want_parts, field),
+                                                          rel=1e-12, abs=1e-15)
+        offsets = np.cumsum([0] + lengths)
+        for lo, hi in chunks:
+            chunk_plan = plan[offsets[lo]:offsets[hi]]
+            got = packed_forward(videos[lo:hi], chunk_plan, weights, HP, mode.norm_mode)
+            want = packed_forward_oracle(videos[lo:hi], chunk_plan, params, HP, mode.norm_mode)
+            for field in ("y", "a", "n_f", "denom", "z_fg", "z_bg", "p_fg", "p_bg"):
+                assert_close_rel(getattr(got, field), getattr(want, field))
+
+
+def one_row_tail_instance(seed):
+    """A tiny-instance draw at T = 7, k = 3 and K = 5: the plan's last
+    segment is one row, and its reflected +1 and +2 taps read segment 1."""
+    rng = np.random.default_rng(seed)
+    params = ModelParams.zeros(6, 5, 3, 5)
+    for name, block in params.blocks():
+        block[...] = rng.normal(0.0, 0.5 if ".w_" in name else 0.1, size=block.shape)
+    x_rgb, x_flow = rng.normal(size=(2, 7, 6))
+    label = np.zeros(3)
+    label[rng.integers(0, 3)] = 1.0
+    return TinyInstance(x_rgb=x_rgb, x_flow=x_flow, params=params,
+                        plan=make_plan([7], 3, rng), video_label=label, seed=seed)
+
+
+class TestRefillFiniteDifferences:
+    @pytest.mark.parametrize("mode", GRADIENT_MODES, ids=lambda m: m.value)
+    def test_one_row_last_segment(self, mode):
+        # the certificate's instances (T = 8, k = 3) never end in a one-row segment
+        inst = accepted_instance(0, mode, one_row_tail_instance)
+        analytic = backward_one(inst, HP, mode).to_vector()
+        numeric = finite_diff_grad(build_fd_loss(inst, HP, mode), inst.params.to_vector())
+        scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-5)
+        assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
 
 
 class TestCertification:

@@ -289,6 +289,18 @@ class TestFormatErrors:
         with pytest.raises(DataFormatError, match=re.escape(f"video id {vid!r} must be")):
             read_dataset(path)
 
+    def test_bad_video_id_is_reported_at_its_own_offset(self, tmp_path, monkeypatch):
+        # the second id starts at byte 167, its features end at byte 350
+        recs = _tiny_records()
+        recs[1].video_id = "#x"
+        path = tmp_path / "d.bin"
+        with monkeypatch.context() as m:
+            m.setattr(VideoRecord, "validate", lambda self: None)
+            write_dataset(path, recs)
+        with pytest.raises(DataFormatError, match="video id '#x' must be") as ei:
+            read_dataset(path)
+        assert ei.value.offset == path.read_bytes().index(b"#x")
+
 
 class TestWriteValidation:
     def test_label_length_mismatch(self, tmp_path):
