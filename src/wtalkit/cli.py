@@ -17,14 +17,12 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .config import MODE_NAMES, Config, coerce, load_config, parse_mode
 from .errors import ConfigError, DataFormatError, NumericError
 from .evaluate import evaluate, format_summary, write_report_csv
 from .localize import read_proposals, write_proposals
-from .losses import CERTIFIED_MODES, GradMode, certify_gradients
-from .model import load_checkpoint, save_checkpoint
+from .losses import CERTIFIED_MODES, certify_gradients
+from .model import load_checkpoint
 from .synth import generate, read_dataset, training_view, write_dataset
 from .trainer import (
     ablate,

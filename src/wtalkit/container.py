@@ -29,8 +29,9 @@ def atomic_write(path, mode: str = "w", **kwargs):
 
 
 def write_container(path, magic: bytes, parts) -> None:
-    """Stream the payload `parts` (bytes, or contiguous little-endian arrays)
-    atomically to `path`, after `magic` and before the CRC32 trailer."""
+    """Stream the payload `parts`, an iterable of bytes or contiguous
+    little-endian arrays, atomically to `path`, after `magic` and before the
+    CRC32 trailer."""
     with atomic_write(path, "wb") as fh:
         fh.write(magic)
         crc = 0

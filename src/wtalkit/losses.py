@@ -29,18 +29,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericError
 from .model import (
-    MODALITIES,
     NORMALIZER_FLOOR,
     ForwardOutputs,
     Hyperparams,
     ModelParams,
     NormMode,
+    PackedWeights,
     forward,
 )
 from .numerics import (
@@ -200,31 +199,6 @@ def _chunks(videos: list, kernel_size: int):
         yield start, len(videos)
 
 
-class PackedWeights(NamedTuple):
-    """The parameters in the layouts that packed rows multiply, with the
-    modalities stacked (rgb, flow) on the leading axis."""
-
-    rows: np.ndarray       # (2, K·D, E) embedding kernel: tap j is rows j·D to (j+1)·D
-    bias: np.ndarray       # (2, 1, E) embedding bias
-    head: np.ndarray       # (2, E, C+2): the classifier columns, then attention
-    head_bias: np.ndarray  # (2, C+2, 1)
-
-
-def packed_weights(params: ModelParams) -> PackedWeights:
-    """`params` as PackedWeights, built once per `backward` or
-    `trainer.localize_dataset` call and shared by all its chunks."""
-    rgb, flow = params.rgb, params.flow
-    e, d, k = rgb.w_embed.shape
-    w_embed = np.array([rgb.w_embed, flow.w_embed])
-    w_cls, w_att = np.array([rgb.w_cls, flow.w_cls]), np.array([rgb.w_att, flow.w_att])
-    b_cls, b_att = np.array([rgb.b_cls, flow.b_cls]), np.array([rgb.b_att, flow.b_att])
-    return PackedWeights(
-        rows=w_embed.transpose(0, 3, 2, 1).reshape(2, k * d, e),
-        bias=np.array([rgb.b_embed, flow.b_embed])[:, None],
-        head=np.concatenate((w_cls, w_att[:, :, None]), axis=2),
-        head_bias=np.concatenate((b_cls, b_att[:, None]), axis=1)[:, :, None])
-
-
 @dataclass
 class RefillTables:
     """Index tables of a chunk's refilled copy, shared by both modalities and
@@ -306,20 +280,21 @@ class PackedForward:
     p_bg: np.ndarray
 
 
-def packed_forward(videos: list, plan: np.ndarray | None, weights: PackedWeights,
+def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
                    hp: Hyperparams, norm_mode: NormMode = NormMode.STANDARD) -> PackedForward:
     """Forward of one chunk as packed rows: the chunk's videos back to back,
     then (with a plan) their refilled copies in the same order, so both
-    branches share the head GEMM, and both modalities each GEMM call.
-    `weights` is `packed_weights(params)`. Per-row head outputs are held
-    class-major, (C+2, rows): the C+1 CAS logits, then the attention logit.
-    The background pooling divides by N_f under BGES and by N_b otherwise.
+    branches share the head GEMM, and both modalities each GEMM call, which
+    multiplies the arrays of `params.packed` as they are stored. Per-row
+    head outputs are held class-major, (C+2, rows): the C+1 CAS logits, then
+    the attention logit. The background pooling divides by N_f under BGES
+    and by N_b otherwise.
     """
     lengths = np.array([v.x_rgb.shape[0] for v in videos])
     n = int(lengths.sum())
     starts = np.cumsum(lengths) - lengths
-    d = videos[0].x_rgb.shape[1]
-    k = weights.rows.shape[1] // d
+    weights = params.packed
+    d, e, _, k = params.header
     # one table serves the conv windows and the smoothing taps: column
     # width // 2 of every row is the row itself
     width = max(k, 2 * hp.gauss_radius + 1)
@@ -329,20 +304,21 @@ def packed_forward(videos: list, plan: np.ndarray | None, weights: PackedWeights
 
     x = np.concatenate([v.x_rgb for v in videos] + [v.x_flow for v in videos]).reshape(2, n, -1)
     win = x.take(rows, axis=1).reshape(2, n, -1)
-    xe = np.empty((2, n if refill is None else 2 * n, weights.bias.shape[-1]))
+    xe = np.empty((2, n if refill is None else 2 * n, e))
     np.matmul(win, weights.rows, out=xe[:, :n])
     xs = None
     if refill is not None:
         # x_R[reflect(t+j)] = x[source of its segment]: K products per segment
         xs = x[:, refill.sources]
         prods = np.matmul(xs[:, None], weights.rows.reshape(2, k, d, -1))
-        prods = prods.reshape(2, -1, xe.shape[2])
+        prods = prods.reshape(2, -1, e)
         xe[:, n:] = prods.take(refill.taps[0], axis=1)
         for cells in refill.taps[1:]:
             xe[:, n:] += prods.take(cells, axis=1)
-    xe += weights.bias
+    xe += weights.bias[:, None]
     np.maximum(xe, 0.0, out=xe)  # ReLU in place; xe > 0 is the z > 0 mask
-    h = np.matmul(weights.head.transpose(0, 2, 1), xe.transpose(0, 2, 1)) + weights.head_bias
+    h = (np.matmul(weights.head.transpose(0, 2, 1), xe.transpose(0, 2, 1))
+         + weights.head_bias[..., None])
     a_modal = sigmoid(h[:, -1])
     y = 0.5 * (h[0, :-1] + h[1, :-1])
     a = 0.5 * (a_modal[0] + a_modal[1])
@@ -432,14 +408,15 @@ def _output_grads(fwd, videos: list, hp: Hyperparams, mode: GradMode) -> tuple:
     return losses, d_y, d_a
 
 
-def _chunk_backward(videos: list, plan: np.ndarray | None, weights: PackedWeights,
+def _chunk_backward(videos: list, plan: np.ndarray | None, params: ModelParams,
                     hp: Hyperparams, mode: GradMode, acc: PackedWeights) -> np.ndarray:
     """Analytic backward of one chunk through its `packed_forward`.
 
-    Adds the gradient of the summed per-video totals into `acc`, laid out
-    like `weights`; returns the (videos, 6) losses in LossBreakdown order.
+    Adds the gradient of the summed per-video totals into `acc`, the packed
+    arrays of a gradient vector; returns the (videos, 6) losses in
+    LossBreakdown order.
     """
-    fwd = packed_forward(videos, plan, weights, hp, mode.norm_mode)
+    fwd = packed_forward(videos, plan, params, hp, mode.norm_mode)
     losses, d_y, d_a = _output_grads(fwd, videos, hp, mode)
     n, refill, xe = int(fwd.lengths.sum()), fwd.refill, fwd.xe
     # through both modality heads (0.5 fusion)
@@ -448,7 +425,7 @@ def _chunk_backward(videos: list, plan: np.ndarray | None, weights: PackedWeight
     d_h[:, -1] = 0.5 * d_a * fwd.a_modal * (1.0 - fwd.a_modal)
     d_z = np.empty((2, xe.shape[1] + 1, xe.shape[2]))
     d_z[:, -1] = 0.0  # the pad row of refill.sums
-    np.matmul(d_h.transpose(0, 2, 1), weights.head.transpose(0, 2, 1), out=d_z[:, :-1])
+    np.matmul(d_h.transpose(0, 2, 1), params.packed.head.transpose(0, 2, 1), out=d_z[:, :-1])
     d_z[:, :-1] *= xe > 0
     acc.rows[...] += np.matmul(fwd.win.transpose(0, 2, 1), d_z[:, :n])
     if refill is not None:
@@ -460,9 +437,9 @@ def _chunk_backward(videos: list, plan: np.ndarray | None, weights: PackedWeight
         xs = fwd.xs.transpose(0, 2, 1)[:, None]
         r = r.reshape(2, -1, xs.shape[3], r.shape[2])
         acc.rows[...] += np.matmul(xs, r).reshape(acc.rows.shape)
-    acc.bias[:, 0] += d_z[:, :-1].sum(axis=1)
+    acc.bias[...] += d_z[:, :-1].sum(axis=1)
     acc.head[...] += np.matmul(d_h, xe).transpose(0, 2, 1)
-    acc.head_bias[..., 0] += d_h.sum(axis=2)
+    acc.head_bias[...] += d_h.sum(axis=2)
     return losses
 
 
@@ -487,21 +464,12 @@ def backward(videos: list, plan: np.ndarray | None, params: ModelParams,
         if bad.size:
             raise ValueError(f"backward: plan row {bad[0]} reads snippet {plan[bad[0]]} "
                              f"of a video with T={limits[bad[0]]}")
-    weights = packed_weights(params)
-    acc = PackedWeights(*(np.zeros(w.shape) for w in weights))
+    grad = np.zeros(params.size)
+    acc = params.from_vector(grad).packed
     losses = [_chunk_backward(videos[lo:hi],
                               None if plan is None else plan[offsets[lo]:offsets[hi]],
-                              weights, hp, mode, acc)
+                              params, hp, mode, acc)
               for lo, hi in _chunks(videos, params.header[-1])]
-    grad = np.zeros(params.size)
-    grads = params.from_vector(grad)
-    for m, name in enumerate(MODALITIES):
-        g = grads.modality(name)
-        e, d, k = g.w_embed.shape
-        g.w_embed[...] = acc.rows[m].reshape(k, d, e).transpose(2, 1, 0)
-        g.b_embed[...] = acc.bias[m, 0]
-        g.w_cls[...], g.w_att[...] = acc.head[m, :, :-1], acc.head[m, :, -1]
-        g.b_cls[...], g.b_att[...] = acc.head_bias[m, :-1, 0], acc.head_bias[m, -1, 0]
     grad /= len(videos)
     if not np.all(np.isfinite(grad)):
         raise NumericError("backward produced non-finite gradients")

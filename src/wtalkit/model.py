@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +37,12 @@ class NormMode(enum.Enum):
 
 @dataclass
 class ModalityParams:
-    """Parameters of one modality branch, shaped as `_layout` states."""
+    """Parameters of one modality branch, views of `ModelParams.packed`.
+
+    w_embed (E, D, K) is the temporal conv kernel (K odd), w_cls (E, C+1) the
+    snippet classifier whose column C is the background class, w_att (E,)
+    the attention weights and b_att its 0-d bias.
+    """
 
     w_embed: np.ndarray
     b_embed: np.ndarray
@@ -45,51 +52,63 @@ class ModalityParams:
     b_att: np.ndarray
 
 
+class PackedWeights(NamedTuple):
+    """The arrays that the flat parameter vector holds, in its order, with
+    the modalities stacked (rgb, flow) on the leading axis. They are the
+    operands of the packed step's GEMMs."""
+
+    rows: np.ndarray       # (2, K·D, E) embedding kernel: tap j is rows j·D to (j+1)·D
+    bias: np.ndarray       # (2, E) embedding bias
+    head: np.ndarray       # (2, E, C+2): the classifier columns, then attention
+    head_bias: np.ndarray  # (2, C+2)
+
+
 @functools.lru_cache(maxsize=64)
 def _layout(d: int, e: int, c: int, k: int) -> tuple:
-    """(modality, field, shape, start, stop) of every block in flat-vector
-    order, from the shape header (D, E, C, K): the one statement of the
-    parameter layout.
-
-    w_embed is the temporal conv kernel (K odd), w_cls the snippet classifier
-    whose column C is the background class, w_att the attention weights and
-    b_att its scalar bias.
-    """
+    """(shape, start, stop) of each PackedWeights array in flat-vector order,
+    from the shape header (D, E, C, K): the one statement of the parameter
+    layout. Every dimension is at least 1 and K is odd."""
     if k < 1 or k % 2 == 0:
         raise ValueError("kernel_size must be odd and >= 1")
-    fields = (("w_embed", (e, d, k)), ("b_embed", (e,)), ("w_cls", (e, c + 1)),
-              ("b_cls", (c + 1,)), ("w_att", (e,)), ("b_att", ()))
-    blocks, size = [], 0
-    for name in MODALITIES:
-        for field, shape in fields:
-            blocks.append((name, field, shape, size, size + math.prod(shape)))
-            size = blocks[-1][-1]
-    return tuple(blocks)
+    if min(d, e, c) < 1:
+        raise ValueError(f"D, E and C must each be >= 1, got {(d, e, c)}")
+    shapes = ((2, k * d, e), (2, e), (2, e, c + 2), (2, c + 2))
+    stops = list(itertools.accumulate(map(math.prod, shapes)))
+    return tuple(zip(shapes, [0] + stops[:-1], stops))
 
 
-def _views(vec: np.ndarray | None, layout: tuple) -> "ModelParams":
-    """ModelParams whose blocks view the flat `vec` (a new zero one if None)."""
+def _views(vec: np.ndarray | None, header: tuple) -> "ModelParams":
+    """ModelParams of shape header (D, E, C, K) whose arrays view the flat
+    `vec` (a new zero one if None)."""
+    layout = _layout(*header)
     size = layout[-1][-1]
     vec = np.zeros(size) if vec is None else vec
     if vec.shape != (size,):
         raise ValueError(f"from_vector: expected {size} values, got {vec.size}")
-    mods = {name: {} for name in MODALITIES}
-    for name, field, shape, start, stop in layout:
-        mods[name][field] = vec[start:stop].reshape(shape)
-    return ModelParams(**{name: ModalityParams(**f) for name, f in mods.items()})
+    packed = PackedWeights(*(vec[start:stop].reshape(shape) for shape, start, stop in layout))
+    d, e, _, k = header
+    rows, bias, head, head_bias = packed
+    rgb, flow = (ModalityParams(
+        w_embed=rows[m].reshape(k, d, e).transpose(2, 1, 0), b_embed=bias[m],
+        w_cls=head[m, :, :-1], b_cls=head_bias[m, :-1],
+        w_att=head[m, :, -1], b_att=head_bias[m, -1, ...]) for m in (0, 1))
+    return ModelParams(rgb=rgb, flow=flow, packed=packed)
 
 
 @dataclass
 class ModelParams:
-    """Both modality branches; `zeros` and `from_vector` build views of one vector."""
+    """Both modality branches, as views of one flat float64 vector that holds
+    the `packed` arrays; `zeros`, `from_vector` and `load_checkpoint` build
+    them."""
 
     rgb: ModalityParams
     flow: ModalityParams
+    packed: PackedWeights
 
     @staticmethod
     def zeros(d: int, e: int, c: int, k: int) -> "ModelParams":
-        """Zero-filled params of shape header (D, E, C, K), views of one buffer."""
-        return _views(None, _layout(d, e, c, k))
+        """Zero-filled params of shape header (D, E, C, K)."""
+        return _views(None, (d, e, c, k))
 
     @property
     def header(self) -> tuple:
@@ -106,17 +125,20 @@ class ModelParams:
         return self.rgb if name == "rgb" else self.flow
 
     def blocks(self) -> list:
-        """(name, array) of every block in vector order, e.g. ("rgb.w_cls", ...)."""
-        return [(f"{name}.{field}", getattr(self.modality(name), field))
-                for name, field, *_ in _layout(*self.header)]
+        """(name, array) of the twelve named blocks in checkpoint order: rgb,
+        then flow, each `ModalityParams` field in turn, e.g. ("rgb.w_cls", ...)."""
+        return [(f"{name}.{field.name}", getattr(self.modality(name), field.name))
+                for name in MODALITIES for field in fields(ModalityParams)]
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([np.ravel(block) for _, block in self.blocks()])
+        """A copy of the flat vector, in its in-memory (`_layout`) order."""
+        return np.concatenate([a.ravel() for a in self.packed])
 
     def from_vector(self, vec: np.ndarray) -> "ModelParams":
-        """Params with this instance's shapes as views of the 1-D `vec`, with
-        no copy when `vec` is float64: writes through either show in both."""
-        return _views(np.asarray(vec, dtype=np.float64), _layout(*self.header))
+        """Params with this instance's shapes as views of the 1-D `vec` (in
+        `to_vector` order), with no copy when `vec` is float64: writes
+        through either show in both."""
+        return _views(np.asarray(vec, dtype=np.float64), self.header)
 
 
 @dataclass(frozen=True)
@@ -282,24 +304,26 @@ def forward(x_rgb: np.ndarray, x_flow: np.ndarray, params: ModelParams,
 
 def save_checkpoint(path, params: ModelParams) -> None:
     """Write params as a container whose payload is {version u32, D u32,
-    E u32, C u32, K u32} then the float64 flat vector (`_layout` order)."""
-    write_container(path, CHECKPOINT_MAGIC, [struct.pack("<5I", CHECKPOINT_VERSION, *params.header),
-                                             params.to_vector().astype("<f8")])
+    E u32, C u32, K u32} then each named block as little-endian float64, in
+    `blocks()` order (each block in C order of its own shape)."""
+    blocks = (np.ascontiguousarray(block, dtype="<f8") for _, block in params.blocks())
+    write_container(path, CHECKPOINT_MAGIC, itertools.chain(
+        [struct.pack("<5I", CHECKPOINT_VERSION, *params.header)], blocks))
 
 
 def load_checkpoint(path) -> ModelParams:
     with read_container(path, CHECKPOINT_MAGIC, "checkpoint") as payload:
-        version, d, e, c, k = payload.unpack("<5I", "checkpoint header")
+        version, *header = payload.unpack("<5I", "checkpoint header")
         if version != CHECKPOINT_VERSION:
             raise DataFormatError(f"unsupported checkpoint version {version}", offset=8)
         try:
-            layout = _layout(d, e, c, k)
+            size = _layout(*header)[-1][-1]
         except ValueError as exc:
             raise DataFormatError(f"checkpoint header: {exc}", offset=8) from None
-        size = layout[-1][-1]
         if payload.end - payload.pos != 8 * size:
             raise DataFormatError(f"checkpoint holds {payload.end - payload.pos} parameter "
                                   f"bytes, shapes imply {8 * size}", offset=payload.pos)
-        vec = payload.floats((size,), "checkpoint block", lambda i: next(
-            f" {m}.{f}" for m, f, _, start, stop in layout if start <= i < stop))
-    return _views(vec.astype(np.float64, copy=False), layout)
+        params = ModelParams.zeros(*header)
+        for name, block in params.blocks():
+            block[...] = payload.floats(block.shape, f"checkpoint block {name}", lambda i: "")
+    return params

@@ -29,11 +29,8 @@ def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
 def sigmoid(x):
     """Elementwise logistic function, stable for large |x|."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(x, -x))  # exp(-|x|), keeping a NaN's sign bit
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return out if out.ndim else float(out)
 
 

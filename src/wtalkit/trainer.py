@@ -10,7 +10,7 @@ from .container import atomic_write
 from .errors import NumericError, at_least, check_settings, within
 from .evaluate import DEFAULT_IOU_THRESHOLDS, EvalReport, evaluate
 from .localize import localize_scores
-from .losses import GradMode, LossBreakdown, _chunks, backward, packed_forward, packed_weights
+from .losses import GradMode, LossBreakdown, _chunks, backward, packed_forward
 # unused here, but bench/test_bench.py checks that its tracer patches this binding
 from .model import Hyperparams, ModelParams, forward, init_params, save_checkpoint  # noqa: F401
 from .numerics import AdamState, adam_step
@@ -130,9 +130,9 @@ def localize_dataset(records: list, params: ModelParams, hp: Hyperparams) -> dic
     One packed Standard forward per size-bounded chunk of records (the
     forward training uses), then `localize_scores` on each video's rows.
     """
-    proposals, weights = {}, packed_weights(params)
+    proposals = {}
     for lo, hi in _chunks(records, params.header[-1]):
-        out = packed_forward(records[lo:hi], None, weights, hp)
+        out = packed_forward(records[lo:hi], None, params, hp)
         for r, start, t, p_fg in zip(records[lo:hi], out.starts, out.lengths, out.p_fg.T):
             rows = slice(start, start + t)
             proposals[r.video_id] = localize_scores(out.y[:, rows].T, out.a[rows], p_fg, hp)

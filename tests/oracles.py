@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with plain loops and no shared code
 with the package, so agreement is evidence rather than tautology. The
-exceptions pin bits rather than check a method: `adam_oracle`, the
+exceptions pin bits rather than check a method: `sigmoid_oracle`, the
+package's earlier masked logistic function, `adam_oracle`, the
 straightforward out-of-place form of the package's in-place Adam update,
 `packed_forward_oracle` and `backward_oracle`, the training step's
 window-matrix forward and backward, which share the package's chunk rule
@@ -174,6 +175,18 @@ def plan_oracle(num_snippets, k, rng):
         source += [int(rng.integers(start, end))] * (end - start)
         start = end
     return source
+
+
+def sigmoid_oracle(x):
+    """The logistic function as the package first computed it, one boolean
+    mask per sign: `numerics.sigmoid` must match it bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out if out.ndim else float(out)
 
 
 def adam_oracle(params, grads, state):

@@ -20,7 +20,7 @@ from wtalkit.localize import (
     threshold_proposals,
     write_proposals,
 )
-from wtalkit.model import Hyperparams, ModalityParams, ModelParams
+from wtalkit.model import Hyperparams, ModelParams
 from wtalkit.synth import VideoRecord
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -363,16 +363,13 @@ class TestAgainstScalarOracle:
 def _analytic_params():
     """Two-feature world solved by hand: feature axis 0 is action evidence,
     axis 1 is background evidence."""
-    eye = np.eye(2)[:, :, None]
-    rgb = ModalityParams(w_embed=eye.copy(), b_embed=np.zeros(2),
-                         w_cls=np.array([[1.0, -1.0], [-1.0, 1.0]]),
-                         b_cls=np.zeros(2), w_att=np.array([1.0, -1.0]),
-                         b_att=-2.0)
-    flow = ModalityParams(w_embed=eye.copy(), b_embed=np.zeros(2),
-                          w_cls=np.array([[1.0, -1.0], [-1.0, 1.0]]),
-                          b_cls=np.zeros(2), w_att=np.array([1.0, -1.0]),
-                          b_att=-2.0)
-    return ModelParams(rgb=rgb, flow=flow)
+    params = ModelParams.zeros(2, 2, 1, 1)  # (D, E, C, K); biases but b_att stay 0
+    for mod in (params.rgb, params.flow):
+        mod.w_embed[...] = np.eye(2)[:, :, None]
+        mod.w_cls[...] = [[1.0, -1.0], [-1.0, 1.0]]
+        mod.w_att[...] = [1.0, -1.0]
+        mod.b_att[...] = -2.0
+    return params
 
 
 class TestLocalizeVideo:

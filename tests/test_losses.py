@@ -32,7 +32,6 @@ from wtalkit.losses import (
     loss_fg,
     make_tiny_instance,
     packed_forward,
-    packed_weights,
     _chunks,
     _forward_pair,
 )
@@ -305,7 +304,11 @@ class TestPackedBatch:
            mode=st.sampled_from(list(GradMode)),
            ten=st.booleans(), budget=st.sampled_from([1, 200, 600, CHUNK_CELLS]),
            seed=st.integers(0, 2**16))
-    @settings(max_examples=60, deadline=None)
+    # T = 1 with the continuity branch on: each refilled copy is its base
+    # row, so the L1 residuals are rounding noise at the kink
+    @example(lengths=[1, 1], k=1, kernel_size=5, mode=GradMode.STANDARD, ten=True,
+             budget=CHUNK_CELLS, seed=2)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_batch_is_mean_of_one_video_runs(self, lengths, k, kernel_size, mode,
                                              ten, budget, seed):
         # ragged lengths cover T = 1, T < K, T not divisible by k and k >= T;
@@ -392,7 +395,7 @@ class TestWindowMatrixOracle:
             assert getattr(parts, field) == pytest.approx(getattr(want_parts, field),
                                                           rel=1e-12, abs=1e-15)
         # the refilled copy multiplies one source row per segment, no window
-        fwd = packed_forward(videos, plan, packed_weights(params), HP, mode.norm_mode)
+        fwd = packed_forward(videos, plan, params, HP, mode.norm_mode)
         assert fwd.refill.sources.size == sum(-(-t // HP.k) for t in lengths)
         assert fwd.win.shape == (2, sum(lengths), 3 * 32)
 
@@ -414,7 +417,6 @@ class TestWindowMatrixOracle:
                                             mode, budget, seed):
         videos, _, params = ragged_batch(lengths, k, kernel_size, 6, seed)
         plan = drawn_plan(lengths, k, plan_kind, np.random.default_rng(seed))
-        weights = packed_weights(params)
         with patch.object(losses_mod, "CHUNK_CELLS", budget):
             chunks = list(_chunks(videos, kernel_size))
             grad, parts = backward(videos, plan, params, HP, mode)
@@ -426,7 +428,7 @@ class TestWindowMatrixOracle:
         offsets = np.cumsum([0] + lengths)
         for lo, hi in chunks:
             chunk_plan = plan[offsets[lo]:offsets[hi]]
-            got = packed_forward(videos[lo:hi], chunk_plan, weights, HP, mode.norm_mode)
+            got = packed_forward(videos[lo:hi], chunk_plan, params, HP, mode.norm_mode)
             want = packed_forward_oracle(videos[lo:hi], chunk_plan, params, HP, mode.norm_mode)
             for field in ("y", "a", "n_f", "denom", "z_fg", "z_bg", "p_fg", "p_bg"):
                 assert_close_rel(getattr(got, field), getattr(want, field))
@@ -502,15 +504,18 @@ class TestTinyInstance:
         x_rgb, x_flow = rng.normal(size=(8, 6)), rng.normal(size=(8, 6))
         expected = []
         for _ in ("rgb", "flow"):
-            expected += [rng.normal(0.0, 0.5, size=(5, 6, 3)).ravel(),
+            expected += [rng.normal(0.0, 0.5, size=(5, 6, 3)),
                          rng.normal(0.0, 0.1, size=5),
-                         rng.normal(0.0, 0.5, size=(5, 4)).ravel(),
+                         rng.normal(0.0, 0.5, size=(5, 4)),
                          rng.normal(0.0, 0.1, size=4),
                          rng.normal(0.0, 0.5, size=5),
-                         [float(rng.normal(0.0, 0.1))]]
+                         rng.normal(0.0, 0.1)]
         np.testing.assert_array_equal(inst.x_rgb, x_rgb)
         np.testing.assert_array_equal(inst.x_flow, x_flow)
-        np.testing.assert_array_equal(inst.params.to_vector(), np.concatenate(expected))
+        blocks = inst.params.blocks()
+        assert len(blocks) == len(expected)
+        for (name, block), want in zip(blocks, expected):
+            np.testing.assert_array_equal(block, want, err_msg=name)
         np.testing.assert_array_equal(inst.plan, make_plan([8], 3, rng))
 
 

@@ -32,7 +32,8 @@ def make_params(rng, d=6, e=5, c=3, k=3):
 
 
 def block_starts(params):
-    """Index of each block's first value in the flat vector."""
+    """Index of each block's first value in a checkpoint's parameter payload,
+    which lists the blocks in `blocks()` order."""
     sizes = [np.size(block) for _, block in params.blocks()]
     return dict(zip([name for name, _ in params.blocks()], np.cumsum([0] + sizes)))
 
@@ -275,17 +276,53 @@ class TestParamsVector:
         params = make_params(np.random.default_rng(21))
         vec = params.to_vector()
         views = params.from_vector(vec)
-        starts = block_starts(params)
-        vec[:] = np.arange(vec.size)
-        for name, block in views.blocks():
-            assert np.ravel(block)[0] == starts[name], name
-        assert views.flow.b_att.shape == () and views.flow.b_att == vec.size - 1
+        blocks = views.blocks()
+        for i, (_, block) in enumerate(blocks):
+            block[...] = i
+        # the twelve blocks cover the vector, each value exactly once
+        assert np.bincount(vec.astype(int)).tolist() == [np.size(b) for _, b in blocks]
+        assert views.flow.b_att.shape == () and views.flow.b_att == len(blocks) - 1
+        vec[:] = 0.0
         views.rgb.b_att += 0.5
         views.flow.w_cls[0, 0] = -1.0
-        assert vec[starts["rgb.b_att"]] == starts["rgb.b_att"] + 0.5
-        assert vec[starts["flow.w_cls"]] == -1.0
+        assert sorted(vec[vec != 0.0]) == [-1.0, 0.5]
+        again = params.from_vector(vec)
+        assert again.rgb.b_att == 0.5 and again.flow.w_cls[0, 0] == -1.0
         with pytest.raises(ValueError):
             params.from_vector(np.zeros(vec.size + 1))
+
+    def test_packed_arrays_and_named_blocks_are_one_memory(self):
+        d, e, c, k = 4, 3, 2, 5
+        params = ModelParams.zeros(d, e, c, k)
+        rows, bias, head, head_bias = params.packed
+        assert [a.shape for a in params.packed] == [(2, k * d, e), (2, e), (2, e, c + 2),
+                                                    (2, c + 2)]
+        # written through the packed arrays, read through the named blocks
+        for i, array in enumerate(params.packed):
+            array[...] = np.arange(array.size).reshape(array.shape) + 1000 * i
+        for m, mod in enumerate((params.rgb, params.flow)):
+            for o, i, j in np.ndindex(e, d, k):
+                assert mod.w_embed[o, i, j] == rows[m, j * d + i, o]
+            np.testing.assert_array_equal(mod.b_embed, bias[m])
+            np.testing.assert_array_equal(mod.w_cls, head[m, :, :c + 1])
+            np.testing.assert_array_equal(mod.w_att, head[m, :, c + 1])
+            np.testing.assert_array_equal(mod.b_cls, head_bias[m, :c + 1])
+            assert mod.b_att.shape == () and mod.b_att == head_bias[m, c + 1]
+        # written through the named blocks, read through the packed arrays
+        for i, (_, block) in enumerate(params.blocks()):
+            block[...] = i + 1
+        for m in (0, 1):
+            first = 6 * m + 1
+            assert np.all(rows[m] == first) and np.all(bias[m] == first + 1)
+            assert np.all(head[m, :, :c + 1] == first + 2)
+            assert np.all(head_bias[m, :c + 1] == first + 3)
+            assert np.all(head[m, :, c + 1] == first + 4)
+            assert head_bias[m, c + 1] == first + 5
+        vec = params.to_vector()
+        rebuilt = params.from_vector(vec)
+        np.testing.assert_array_equal(rebuilt.to_vector(), vec)
+        for (name, want), (_, got) in zip(params.blocks(), rebuilt.blocks()):
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
     def test_blocks_follow_the_vector_layout(self):
         params = make_params(np.random.default_rng(22), d=6, e=5, c=3, k=3)
@@ -312,9 +349,11 @@ class TestParamsVector:
             w_embed = rng.uniform(-lim_e, lim_e, size=(e, d, k))
             w_cls = rng.uniform(-lim_c, lim_c, size=(e, c + 1))
             w_att = rng.uniform(-lim_c, lim_c, size=e)
-            expected += [w_embed.ravel(), np.zeros(e), w_cls.ravel(), np.zeros(c + 1),
-                         w_att, [0.0]]
-        np.testing.assert_array_equal(params.to_vector(), np.concatenate(expected))
+            expected += [w_embed, np.zeros(e), w_cls, np.zeros(c + 1), w_att, 0.0]
+        blocks = params.blocks()
+        assert len(blocks) == len(expected)
+        for (name, block), want in zip(blocks, expected):
+            np.testing.assert_array_equal(block, want, err_msg=name)
 
 
 class TestCheckpoint:
@@ -327,11 +366,17 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.to_vector(), params.to_vector())
 
     def test_v1_bytes(self, tmp_path):
+        # the payload lists the blocks in blocks() order, whatever the
+        # vector's in-memory order
         params = ModelParams.zeros(2, 1, 1, 1)
-        vec = np.arange(params.size, dtype=np.float64)
+        values = np.arange(params.size, dtype=np.float64)
+        start = 0
+        for _, block in params.blocks():
+            block[...] = values[start:start + block.size].reshape(block.shape)
+            start += block.size
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params.from_vector(vec))
-        payload = struct.pack("<5I", 1, 2, 1, 1, 1) + vec.astype("<f8").tobytes()
+        save_checkpoint(path, params)
+        payload = struct.pack("<5I", 1, 2, 1, 1, 1) + values.astype("<f8").tobytes()
         assert path.read_bytes() == (b"WTALCP01" + payload
                                      + struct.pack("<I", zlib.crc32(payload)))
 
@@ -345,10 +390,9 @@ class TestCheckpoint:
         from wtalkit.errors import DataFormatError
         params = make_params(np.random.default_rng(24))
         position = block_starts(params)[block]
-        vec = params.to_vector()
-        vec[position + index] = value
+        dict(params.blocks())[block].flat[index] = value
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params.from_vector(vec))
+        save_checkpoint(path, params)
         with pytest.raises(DataFormatError, match=rf"block {block} \(at byte "
                                                   rf"offset {28 + 8 * (position + index)}\)"):
             load_checkpoint(path)
@@ -364,13 +408,21 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_even_kernel_in_header_rejected(self, tmp_path):
-        # (D, E, C, K) = (2, 1, 1, 2): 2 * (4 + 1 + 2 + 2 + 1 + 1) values
-        payload = struct.pack("<5I", 1, 2, 1, 1, 2) + bytes(8 * 22)
-        path = tmp_path / "model.ckpt"
-        path.write_bytes(b"WTALCP01" + payload + struct.pack("<I", zlib.crc32(payload)))
+        # also any dimension below 1; the payload is sized for (2, 1, 1, 2):
+        # 2 * (4 + 1 + 2 + 2 + 1 + 1) values
         from wtalkit.errors import DataFormatError
-        with pytest.raises(DataFormatError, match=r"kernel_size must be odd.*offset 8\)"):
-            load_checkpoint(path)
+        cases = [((2, 1, 1, 2), "kernel_size must be odd"),
+                 ((2, 1, 1, 0), "kernel_size must be odd"),
+                 ((0, 1, 1, 1), r"D, E and C must each be >= 1, got \(0, 1, 1\)"),
+                 ((2, 0, 1, 1), r"D, E and C must each be >= 1, got \(2, 0, 1\)"),
+                 ((2, 1, 0, 1), r"D, E and C must each be >= 1, got \(2, 1, 0\)")]
+        path = tmp_path / "model.ckpt"
+        for header, message in cases:
+            payload = struct.pack("<5I", 1, *header) + bytes(8 * 22)
+            path.write_bytes(b"WTALCP01" + payload + struct.pack("<I", zlib.crc32(payload)))
+            with pytest.raises(DataFormatError,
+                               match=rf"checkpoint header: {message}.*offset 8\)"):
+                load_checkpoint(path)
 
     def test_loaded_params_are_writable_views_of_one_buffer(self, tmp_path):
         params = make_params(np.random.default_rng(25))

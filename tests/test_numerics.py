@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import adam_oracle
+from oracles import adam_oracle, sigmoid_oracle
 from wtalkit.numerics import (
     AdamState,
     adam_step,
@@ -63,6 +63,15 @@ class TestSigmoid:
 
     def test_extreme_negative_stays_finite(self):
         assert 0.0 <= sigmoid(-1e4) < 1e-300 or sigmoid(-1e4) == 0.0
+
+    def test_bits_match_the_masked_form(self):
+        special = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 5e-324, -5e-324,
+                            np.inf, -np.inf, np.nan, -np.nan])
+        rng = np.random.default_rng(31)
+        for x in (special, rng.normal(size=(2, 2880)), rng.normal(0.0, 40.0, size=5000)):
+            assert sigmoid(x).tobytes() == sigmoid_oracle(x).tobytes()
+        for v in special:
+            assert np.float64(sigmoid(v)).tobytes() == np.float64(sigmoid_oracle(v)).tobytes()
 
 
 class TestReflectIndex:
