@@ -22,7 +22,9 @@ target for the other, and the finite-difference oracle freezes them too.
 `backward` is the one analytic gradient: it runs a whole batch as packed
 rows through `packed_forward`, the forward that batched inference shares.
 The per-video `forward` and `compute_losses` stay as the independent loss
-that the finite-difference oracle differentiates.
+that the finite-difference oracle differentiates. Both broadcast over a
+leading parameter-point axis, so the oracle evaluates its 2P points in two
+calls, each point rounding as it would alone.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ class GradMode(enum.Enum):
 
 @dataclass
 class LossBreakdown:
-    """Raw (unweighted) loss components plus the weighted total."""
+    """Raw (unweighted) loss components plus the weighted total; (n,) arrays
+    for a forward at a stack of n parameter points."""
 
     fg: float
     bg: float
@@ -102,31 +105,37 @@ def full_label(video_label: np.ndarray) -> np.ndarray:
     return np.concatenate([video_label, [1.0]])
 
 
+def _scalar(x):
+    """A float for one point's 0-d loss; a stack's array as it is."""
+    return x if np.ndim(x) else float(x)
+
+
 def loss_fg(p_fg: np.ndarray, label: np.ndarray) -> float:
     """Cross-entropy against the sum-normalized multi-hot label over C+1."""
     label = np.asarray(label, dtype=np.float64)
-    if label.shape != p_fg.shape:
+    if label.shape != p_fg.shape[-1:]:
         raise ValueError(f"loss_fg: label shape {label.shape} != probs {p_fg.shape}")
     s = label.sum()
     if s <= 0:
         raise ValueError("loss_fg: label is all zeros")
-    return float(-(label / s) @ np.log(np.maximum(p_fg, LOG_FLOOR)))
+    # a vector-by-column product per point: the one-point dot product
+    return _scalar((-(label / s) @ np.log(np.maximum(p_fg, LOG_FLOOR))[..., None])[..., 0])
 
 
 def loss_bg(p_bg: np.ndarray) -> float:
     """Negative log-probability of the background class (last index)."""
-    return float(-np.log(max(float(p_bg[-1]), LOG_FLOOR)))
+    return _scalar(-np.log(np.maximum(p_bg[..., -1], LOG_FLOOR)))
 
 
 def loss_bvl(y: np.ndarray) -> float:
     """Cross-entropy treating the video's mean CAS as pure background."""
-    p = softmax(np.asarray(y, dtype=np.float64).mean(axis=0))
-    return float(-np.log(max(float(p[-1]), LOG_FLOOR)))
+    p = softmax(np.asarray(y, dtype=np.float64).mean(axis=-2))
+    return _scalar(-np.log(np.maximum(p[..., -1], LOG_FLOOR)))
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     logs = np.log(np.maximum(p, LOG_FLOOR)) - np.log(np.maximum(q, LOG_FLOOR))
-    return np.sum(p * logs, axis=1)
+    return np.sum(p * logs, axis=-1)
 
 
 @dataclass
@@ -162,6 +171,8 @@ def compute_losses(bb: ForwardOutputs, tcb: ForwardOutputs | None, video_label: 
     KL between the branches' softened CAS rows. Those counterparts are the
     `frozen` targets when given (same value at their capture point,
     different gradient), and otherwise captured from `bb` and `tcb`.
+    Forwards at a stack of parameter points give per-point losses; the
+    targets are then one point's.
     """
     label = full_label(video_label)
     l_fg = loss_fg(bb.p_fg, label)
@@ -173,12 +184,12 @@ def compute_losses(bb: ForwardOutputs, tcb: ForwardOutputs | None, video_label: 
                              f"vs {tcb.a.shape}, y {bb.y.shape} vs {tcb.y.shape}")
         if frozen is None:
             frozen = capture_targets(bb, tcb, hp)
-        l_att = float(np.mean(np.abs(bb.a - frozen.smooth_a_refill)
-                              + np.abs(tcb.a - frozen.smooth_a)))
-        p = softmax(bb.y, axis=1)
-        q = softmax(tcb.y, axis=1)
-        l_kl = float(np.mean(_kl_rows(frozen.p_rows_refill, p)
-                             + _kl_rows(frozen.p_rows, q)))
+        l_att = _scalar(np.mean(np.abs(bb.a - frozen.smooth_a_refill)
+                                + np.abs(tcb.a - frozen.smooth_a), axis=-1))
+        p = softmax(bb.y, axis=-1)
+        q = softmax(tcb.y, axis=-1)
+        l_kl = _scalar(np.mean(_kl_rows(frozen.p_rows_refill, p)
+                               + _kl_rows(frozen.p_rows, q), axis=-1))
     l_bvl = loss_bvl(bb.y) if mode.uses_bvl else 0.0
     total = l_fg + hp.lam * l_bg + hp.beta * (l_kl + l_att) + hp.lam * l_bvl
     return LossBreakdown(fg=l_fg, bg=l_bg, att=l_att, kl=l_kl, bvl=l_bvl, total=total)
@@ -543,12 +554,14 @@ def instance_margin(inst: TinyInstance, mode: GradMode) -> float:
 
 
 def build_fd_loss(inst: TinyInstance, hp: Hyperparams, mode: GradMode):
-    """Scalar loss over the flat parameter vector, for the difference oracle,
-    with the continuity targets frozen at the base parameters as in `backward`."""
+    """The instance's total loss as `finite_diff_grad` takes it: (n, P)
+    parameter points to their n losses, in one stacked `forward` pair and
+    `compute_losses`. The continuity targets are frozen at the base
+    parameters, as in `backward`."""
     frozen = capture_targets(*_forward_pair(inst, inst.params, mode), hp)
 
-    def fd_loss(vec: np.ndarray) -> float:
-        p = inst.params.from_vector(vec)
+    def fd_loss(points: np.ndarray) -> np.ndarray:
+        p = inst.params.from_vector(points)
         bb, tcb = _forward_pair(inst, p, mode)
         return compute_losses(bb, tcb, inst.video_label, hp, mode, frozen).total
 

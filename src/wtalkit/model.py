@@ -79,19 +79,22 @@ def _layout(d: int, e: int, c: int, k: int) -> tuple:
 
 def _views(vec: np.ndarray | None, header: tuple) -> "ModelParams":
     """ModelParams of shape header (D, E, C, K) whose arrays view the flat
-    `vec` (a new zero one if None)."""
+    `vec` (a new zero one if None). An (n, P) `vec` is a stack of n
+    parameter points, and gives every array a leading point axis."""
     layout = _layout(*header)
     size = layout[-1][-1]
     vec = np.zeros(size) if vec is None else vec
-    if vec.shape != (size,):
-        raise ValueError(f"from_vector: expected {size} values, got {vec.size}")
-    packed = PackedWeights(*(vec[start:stop].reshape(shape) for shape, start, stop in layout))
+    if vec.ndim not in (1, 2) or vec.shape[-1] != size:
+        raise ValueError(f"from_vector: expected {size} values per point, got shape {vec.shape}")
+    points = vec.shape[:-1]
+    packed = PackedWeights(*(vec[..., start:stop].reshape(points + shape)
+                             for shape, start, stop in layout))
     d, e, _, k = header
     rows, bias, head, head_bias = packed
     rgb, flow = (ModalityParams(
-        w_embed=rows[m].reshape(k, d, e).transpose(2, 1, 0), b_embed=bias[m],
-        w_cls=head[m, :, :-1], b_cls=head_bias[m, :-1],
-        w_att=head[m, :, -1], b_att=head_bias[m, -1, ...]) for m in (0, 1))
+        w_embed=rows[..., m, :, :].reshape(points + (k, d, e)).swapaxes(-1, -3),
+        b_embed=bias[..., m, :], w_cls=head[..., m, :, :-1], b_cls=head_bias[..., m, :-1],
+        w_att=head[..., m, :, -1], b_att=head_bias[..., m, -1]) for m in (0, 1))
     return ModelParams(rgb=rgb, flow=flow, packed=packed)
 
 
@@ -113,8 +116,13 @@ class ModelParams:
     @property
     def header(self) -> tuple:
         """(D, E, C, K), from which every block's shape follows."""
-        e, d, k = self.rgb.w_embed.shape
-        return d, e, self.rgb.w_cls.shape[1] - 1, k
+        e, d, k = self.rgb.w_embed.shape[-3:]
+        return d, e, self.rgb.w_cls.shape[-1] - 1, k
+
+    @property
+    def points(self) -> tuple:
+        """The leading point axis, (n,) for a stack of n points; () for one."""
+        return self.packed.bias.shape[:-2]
 
     @property
     def size(self) -> int:
@@ -131,13 +139,16 @@ class ModelParams:
                 for name in MODALITIES for field in fields(ModalityParams)]
 
     def to_vector(self) -> np.ndarray:
-        """A copy of the flat vector, in its in-memory (`_layout`) order."""
+        """A copy of the flat vector of one point, in its in-memory
+        (`_layout`) order."""
         return np.concatenate([a.ravel() for a in self.packed])
 
     def from_vector(self, vec: np.ndarray) -> "ModelParams":
-        """Params with this instance's shapes as views of the 1-D `vec` (in
-        `to_vector` order), with no copy when `vec` is float64: writes
-        through either show in both."""
+        """Params with this instance's shapes as views of `vec`, with no copy
+        when `vec` is float64: writes through either show in both. A 1-D
+        `vec` (in `to_vector` order) is one point. An (n, P) `vec` is a stack
+        of n points, one per row: every block, and every `forward` output,
+        then has a leading axis of n."""
         return _views(np.asarray(vec, dtype=np.float64), self.header)
 
 
@@ -176,7 +187,9 @@ class Hyperparams:
 
 @dataclass
 class ForwardOutputs:
-    """One video's forward pass, as inference and the loss oracle read it."""
+    """One video's forward pass, as inference and the loss oracle read it.
+    At a stack of n parameter points every field but `norm_mode` has a
+    leading axis of n, and n_f and n_b are (n,) arrays."""
 
     z_rgb: np.ndarray  # (T, E) pre-ReLU embedding
     z_flow: np.ndarray
@@ -222,37 +235,44 @@ def temporal_windows(x: np.ndarray, kernel_size: int) -> np.ndarray:
     return x[packed_windows([x.shape[0]], kernel_size)]
 
 
+def _embed(x: np.ndarray, mod: ModalityParams, windows: np.ndarray):
+    """`embed` at any leading point axes of `mod`'s blocks."""
+    e, d, k = mod.w_embed.shape[-3:]
+    x = _check_features(x, d, "embed")
+    win = x[windows]
+    # contraction over (k, d) as one flattened matmul
+    w2d = mod.w_embed.swapaxes(-1, -3).reshape(mod.w_embed.shape[:-3] + (k * d, e))
+    z = win.reshape(win.shape[0], k * d) @ w2d + mod.b_embed[..., None, :]
+    return win, z, np.maximum(z, 0.0)
+
+
 def embed(x: np.ndarray, mod: ModalityParams, windows: np.ndarray):
-    """Temporal conv + ReLU. Returns (windows, pre-activation, activation).
+    """Temporal conv + ReLU at one parameter point, an (E, D, K) kernel.
+    Returns (windows, pre-activation, activation).
 
     `windows` is the (T, K) index table `numerics.packed_windows([T], K)`,
     built once by the caller and shared by both modalities.
     """
-    e, d, k = mod.w_embed.shape
-    x = _check_features(x, d, "embed")
-    win = x[windows]
-    # contraction over (k, d) as one flattened matmul
-    w2d = mod.w_embed.transpose(2, 1, 0).reshape(k * d, e)
-    z = win.reshape(win.shape[0], k * d) @ w2d + mod.b_embed
-    return win, z, np.maximum(z, 0.0)
+    return _embed(x, mod, windows)
 
 
 def cas(xe: np.ndarray, mod: ModalityParams) -> np.ndarray:
     """Snippet-level class activation scores (raw logits, background last)."""
-    if xe.shape[1] != mod.w_cls.shape[0]:
-        raise ValueError(f"cas: embedding dim {xe.shape[1]} != {mod.w_cls.shape[0]}")
-    return xe @ mod.w_cls + mod.b_cls
+    if xe.shape[-1] != mod.w_cls.shape[-2]:
+        raise ValueError(f"cas: embedding dim {xe.shape[-1]} != {mod.w_cls.shape[-2]}")
+    return xe @ mod.w_cls + mod.b_cls[..., None, :]
 
 
 def attention(xe: np.ndarray, mod: ModalityParams) -> np.ndarray:
     """Class-agnostic per-snippet foreground probability in (0, 1)."""
-    if xe.shape[1] != mod.w_att.shape[0]:
-        raise ValueError(f"attention: embedding dim {xe.shape[1]} != {mod.w_att.shape[0]}")
-    return sigmoid(xe @ mod.w_att + mod.b_att)
+    if xe.shape[-1] != mod.w_att.shape[-1]:
+        raise ValueError(f"attention: embedding dim {xe.shape[-1]} != {mod.w_att.shape[-1]}")
+    return sigmoid((xe @ mod.w_att[..., None])[..., 0] + np.expand_dims(mod.b_att, -1))
 
 
 def pool(y: np.ndarray, a: np.ndarray, norm_mode: NormMode = NormMode.STANDARD):
-    """Attention-weighted video-level pooling.
+    """Attention-weighted video-level pooling over the snippet axis, for
+    (T, C+1) scores and (T,) attention with any common leading axes.
 
     Foreground aggregate is divided by N_f; the background aggregate by N_b in
     STANDARD mode and by N_f in BGES mode. Returns (p_fg, p_bg, z_fg, z_bg,
@@ -260,28 +280,37 @@ def pool(y: np.ndarray, a: np.ndarray, norm_mode: NormMode = NormMode.STANDARD):
     """
     y = np.asarray(y, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
-    if y.ndim != 2 or a.ndim != 1 or y.shape[0] != a.shape[0]:
+    if y.ndim < 2 or y.shape[:-1] != a.shape:
         raise ValueError(f"pool: incompatible shapes y {y.shape}, a {a.shape}")
-    if y.shape[0] == 0:
+    if y.shape[-2] == 0:
         raise ValueError("pool: empty sequence")
-    n_f = max(float(a.sum()), NORMALIZER_FLOOR)
-    n_b = max(float((1.0 - a).sum()), NORMALIZER_FLOOR)
-    z_fg = (a @ y) / n_f
+    n_f = np.maximum(a.sum(axis=-1), NORMALIZER_FLOOR)
+    n_b = np.maximum((1.0 - a).sum(axis=-1), NORMALIZER_FLOOR)
     denom = n_f if norm_mode is NormMode.BGES else n_b
-    z_bg = ((1.0 - a) @ y) / denom
+    # a (1, T) row times y per point: the one-point product's BLAS call
+    z_fg = (a[..., None, :] @ y)[..., 0, :] / n_f[..., None]
+    z_bg = ((1.0 - a)[..., None, :] @ y)[..., 0, :] / denom[..., None]
     return softmax(z_fg), softmax(z_bg), z_fg, z_bg, n_f, n_b
 
 
 def forward(x_rgb: np.ndarray, x_flow: np.ndarray, params: ModelParams,
             norm_mode: NormMode = NormMode.STANDARD) -> ForwardOutputs:
-    """Full base-branch forward pass over one video."""
+    """Full base-branch forward pass over one video.
+
+    `params` may be a stack of points (`from_vector` of an (n, P) array):
+    each output then has a leading point axis, and each point rounds exactly
+    as a one-point call does. The snippet and class reductions stay on their
+    own axes, and each per-point product is the BLAS call one point makes.
+    """
     t = len(x_rgb)
     if len(x_flow) != t:
         raise ValueError("forward: modalities disagree on snippet count")
-    # one window index table serves both modalities
+    # one window index table serves both modalities; `embed` keeps its
+    # one-point (E, D, K) contract, so a stack runs its code as `_embed`
     windows = packed_windows([t], params.header[-1])
-    _, z_r, xe_r = embed(x_rgb, params.rgb, windows)
-    _, z_o, xe_o = embed(x_flow, params.flow, windows)
+    conv = _embed if params.points else embed
+    _, z_r, xe_r = conv(x_rgb, params.rgb, windows)
+    _, z_o, xe_o = conv(x_flow, params.flow, windows)
     y_r = cas(xe_r, params.rgb)
     y_o = cas(xe_o, params.flow)
     a_r = attention(xe_r, params.rgb)

@@ -4,7 +4,9 @@ central-difference gradient oracle.
 Everything here is float64 and pure, except the optimizer, which updates the
 parameter vector and the state it is handed in place. These are the
 primitives the analytic backward pass is certified against, so they stay
-deliberately simple.
+deliberately simple. The oracle hands its loss every difference point of a
+side as one (n, P) stack, which `model.forward` and `losses.compute_losses`
+evaluate in one call.
 """
 
 from __future__ import annotations
@@ -55,8 +57,6 @@ def packed_windows(lengths, width: int) -> np.ndarray:
     reflects at its own sequence's ends, so none crosses into a neighbour.
     """
     offsets = np.arange(width) - width // 2
-    if len(lengths) == 1:  # a scalar length, no starts: ~10^5 calls per gradcheck
-        return reflect_index(np.arange(lengths[0])[:, None] + offsets, int(lengths[0]))
     lengths = np.asarray(lengths, dtype=np.int64)
     starts = np.repeat(np.cumsum(lengths) - lengths, lengths)[:, None]
     local = np.arange(starts.shape[0])[:, None] - starts
@@ -129,22 +129,29 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
 
 
 def finite_diff_grad(loss_fn, params: np.ndarray, epsilon: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar loss, one coordinate at a time.
+    """Central-difference gradient of a scalar loss at the flat vector `params`.
 
     The oracle every hand-derived gradient in this package is checked against.
+    Coordinate i keeps its own two points, `params` with epsilon added to or
+    subtracted from entry i alone. `loss_fn` maps an (n, P) stack of points
+    to their n losses, and all the up points, then all the down points, go
+    in one call each. The two stacks hold 2P^2 values, so the oracle is
+    meant for tiny instances.
     """
-    params = np.array(params, dtype=np.float64)
-    grad = np.zeros_like(params)
-    flat = params.ravel()
-    gflat = grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + epsilon
-        up = loss_fn(params)
-        flat[i] = orig - epsilon
-        down = loss_fn(params)
-        flat[i] = orig
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise NumericError(f"finite_diff_grad: non-finite loss at coordinate {i}")
-        gflat[i] = (up - down) / (2.0 * epsilon)
-    return grad
+    params = np.asarray(params, dtype=np.float64)
+    if params.ndim != 1:
+        raise ValueError(f"finite_diff_grad: expected a flat vector, got shape {params.shape}")
+    diag = np.arange(params.size)
+    points_up = np.tile(params, (params.size, 1))
+    points_down = points_up.copy()
+    points_up[diag, diag] += epsilon
+    points_down[diag, diag] -= epsilon
+    up = np.asarray(loss_fn(points_up), dtype=np.float64)
+    down = np.asarray(loss_fn(points_down), dtype=np.float64)
+    if up.shape != params.shape or down.shape != params.shape:
+        raise ValueError(f"finite_diff_grad: loss_fn gave {up.shape} and {down.shape} "
+                         f"losses for {params.size} points")
+    bad = np.flatnonzero(~(np.isfinite(up) & np.isfinite(down)))
+    if bad.size:
+        raise NumericError(f"finite_diff_grad: non-finite loss at coordinate {bad[0]}")
+    return (up - down) / (2.0 * epsilon)

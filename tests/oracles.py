@@ -5,10 +5,11 @@ with the package, so agreement is evidence rather than tautology. The
 exceptions pin bits rather than check a method: `sigmoid_oracle`, the
 package's earlier masked logistic function, `adam_oracle`, the
 straightforward out-of-place form of the package's in-place Adam update,
-`packed_forward_oracle` and `backward_oracle`, the training step's
-window-matrix forward and backward, which share the package's chunk rule
-and loss part, and `evaluate_oracle`, which fills the package's
-report record from `ap_oracle`.
+`finite_diff_oracle`, the package's earlier central-difference loop over
+one point at a time, `packed_forward_oracle` and `backward_oracle`, the
+training step's window-matrix forward and backward, which share the
+package's chunk rule and loss part, and `evaluate_oracle`, which fills the
+package's report record from `ap_oracle`.
 """
 
 import math
@@ -205,6 +206,26 @@ def adam_oracle(params, grads, state):
     v_hat = state.second_moment / (1.0 - 0.999**t)
     out = params * (1.0 - state.learning_rate * state.weight_decay)
     return out - state.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def finite_diff_oracle(loss_fn, params, epsilon=1e-5):
+    """Central differences one coordinate at a time: each point is its own
+    one-point `loss_fn` call, (1, P) to one loss, as the package once looped."""
+    from wtalkit.errors import NumericError
+
+    params = np.array(params, dtype=np.float64)
+    grad = np.zeros_like(params)
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + epsilon
+        up = loss_fn(params[None])[0]
+        params[i] = orig - epsilon
+        down = loss_fn(params[None])[0]
+        params[i] = orig
+        if not (np.isfinite(up) and np.isfinite(down)):
+            raise NumericError(f"finite_diff_grad: non-finite loss at coordinate {i}")
+        grad[i] = (up - down) / (2.0 * epsilon)
+    return grad
 
 
 def packed_forward_oracle(videos, plan, params, hp, norm_mode):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from wtalkit.cli import ENV_CONFIG, build_parser, main
-from wtalkit.model import init_params, load_checkpoint, save_checkpoint
+from wtalkit.model import ModelParams, init_params, load_checkpoint, save_checkpoint
 from wtalkit.synth import VideoRecord, read_dataset, write_dataset
 from wtalkit.trainer import COMPONENT_GRID
+
+BLOCK_NAMES = [name for name, _ in ModelParams.zeros(1, 1, 1, 1).blocks()]
 
 TINY_INI = """
 [synth]
@@ -338,9 +340,10 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3 and "FAIL" not in out
 
-    def test_injected_bug_fails_with_exit_3(self, capsys):
-        rc = main(["gradcheck", "--instances", "2", "--inject-bug",
-                   "rgb.w_att"])
+    @pytest.mark.parametrize("block", BLOCK_NAMES)
+    def test_injected_bug_fails_with_exit_3(self, block, capsys):
+        # every named block's gradient is under test: negating any one fails
+        rc = main(["gradcheck", "--instances", "2", "--inject-bug", block])
         assert rc == 3
         assert "FAIL" in capsys.readouterr().out
 

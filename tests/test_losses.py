@@ -1,5 +1,6 @@
 """Losses, hand-derived gradients, certification harness, factor identities."""
 
+from dataclasses import fields
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wtalkit.losses as losses_mod
-from oracles import backward_oracle, packed_forward_oracle
+from oracles import backward_oracle, finite_diff_oracle, packed_forward_oracle
 from wtalkit.errors import NumericError
 from wtalkit.losses import (
     CHUNK_CELLS,
@@ -35,7 +36,7 @@ from wtalkit.losses import (
     _chunks,
     _forward_pair,
 )
-from wtalkit.model import Hyperparams, ModelParams, embed, forward, init_params
+from wtalkit.model import Hyperparams, ModelParams, NormMode, embed, forward, init_params
 from wtalkit.synth import SynthConfig, TrainingVideo, generate, training_view
 from wtalkit.ten import make_plan, tcb_forward_full
 from wtalkit.numerics import finite_diff_grad, gaussian_smooth, packed_windows, softmax
@@ -457,6 +458,59 @@ class TestRefillFiniteDifferences:
         numeric = finite_diff_grad(build_fd_loss(inst, HP, mode), inst.params.to_vector())
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-5)
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
+
+
+class TestStackedPoints:
+    """The oracle's loss at a stack of parameter points is, bit for bit, the
+    one-point loss at each point, so batching changes no certificate."""
+
+    @pytest.mark.parametrize("mode", list(GradMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("draw", [make_tiny_instance, one_row_tail_instance],
+                             ids=["tiny", "one_row_tail"])
+    def test_finite_differences_match_the_one_point_loop(self, mode, draw):
+        for start in (0, 40):
+            inst = accepted_instance(start, mode, draw)
+            loss = build_fd_loss(inst, HP, mode)
+            vec = inst.params.to_vector()
+            got = finite_diff_grad(loss, vec)
+            want = finite_diff_oracle(loss, vec)
+            assert got.tobytes() == want.tobytes()
+
+    @given(t=st.integers(1, 16), kernel_size=st.sampled_from([1, 3, 5]),
+           points=st.integers(1, 5), norm_mode=st.sampled_from(list(NormMode)),
+           classes=st.integers(1, 5), k=st.integers(1, 5), seed=st.integers(0, 2**31))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_stack_equals_one_point_calls(self, t, kernel_size, points, norm_mode, classes,
+                                          k, seed):
+        rng = np.random.default_rng(seed)
+        base = ModelParams.zeros(4, 3, classes, kernel_size)
+        stack = rng.normal(0.0, 0.5, size=(points, base.size))
+        x_rgb, x_flow = rng.normal(size=(2, t, 4))
+        plan = make_plan([t], k, rng)
+        label = (rng.random(classes) < 0.5).astype(float)
+        label[rng.integers(classes)] = 1.0
+        mode = GradMode.BGES if norm_mode is NormMode.BGES else GradMode.BVL
+        first = base.from_vector(stack[0])
+        frozen = capture_targets(forward(x_rgb, x_flow, first, norm_mode),
+                                 tcb_forward_full(x_rgb, x_flow, first, plan), HP)
+        many = base.from_vector(stack)
+        bb = forward(x_rgb, x_flow, many, norm_mode)
+        tcb = tcb_forward_full(x_rgb, x_flow, many, plan)
+        total = compute_losses(bb, tcb, label, HP, mode, frozen).total
+        assert total.shape == (points,)
+        for i in range(points):
+            one = base.from_vector(stack[i])
+            bb_i = forward(x_rgb, x_flow, one, norm_mode)
+            tcb_i = tcb_forward_full(x_rgb, x_flow, one, plan)
+            for got, want in ((bb, bb_i), (tcb, tcb_i)):
+                for field in fields(want):
+                    if field.name != "norm_mode":
+                        g, w = getattr(got, field.name)[i], getattr(want, field.name)
+                        assert np.shape(g) == np.shape(w)
+                        assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), field.name
+            want_total = compute_losses(bb_i, tcb_i, label, HP, mode, frozen).total
+            assert isinstance(want_total, float)
+            assert total[i].tobytes() == np.float64(want_total).tobytes()
 
 
 class TestCertification:

@@ -291,6 +291,25 @@ class TestParamsVector:
         with pytest.raises(ValueError):
             params.from_vector(np.zeros(vec.size + 1))
 
+    def test_stack_of_points_views_each_row(self):
+        rng = np.random.default_rng(22)
+        params = make_params(rng)
+        stack = rng.normal(size=(3, params.size))
+        many = params.from_vector(stack)
+        assert many.points == (3,) and params.points == ()
+        assert many.header == params.header
+        for i in range(3):
+            one_point = params.from_vector(stack[i]).blocks()
+            for (name, block), (_, one) in zip(many.blocks(), one_point):
+                assert block.shape == (3,) + one.shape, name
+                np.testing.assert_array_equal(block[i], one)
+        many.flow.b_att[1] = 7.0  # a write lands in its own row of the stack
+        assert params.from_vector(stack[1]).flow.b_att == 7.0
+        assert params.from_vector(stack[0]).flow.b_att != 7.0
+        for bad in (np.zeros((2, 2, params.size)), np.zeros((2, params.size + 1))):
+            with pytest.raises(ValueError, match="values per point"):
+                params.from_vector(bad)
+
     def test_packed_arrays_and_named_blocks_are_one_memory(self):
         d, e, c, k = 4, 3, 2, 5
         params = ModelParams.zeros(d, e, c, k)

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import adam_oracle, sigmoid_oracle
+from wtalkit.errors import NumericError
 from wtalkit.numerics import (
     AdamState,
     adam_step,
     finite_diff_grad,
     gaussian_kernel,
     gaussian_smooth,
+    packed_windows,
     reflect_index,
     sigmoid,
     softmax,
@@ -217,12 +219,13 @@ class TestAdam:
 
 
 class TestFiniteDiff:
+    # loss functions take an (n, P) stack of points and return n losses
     def test_constant_loss(self):
-        grad = finite_diff_grad(lambda w: 7.0, np.ones(4))
+        grad = finite_diff_grad(lambda w: np.full(len(w), 7.0), np.ones(4))
         np.testing.assert_allclose(grad, np.zeros(4), atol=1e-6)
 
     def test_sum_of_squares(self):
-        grad = finite_diff_grad(lambda w: float(np.sum(w * w)),
+        grad = finite_diff_grad(lambda w: np.sum(w * w, axis=-1),
                                 np.array([1.0, 2.0]))
         np.testing.assert_allclose(grad, [2.0, 4.0], atol=1e-8)
 
@@ -236,8 +239,48 @@ class TestFiniteDiff:
         w = rng.normal(size=n)
 
         def loss(v):
-            return float(v @ a @ v + b @ v)
+            return np.sum((v @ a) * v, axis=-1) + v @ b
 
         grad = finite_diff_grad(loss, w)
         expected = (a + a.T) @ w + b
         np.testing.assert_allclose(grad, expected, atol=1e-6)
+
+    def test_points_are_the_loops_points(self):
+        # row i of each stack moves coordinate i alone, by +eps then -eps
+        w, eps = np.array([0.5, -2.0, 3.0]), 1e-3
+        seen = []
+        finite_diff_grad(lambda v: seen.append(v.copy()) or np.zeros(len(v)), w, eps)
+        up, down = seen
+        for i in range(w.size):
+            assert up[i].tolist() == [x + eps if j == i else x for j, x in enumerate(w)]
+            assert down[i].tolist() == [x - eps if j == i else x for j, x in enumerate(w)]
+
+    @pytest.mark.parametrize("side", ["up", "down"])
+    @pytest.mark.parametrize("first", [0, 2, 4])
+    def test_non_finite_loss_names_the_first_bad_coordinate(self, side, first):
+        # coordinate `first` is NaN at its `side` point only; coordinate 5 is
+        # inf at both, so the first bad coordinate must be the one named
+        def loss(v):
+            out = np.zeros(len(v))
+            out[5] = np.inf
+            if (v[0, 0] > 0) == (side == "up"):  # the up stack moves row 0 up from 0
+                out[first] = np.nan
+            return out
+
+        with pytest.raises(NumericError,
+                           match=rf"^finite_diff_grad: non-finite loss at coordinate {first}$"):
+            finite_diff_grad(loss, np.zeros(6))
+
+    def test_loss_of_the_wrong_shape_is_refused(self):
+        with pytest.raises(ValueError, match=r"loss_fn gave \(\) and \(\) losses for 2 points"):
+            finite_diff_grad(lambda v: 0.0, np.zeros(2))
+
+
+class TestPackedWindows:
+    @pytest.mark.parametrize("width", [1, 3, 5, 7, 9])
+    def test_one_sequence_reflects_at_its_own_ends(self, width):
+        # the reflected arange a one-length call used to take as its own branch
+        for t in range(1, 21):
+            offsets = np.arange(width) - width // 2
+            want = reflect_index(np.arange(t)[:, None] + offsets, t)
+            np.testing.assert_array_equal(packed_windows([t], width), want)
