@@ -25,7 +25,6 @@ from .losses import (
     certify_gradients,
     closed_form_attention_factors,
     compute_losses,
-    factor_discrepancy,
 )
 from .model import Hyperparams, ModelParams, forward, init_params
 from .synth import SynthConfig, VideoRecord, generate, read_dataset, write_dataset
@@ -56,7 +55,6 @@ __all__ = [
     "closed_form_attention_factors",
     "compute_losses",
     "evaluate",
-    "factor_discrepancy",
     "forward",
     "generate",
     "init_params",

@@ -1,10 +1,11 @@
 """Command-line entry point: gen, train, gradcheck, localize, eval, ablate.
 
-Exit codes: 0 success, 1 usage or config error, 2 data error, 3 numeric
-failure (training blow-up or failed gradient certification). The default
-config path comes from $WTALKIT_CONFIG when --config is not given. The
-settings types check every value when the file loads and when a flag or an
-ablation row overrides one, so a bad value is refused before any data is read.
+Exit codes: 0 success, 1 usage or config error, 2 data error (a bad or
+unreadable file, or an output path that cannot be written), 3 numeric failure
+(training blow-up or failed gradient certification). The default config path
+comes from $WTALKIT_CONFIG when --config is not given. The settings types
+check every value when the file loads and when a flag or an ablation row
+overrides one, so a bad value is refused before any data is read.
 """
 
 from __future__ import annotations
@@ -45,10 +46,13 @@ def _sha256(path) -> str:
 
 
 def _writable(*paths) -> None:
-    """Refuse, before any work, an output path whose directory is missing."""
-    for path in paths:
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+    """Refuse, before any work, an output path whose directory is missing or
+    that is itself a directory."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
 
 
 def _load(args) -> Config:
@@ -68,10 +72,11 @@ def cmd_gen(args) -> int:
     cfg = _load(args)
     synth = _given(cfg.synth, seed=args.seed, confound_strength=args.confound,
                    noise_sigma=args.noise)
-    train_recs, test_recs = generate(synth)
     os.makedirs(args.out, exist_ok=True)
     train_path = os.path.join(args.out, "train.bin")
     test_path = os.path.join(args.out, "test.bin")
+    _writable(train_path, test_path)
+    train_recs, test_recs = generate(synth)
     write_dataset(train_path, train_recs, num_classes=synth.num_classes)
     write_dataset(test_path, test_recs, num_classes=synth.num_classes)
     print(f"wrote {train_path} ({len(train_recs)} videos) sha256={_sha256(train_path)}")
@@ -314,10 +319,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except DataFormatError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

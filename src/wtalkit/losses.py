@@ -43,10 +43,11 @@ from .model import (
     NormMode,
     PackedWeights,
     forward,
+    packed_views,
 )
 from .numerics import (
+    GAUSS_TAPS,
     finite_diff_grad,
-    gaussian_kernel,
     gaussian_smooth,
     packed_windows,
     sigmoid,
@@ -152,13 +153,9 @@ class FrozenTargets:
     p_rows_refill: np.ndarray
 
 
-def capture_targets(bb: ForwardOutputs, tcb: ForwardOutputs, hp: Hyperparams) -> FrozenTargets:
-    return FrozenTargets(
-        smooth_a=gaussian_smooth(bb.a, hp.gauss_sigma, hp.gauss_radius),
-        smooth_a_refill=gaussian_smooth(tcb.a, hp.gauss_sigma, hp.gauss_radius),
-        p_rows=softmax(bb.y, axis=1),
-        p_rows_refill=softmax(tcb.y, axis=1),
-    )
+def capture_targets(bb: ForwardOutputs, tcb: ForwardOutputs) -> FrozenTargets:
+    return FrozenTargets(smooth_a=gaussian_smooth(bb.a), smooth_a_refill=gaussian_smooth(tcb.a),
+                         p_rows=softmax(bb.y, axis=1), p_rows_refill=softmax(tcb.y, axis=1))
 
 
 def compute_losses(bb: ForwardOutputs, tcb: ForwardOutputs | None, video_label: np.ndarray,
@@ -183,7 +180,7 @@ def compute_losses(bb: ForwardOutputs, tcb: ForwardOutputs | None, video_label: 
             raise ValueError(f"compute_losses: branch shapes differ: a {bb.a.shape} "
                              f"vs {tcb.a.shape}, y {bb.y.shape} vs {tcb.y.shape}")
         if frozen is None:
-            frozen = capture_targets(bb, tcb, hp)
+            frozen = capture_targets(bb, tcb)
         l_att = _scalar(np.mean(np.abs(bb.a - frozen.smooth_a_refill)
                                 + np.abs(tcb.a - frozen.smooth_a), axis=-1))
         p = softmax(bb.y, axis=-1)
@@ -292,7 +289,7 @@ class PackedForward:
 
 
 def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
-                   hp: Hyperparams, norm_mode: NormMode = NormMode.STANDARD) -> PackedForward:
+                   norm_mode: NormMode = NormMode.STANDARD) -> PackedForward:
     """Forward of one chunk as packed rows: the chunk's videos back to back,
     then (with a plan) their refilled copies in the same order, so both
     branches share the head GEMM, and both modalities each GEMM call, which
@@ -308,7 +305,7 @@ def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
     d, e, _, k = params.header
     # one table serves the conv windows and the smoothing taps: column
     # width // 2 of every row is the row itself
-    width = max(k, 2 * hp.gauss_radius + 1)
+    width = max(k, GAUSS_TAPS.size)
     wide = packed_windows(lengths, width)
     rows = wide[:, (width - k) // 2 : (width + k) // 2]
     refill = None if plan is None else _refill_tables(rows, plan + starts.repeat(lengths))
@@ -391,11 +388,10 @@ def _output_grads(fwd, videos: list, hp: Hyperparams, mode: GradMode) -> tuple:
 
     if y.shape[1] > n:  # the refilled copy's rows follow the base rows
         # gaussian_smooth of both branches' tracks, 2 * len(videos) segments
-        width = fwd.wide.shape[1]
-        taps = fwd.wide[:, width // 2 - hp.gauss_radius : width // 2 + hp.gauss_radius + 1]
+        width, size = fwd.wide.shape[1], GAUSS_TAPS.size
+        taps = fwd.wide[:, (width - size) // 2 : (width + size) // 2]
         taps = np.concatenate([taps, taps + n])
-        kernel = gaussian_kernel(hp.gauss_sigma, hp.gauss_radius)
-        smooth = a[taps] @ kernel
+        smooth = a[taps] @ GAUSS_TAPS
         ar, g_a, g_r = a[n:], smooth[:n], smooth[n:]
         probs = softmax(y, axis=0)
         p, q = probs[:, :n], probs[:, n:]
@@ -427,7 +423,7 @@ def _chunk_backward(videos: list, plan: np.ndarray | None, params: ModelParams,
     arrays of a gradient vector; returns the (videos, 6) losses in
     LossBreakdown order.
     """
-    fwd = packed_forward(videos, plan, params, hp, mode.norm_mode)
+    fwd = packed_forward(videos, plan, params, mode.norm_mode)
     losses, d_y, d_a = _output_grads(fwd, videos, hp, mode)
     n, refill, xe = int(fwd.lengths.sum()), fwd.refill, fwd.xe
     # through both modality heads (0.5 fusion)
@@ -476,7 +472,7 @@ def backward(videos: list, plan: np.ndarray | None, params: ModelParams,
             raise ValueError(f"backward: plan row {bad[0]} reads snippet {plan[bad[0]]} "
                              f"of a video with T={limits[bad[0]]}")
     grad = np.zeros(params.size)
-    acc = params.from_vector(grad).packed
+    acc = packed_views(grad, params.header)
     losses = [_chunk_backward(videos[lo:hi],
                               None if plan is None else plan[offsets[lo]:offsets[hi]],
                               params, hp, mode, acc)
@@ -533,19 +529,17 @@ def instance_margin(inst: TinyInstance, mode: GradMode) -> float:
 
     Central differences near ReLU or absolute-value kinks measure the wrong
     one-sided slope, so certification instances are rejected when any margin
-    is below the step size by a wide factor. The smoothing that the attention
-    margins see is the default `Hyperparams`', which certification uses.
+    is below the step size by a wide factor. The attention margins are
+    against the other branch's track smoothed by the constant GAUSS_TAPS, as
+    in the continuity loss.
     """
-    hp = Hyperparams()
     bb, tcb = _forward_pair(inst, inst.params, mode)
     margins = [
         float(np.min(np.abs(bb.z_rgb))), float(np.min(np.abs(bb.z_flow))),
         float(np.min(np.abs(tcb.z_rgb))), float(np.min(np.abs(tcb.z_flow))),
     ]
-    g_a = gaussian_smooth(bb.a, hp.gauss_sigma, hp.gauss_radius)
-    g_r = gaussian_smooth(tcb.a, hp.gauss_sigma, hp.gauss_radius)
-    margins.append(float(np.min(np.abs(bb.a - g_r))))
-    margins.append(float(np.min(np.abs(tcb.a - g_a))))
+    margins.append(float(np.min(np.abs(bb.a - gaussian_smooth(tcb.a)))))
+    margins.append(float(np.min(np.abs(tcb.a - gaussian_smooth(bb.a)))))
     probs = [bb.p_fg.min(), bb.p_bg.min(),
              softmax(bb.y, axis=1).min(), softmax(tcb.y, axis=1).min()]
     if min(probs) < 1e-9 or bb.n_f < 0.05 or bb.n_b < 0.05:
@@ -558,7 +552,7 @@ def build_fd_loss(inst: TinyInstance, hp: Hyperparams, mode: GradMode):
     parameter points to their n losses, in one stacked `forward` pair and
     `compute_losses`. The continuity targets are frozen at the base
     parameters, as in `backward`."""
-    frozen = capture_targets(*_forward_pair(inst, inst.params, mode), hp)
+    frozen = capture_targets(*_forward_pair(inst, inst.params, mode))
 
     def fd_loss(points: np.ndarray) -> np.ndarray:
         p = inst.params.from_vector(points)
@@ -623,44 +617,6 @@ def certify_gradients(num_instances: int = 20, tolerance: float = 1e-5,
                 mode=mode.value, seed=inst.seed, max_rel_error=err,
                 passed=err < tolerance))
     return results
-
-
-def honest_attention_factors(out: ForwardOutputs, modality: str) -> np.ndarray:
-    """Per-snippet X_e multipliers in the honest background attention gradient.
-
-    Differentiates the fused forward exactly, so the softmax pull of every
-    class (not only background) appears. Unweighted by the background-loss
-    weight: `lam` times these is the background path's share of the
-    attention-logit gradient that `backward` accumulates.
-    """
-    e_bg = np.zeros(out.p_bg.shape[0])
-    e_bg[-1] = 1.0
-    g_bg = out.p_bg - e_bg
-    if out.norm_mode is NormMode.BGES:
-        att_path = (-out.z_bg - out.y) @ g_bg / out.n_f
-    else:
-        att_path = (out.z_bg - out.y) @ g_bg / out.n_b
-    a_m = out.a_rgb if modality == "rgb" else out.a_flow
-    return att_path * 0.5 * a_m * (1.0 - a_m)
-
-
-def factor_discrepancy(out: ForwardOutputs) -> dict:
-    """Honest rgb-stream gradient factors vs the printed closed form, side by side.
-
-    The closed form keeps only the background class's softmax term and elides
-    the 0.5 fusion, so a residual difference is expected; it is reported here
-    rather than folded into either computation.
-    """
-    if out.norm_mode is not NormMode.STANDARD:
-        raise ValueError("factor_discrepancy expects a STANDARD forward")
-    honest = honest_attention_factors(out, "rgb")
-    closed = closed_form_attention_factors(out, "rgb")["std"]
-    return {
-        "honest": honest,
-        "closed_form": closed,
-        "max_abs_diff": float(np.max(np.abs(honest - closed))),
-        "mean_abs_diff": float(np.mean(np.abs(honest - closed))),
-    }
 
 
 def closed_form_attention_factors(out: ForwardOutputs, modality: str) -> dict:

@@ -77,18 +77,25 @@ def _layout(d: int, e: int, c: int, k: int) -> tuple:
     return tuple(zip(shapes, [0] + stops[:-1], stops))
 
 
-def _views(vec: np.ndarray | None, header: tuple) -> "ModelParams":
-    """ModelParams of shape header (D, E, C, K) whose arrays view the flat
-    `vec` (a new zero one if None). An (n, P) `vec` is a stack of n
-    parameter points, and gives every array a leading point axis."""
+def packed_views(vec: np.ndarray, header: tuple) -> PackedWeights:
+    """PackedWeights of shape header (D, E, C, K) that view the flat `vec`.
+    An (n, P) `vec` is a stack of n parameter points, and gives every array
+    a leading point axis."""
     layout = _layout(*header)
     size = layout[-1][-1]
-    vec = np.zeros(size) if vec is None else vec
     if vec.ndim not in (1, 2) or vec.shape[-1] != size:
         raise ValueError(f"from_vector: expected {size} values per point, got shape {vec.shape}")
     points = vec.shape[:-1]
-    packed = PackedWeights(*(vec[..., start:stop].reshape(points + shape)
-                             for shape, start, stop in layout))
+    return PackedWeights(*(vec[..., start:stop].reshape(points + shape)
+                           for shape, start, stop in layout))
+
+
+def _views(vec: np.ndarray | None, header: tuple) -> "ModelParams":
+    """ModelParams whose arrays view `packed_views(vec, header)` (a new zero
+    `vec` if None), the named blocks as well as the packed arrays."""
+    vec = np.zeros(_layout(*header)[-1][-1]) if vec is None else vec
+    packed = packed_views(vec, header)
+    points = vec.shape[:-1]
     d, e, _, k = header
     rows, bias, head, head_bias = packed
     rgb, flow = (ModalityParams(
@@ -171,16 +178,13 @@ class Hyperparams:
     proposal_thresholds: tuple = tuple(np.round(np.arange(0.10, 0.7001, 0.05), 2))
     embed_dim: int = 0  # 0 means "match the feature dim"
     kernel_size: int = 3
-    gauss_sigma: float = 1.0
-    gauss_radius: int = 2
 
     def __post_init__(self):
         check_settings(
             self, lam=at_least(0), beta=at_least(0), k=at_least(1),
             epsilon=within(0, 1), rho_cls=within(0, 1), nms_iou=at_least(0),
-            embed_dim=at_least(0), gauss_radius=at_least(0),
+            embed_dim=at_least(0),
             kernel_size=(lambda v: v >= 1 and v % 2 == 1, "must be odd and >= 1"),
-            gauss_sigma=(lambda v: v > 0, "must be > 0"),
             proposal_thresholds=[(len, "must not be empty"),  # fused scores lie in [0, 1]
                                  (lambda v: all(0 < t < 1 for t in v), "must each lie in (0, 1)")])
 

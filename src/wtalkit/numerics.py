@@ -64,24 +64,18 @@ def packed_windows(lengths, width: int) -> np.ndarray:
     return starts + reflect_index(local + offsets, n)
 
 
-def gaussian_kernel(sigma: float, radius: int) -> np.ndarray:
-    """Normalized exp(-d^2 / 2 sigma^2) taps for |d| <= radius."""
-    if sigma <= 0:
-        raise ValueError(f"gaussian kernel: sigma must be > 0, got {sigma}")
-    if radius < 0:
-        raise ValueError(f"gaussian kernel: radius must be >= 0, got {radius}")
-    d = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(d**2) / (2.0 * sigma**2))
-    return k / k.sum()
+# the continuity smoothing: normalized exp(-d^2 / 2 sigma^2) taps for |d| <= 2, sigma = 1
+GAUSS_TAPS = np.exp(-(np.arange(-2, 3, dtype=np.float64) ** 2) / 2.0)
+GAUSS_TAPS /= GAUSS_TAPS.sum()
+GAUSS_TAPS.flags.writeable = False
 
 
-def gaussian_smooth(seq: np.ndarray, sigma: float = 1.0, radius: int = 2) -> np.ndarray:
-    """Smooth a length-T sequence with a normalized Gaussian, reflect padding."""
+def gaussian_smooth(seq: np.ndarray) -> np.ndarray:
+    """Smooth a length-T sequence with the GAUSS_TAPS kernel, reflect padding."""
     seq = np.asarray(seq, dtype=np.float64)
     if seq.ndim != 1 or seq.size == 0:
         raise ValueError("gaussian_smooth: expected a non-empty 1-D sequence")
-    k = gaussian_kernel(sigma, radius)
-    return seq[packed_windows([seq.size], k.size)] @ k
+    return seq[packed_windows([seq.size], GAUSS_TAPS.size)] @ GAUSS_TAPS
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)

@@ -132,7 +132,7 @@ def localize_dataset(records: list, params: ModelParams, hp: Hyperparams) -> dic
     """
     proposals = {}
     for lo, hi in _chunks(records, params.header[-1]):
-        out = packed_forward(records[lo:hi], None, params, hp)
+        out = packed_forward(records[lo:hi], None, params)
         for r, start, t, p_fg in zip(records[lo:hi], out.starts, out.lengths, out.p_fg.T):
             rows = slice(start, start + t)
             proposals[r.video_id] = localize_scores(out.y[:, rows].T, out.a[rows], p_fg, hp)

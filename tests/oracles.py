@@ -228,7 +228,29 @@ def finite_diff_oracle(loss_fn, params, epsilon=1e-5):
     return grad
 
 
-def packed_forward_oracle(videos, plan, params, hp, norm_mode):
+def attention_factor_oracle(out, modality):
+    """The honest background attention-gradient factor of one forward `out`,
+    one snippet and class at a time: at each snippet, the derivative of the
+    background loss -log p_bg[C] in `modality`'s attention logit, unweighted
+    by lam. d z_bg[c] / d a_t is (z_bg[c] - y[t, c]) / N_b, or under BGES
+    (-z_bg[c] - y[t, c]) / N_f; the fused attention is half the modality's
+    sigmoid."""
+    bges = out.norm_mode.value == "bges"
+    denom = out.n_f if bges else out.n_b
+    num_classes = len(out.p_bg)
+    a_m = out.a_rgb if modality == "rgb" else out.a_flow
+    factors = np.zeros(len(out.a))
+    for t in range(len(out.a)):
+        d_a = 0.0
+        for c in range(num_classes):
+            g = out.p_bg[c] - (1.0 if c == num_classes - 1 else 0.0)
+            d_z = ((-out.z_bg[c] if bges else out.z_bg[c]) - out.y[t, c]) / denom
+            d_a += g * d_z
+        factors[t] = d_a * 0.5 * a_m[t] * (1.0 - a_m[t])
+    return factors
+
+
+def packed_forward_oracle(videos, plan, params, norm_mode):
     """The packed forward with window matrices for both branches, as it ran
     before the refilled copy was embedded from its per-segment sources: each
     refilled row gathers its own (K·D) window of refilled snippets and
@@ -241,7 +263,7 @@ def packed_forward_oracle(videos, plan, params, hp, norm_mode):
     starts = np.cumsum(lengths) - lengths
     seg = np.repeat(np.arange(len(videos)), lengths)
     k = params.header[-1]
-    width = max(k, 2 * hp.gauss_radius + 1)
+    width = max(k, 5)  # wide enough for the five smoothing taps
     wide = packed_windows(lengths, width)
     rows = wide[:, (width - k) // 2:(width + k) // 2]
     if plan is not None:
@@ -285,7 +307,7 @@ def backward_oracle(videos, plan, params, hp, mode):
     losses = []
     for lo, hi in _chunks(videos, params.header[-1]):
         chunk_plan = None if plan is None else plan[offsets[lo]:offsets[hi]]
-        fwd = packed_forward_oracle(videos[lo:hi], chunk_plan, params, hp, mode.norm_mode)
+        fwd = packed_forward_oracle(videos[lo:hi], chunk_plan, params, mode.norm_mode)
         parts, d_y, d_a = _output_grads(fwd, videos[lo:hi], hp, mode)
         losses.append(parts)
         d_h = np.empty((d_y.shape[0] + 1, d_y.shape[1]))

@@ -421,6 +421,102 @@ class TestMissingOutputDirectory:
                        "--test", test, "--out", missing], missing, capsys)
 
 
+class TestDirectoryAsPath:
+    """A directory given where a file goes, or a file where `gen`'s output
+    directory goes, is a data error (exit 2) with a one-line message, raised
+    before any training, inference, scoring or generation."""
+
+    @staticmethod
+    def _no_work(monkeypatch, *names):
+        import wtalkit.cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("work ran before the path was refused")
+        for name in names:
+            monkeypatch.setattr(wtalkit.cli, name, never)
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        # `gen` runs in the data_dir fixture, so its own test stubs it
+        self._no_work(monkeypatch, "train", "localize_dataset", "evaluate", "ablate")
+
+    def _refused(self, argv, message, capsys):
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.fixture()
+    def folder(self, tmp_path):
+        path = tmp_path / "folder"
+        path.mkdir()
+        return path
+
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    def test_train_output(self, flag, folder, tmp_path, ini, data_dir, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        outputs = {"--out": str(ckpt), flag: str(folder)}
+        argv = ["--config", ini, "train", "--data", str(data_dir / "train.bin")]
+        argv += [v for pair in outputs.items() for v in pair]
+        self._refused(argv, f"cannot write {folder}: it is a directory", capsys)
+        assert not ckpt.exists() and not any(folder.iterdir())
+
+    def test_train_data(self, folder, tmp_path, ini, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        self._refused(["--config", ini, "train", "--data", str(folder), "--out", str(ckpt)],
+                      f"Is a directory: '{folder}'", capsys)
+        assert not ckpt.exists()
+
+    @pytest.fixture()
+    def ckpt(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(np.random.default_rng(0), 8, 8, 3))
+        return path
+
+    def test_localize_output(self, folder, ckpt, ini, data_dir, capsys):
+        self._refused(["--config", ini, "localize", "--checkpoint", str(ckpt),
+                       "--data", str(data_dir / "test.bin"), "--out", str(folder)],
+                      f"cannot write {folder}: it is a directory", capsys)
+        assert not any(folder.iterdir())
+
+    def test_localize_checkpoint(self, folder, tmp_path, ini, data_dir, capsys):
+        props = tmp_path / "p.tsv"
+        self._refused(["--config", ini, "localize", "--checkpoint", str(folder),
+                       "--data", str(data_dir / "test.bin"), "--out", str(props)],
+                      f"Is a directory: '{folder}'", capsys)
+        assert not props.exists()
+
+    def test_eval_proposals_and_outputs(self, folder, tmp_path, ini, data_dir, capsys):
+        report = tmp_path / "r.csv"
+        test = str(data_dir / "test.bin")
+        self._refused(["--config", ini, "eval", "--proposals", str(folder),
+                       "--data", test, "--out", str(report)],
+                      f"Is a directory: '{folder}'", capsys)
+        assert not report.exists()
+        for argv in (["eval", "--proposals", str(report), "--data", test],
+                     ["ablate", "--data", str(data_dir / "train.bin"), "--test", test]):
+            self._refused(["--config", ini, *argv, "--out", str(folder)],
+                          f"cannot write {folder}: it is a directory", capsys)
+        assert not any(folder.iterdir())
+
+    def test_gen_output_that_is_a_file(self, tmp_path, ini, monkeypatch, capsys):
+        self._no_work(monkeypatch, "generate")
+        path = tmp_path / "taken"
+        path.write_text("keep")
+        self._refused(["--config", ini, "gen", "--out", str(path)],
+                      f"File exists: '{path}'", capsys)
+        assert path.read_text() == "keep"
+
+    def test_gen_dataset_that_is_a_directory(self, folder, ini, monkeypatch, capsys):
+        self._no_work(monkeypatch, "generate")
+        (folder / "test.bin").mkdir()
+        self._refused(["--config", ini, "gen", "--out", str(folder)],
+                      f"cannot write {folder / 'test.bin'}: it is a directory", capsys)
+        assert sorted(p.name for p in folder.iterdir()) == ["test.bin"]
+
+
 class TestBadProposals:
     """`eval` refuses a proposal file that cannot describe the test set: a
     data error (exit 2) naming the line or the video, with no report."""

@@ -7,6 +7,7 @@ from typing import get_type_hints
 
 import pytest
 
+from wtalkit.cli import main
 from wtalkit.config import _EXTRA_KEYS, Config, load_config
 from wtalkit.errors import ConfigError
 from wtalkit.losses import GradMode
@@ -104,6 +105,17 @@ iou_thresholds = 0.3 0.5 0.7
         with pytest.raises(ConfigError, match=r"\[hyperparams\] unknown key 't_train'"):
             load_config(_write(tmp_path, "[hyperparams]\nt_train = 100\n"))
 
+    @pytest.mark.parametrize("key", ["gauss_sigma", "gauss_radius"])
+    def test_removed_smoothing_key_is_rejected(self, tmp_path, key, capsys):
+        # the continuity smoothing is the constant numerics.GAUSS_TAPS
+        path = _write(tmp_path, f"[hyperparams]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=rf"\[hyperparams\] unknown key '{key}'"):
+            load_config(path)
+        out = tmp_path / "world"
+        assert main(["--config", path, "gen", "--out", str(out)]) == 1
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hyperparams_iterations_key_is_rejected(self, tmp_path):
         # step counts are set by [run] iterations alone
         with pytest.raises(ConfigError,
@@ -155,7 +167,7 @@ class TestFieldKeys:
     def test_every_scalar_field_is_a_key_of_its_type(self, tmp_path, section, cls):
         scalars = {name: kind for name, kind in get_type_hints(cls).items()
                    if kind in (int, float, bool)}
-        assert len(scalars) == {"synth": 7, "hyperparams": 10, "run": 8}[section]
+        assert len(scalars) == {"synth": 7, "hyperparams": 8, "run": 8}[section]
         default = cls()
         values = {}
         for name, kind in scalars.items():
@@ -184,8 +196,8 @@ class TestChecks:
         (Hyperparams, {"rho_cls": float("nan")}, "rho_cls must be finite, got nan"),
         (Hyperparams, {"epsilon": -0.5}, r"epsilon must lie in \[0, 1\], got -0.5"),
         (Hyperparams, {"kernel_size": 4}, "kernel_size must be odd and >= 1, got 4"),
-        (Hyperparams, {"gauss_sigma": 0.0}, "gauss_sigma must be > 0, got 0.0"),
-        (Hyperparams, {"gauss_radius": -1}, "gauss_radius must be >= 0, got -1"),
+        (Hyperparams, {"nms_iou": -0.1}, "nms_iou must be >= 0, got -0.1"),
+        (Hyperparams, {"embed_dim": -1}, "embed_dim must be >= 0, got -1"),
         (Hyperparams, {"proposal_thresholds": (0.2, float("nan"))},
          "proposal_thresholds must be finite, got nan"),
         (Config, {"eval_thresholds": (0.00001, 0.5)},
@@ -237,7 +249,7 @@ class TestChecks:
 
     @pytest.mark.parametrize("cls, changes", [
         (Hyperparams, {"k": 1, "epsilon": 0.0, "nms_iou": 0.0, "embed_dim": 0,
-                       "gauss_radius": 0, "lam": 0.0, "beta": 0.0, "kernel_size": 1}),
+                       "lam": 0.0, "beta": 0.0, "kernel_size": 1}),
         (Hyperparams, {"epsilon": 1.0}),
         (RunConfig, {"learning_rate": 0.0, "decay_fraction": 0.0, "weight_decay": 0.0,
                      "iterations": 1, "batch_size": 1, "seed": 0,

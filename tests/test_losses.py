@@ -10,7 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wtalkit.losses as losses_mod
-from oracles import backward_oracle, finite_diff_oracle, packed_forward_oracle
+from oracles import (
+    attention_factor_oracle,
+    backward_oracle,
+    finite_diff_oracle,
+    packed_forward_oracle,
+)
 from wtalkit.errors import NumericError
 from wtalkit.losses import (
     CHUNK_CELLS,
@@ -24,9 +29,7 @@ from wtalkit.losses import (
     certify_gradients,
     closed_form_attention_factors,
     compute_losses,
-    factor_discrepancy,
     full_label,
-    honest_attention_factors,
     instance_margin,
     loss_bg,
     loss_bvl,
@@ -217,7 +220,7 @@ class TestBreakdown:
         # identical loss value at the capture point, by construction
         inst = accepted_instance(60)
         bb, tcb = _forward_pair(inst, inst.params, GradMode.STANDARD)
-        frozen = capture_targets(bb, tcb, HP)
+        frozen = capture_targets(bb, tcb)
         live = compute_losses(bb, tcb, inst.video_label, HP, GradMode.STANDARD)
         held = compute_losses(bb, tcb, inst.video_label, HP, GradMode.STANDARD,
                               frozen)
@@ -262,7 +265,7 @@ class TestBackward:
             for name, x in (("rgb", inst.x_rgb), ("flow", inst.x_flow)):
                 mod = inst.params.modality(name)
                 xe = embed(x, mod, packed_windows([len(x)], mod.w_embed.shape[2]))[2]
-                factors = sign * HP.lam * honest_attention_factors(bb, name)
+                factors = sign * HP.lam * attention_factor_oracle(bb, name)
                 d_on, d_off = on.modality(name), off.modality(name)
                 np.testing.assert_allclose(d_on.w_att - d_off.w_att,
                                            xe.T @ factors, rtol=1e-9, atol=1e-15)
@@ -396,7 +399,7 @@ class TestWindowMatrixOracle:
             assert getattr(parts, field) == pytest.approx(getattr(want_parts, field),
                                                           rel=1e-12, abs=1e-15)
         # the refilled copy multiplies one source row per segment, no window
-        fwd = packed_forward(videos, plan, params, HP, mode.norm_mode)
+        fwd = packed_forward(videos, plan, params, mode.norm_mode)
         assert fwd.refill.sources.size == sum(-(-t // HP.k) for t in lengths)
         assert fwd.win.shape == (2, sum(lengths), 3 * 32)
 
@@ -429,8 +432,8 @@ class TestWindowMatrixOracle:
         offsets = np.cumsum([0] + lengths)
         for lo, hi in chunks:
             chunk_plan = plan[offsets[lo]:offsets[hi]]
-            got = packed_forward(videos[lo:hi], chunk_plan, params, HP, mode.norm_mode)
-            want = packed_forward_oracle(videos[lo:hi], chunk_plan, params, HP, mode.norm_mode)
+            got = packed_forward(videos[lo:hi], chunk_plan, params, mode.norm_mode)
+            want = packed_forward_oracle(videos[lo:hi], chunk_plan, params, mode.norm_mode)
             for field in ("y", "a", "n_f", "denom", "z_fg", "z_bg", "p_fg", "p_bg"):
                 assert_close_rel(getattr(got, field), getattr(want, field))
 
@@ -492,7 +495,7 @@ class TestStackedPoints:
         mode = GradMode.BGES if norm_mode is NormMode.BGES else GradMode.BVL
         first = base.from_vector(stack[0])
         frozen = capture_targets(forward(x_rgb, x_flow, first, norm_mode),
-                                 tcb_forward_full(x_rgb, x_flow, first, plan), HP)
+                                 tcb_forward_full(x_rgb, x_flow, first, plan))
         many = base.from_vector(stack)
         bb = forward(x_rgb, x_flow, many, norm_mode)
         tcb = tcb_forward_full(x_rgb, x_flow, many, plan)
@@ -610,13 +613,14 @@ class TestFactorIdentities:
 
     def test_discrepancy_reported_not_hidden(self):
         # the printed closed form drops the non-background softmax terms and
-        # the fusion halving, so an honest gradient differs; the diagnostic
-        # must surface that difference rather than absorb it
+        # the fusion halving, so it differs from the honest factor that
+        # `backward` accumulates (test_att_factors_are_weighted_honest_factors)
         inst = make_tiny_instance(6)
         bb = forward(inst.x_rgb, inst.x_flow, inst.params)
-        report = factor_discrepancy(bb)
-        assert report["max_abs_diff"] > 0
-        assert report["honest"].shape == report["closed_form"].shape
+        honest = attention_factor_oracle(bb, "rgb")
+        closed = closed_form_attention_factors(bb, "rgb")["std"]
+        assert honest.shape == closed.shape
+        assert np.max(np.abs(honest - closed)) > 0
 
     def test_closed_form_requires_standard_forward(self):
         inst = make_tiny_instance(7)
@@ -624,5 +628,3 @@ class TestFactorIdentities:
                      GradMode.BGES.norm_mode)
         with pytest.raises(ValueError):
             closed_form_attention_factors(bb, "rgb")
-        with pytest.raises(ValueError):
-            factor_discrepancy(bb)

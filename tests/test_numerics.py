@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from oracles import adam_oracle, sigmoid_oracle
 from wtalkit.errors import NumericError
 from wtalkit.numerics import (
+    GAUSS_TAPS,
     AdamState,
     adam_step,
     finite_diff_grad,
-    gaussian_kernel,
     gaussian_smooth,
     packed_windows,
     reflect_index,
@@ -101,12 +101,19 @@ class TestReflectIndex:
         np.testing.assert_array_equal(out, expected)
 
 
+def sigma_one_taps():
+    """exp(-d^2 / 2) for |d| <= 2, normalized: the smoothing's kernel."""
+    k = np.exp(-np.arange(-2.0, 3.0) ** 2 / 2.0)
+    return k / k.sum()
+
+
 class TestGaussianSmooth:
     def test_kernel_normalized_symmetric(self):
-        k = gaussian_kernel(1.0, 2)
-        assert k.shape == (5,)
-        assert k.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(k, k[::-1])
+        assert GAUSS_TAPS.shape == (5,)
+        assert GAUSS_TAPS.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(GAUSS_TAPS, GAUSS_TAPS[::-1])
+        np.testing.assert_allclose(GAUSS_TAPS, sigma_one_taps(), rtol=1e-15)
+        assert not GAUSS_TAPS.flags.writeable
 
     def test_constant_fixed_point(self):
         seq = np.full(4, 0.3)
@@ -123,7 +130,7 @@ class TestGaussianSmooth:
     def test_matches_direct_convolution(self):
         rng = np.random.default_rng(3)
         seq = rng.normal(size=7)
-        k = gaussian_kernel(1.0, 2)
+        k = sigma_one_taps()
         expected = np.empty(7)
         for t in range(7):
             acc = 0.0
@@ -132,9 +139,10 @@ class TestGaussianSmooth:
             expected[t] = acc
         np.testing.assert_allclose(gaussian_smooth(seq), expected, atol=1e-12)
 
-    def test_sigma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            gaussian_smooth(np.ones(3), sigma=0.0)
+    @pytest.mark.parametrize("seq", [np.zeros(0), np.ones((2, 3))], ids=["empty", "2-D"])
+    def test_only_a_non_empty_sequence_is_smoothed(self, seq):
+        with pytest.raises(ValueError, match="non-empty 1-D sequence"):
+            gaussian_smooth(seq)
 
     def test_range_bounded(self):
         rng = np.random.default_rng(5)
