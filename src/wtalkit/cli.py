@@ -1,7 +1,8 @@
 """Command-line entry point: gen, train, gradcheck, localize, eval, ablate.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error (a bad or
-unreadable file, or an output path that cannot be written), 3 numeric failure
+unreadable file, or an output path that cannot be written or that names an
+input or another output), 3 numeric failure
 (training blow-up or failed gradient certification). The default config path
 comes from $WTALKIT_CONFIG when --config is not given. The settings types
 check every value when the file loads and when a flag or an ablation row
@@ -45,21 +46,33 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _writable(*paths) -> None:
-    """Refuse, before any work, an output path whose directory is missing or
-    that is itself a directory."""
-    for path in filter(None, paths):
+def _config_path(args):
+    return args.config if args.config is not None else os.environ.get(ENV_CONFIG)
+
+
+def _writable(args, outputs: dict, inputs: dict) -> None:
+    """Refuse, before any work, an output path whose directory is missing,
+    that is itself a directory, or that resolves to the same file as an
+    input or another output. `outputs` and `inputs` map each flag to its
+    path, None when not given; the config file is an input of every command."""
+    taken = {os.path.realpath(path): flag
+             for flag, path in {"the config": _config_path(args), **inputs}.items() if path}
+    for flag, path in outputs.items():
+        if not path:
+            continue
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
         if os.path.isdir(path):
             raise IsADirectoryError(f"cannot write {path}: it is a directory")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise FileExistsError(f"cannot write {path} ({flag}): "
+                                  f"it is the same file as {taken[real]}")
+        taken[real] = flag
 
 
 def _load(args) -> Config:
-    path = args.config
-    if path is None:
-        path = os.environ.get(ENV_CONFIG)
-    return load_config(path)
+    return load_config(_config_path(args))
 
 
 def _given(settings, **flags):
@@ -75,13 +88,21 @@ def cmd_gen(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     train_path = os.path.join(args.out, "train.bin")
     test_path = os.path.join(args.out, "test.bin")
-    _writable(train_path, test_path)
+    _writable(args, {"train.bin": train_path, "test.bin": test_path}, {})
     train_recs, test_recs = generate(synth)
     write_dataset(train_path, train_recs, num_classes=synth.num_classes)
     write_dataset(test_path, test_recs, num_classes=synth.num_classes)
     print(f"wrote {train_path} ({len(train_recs)} videos) sha256={_sha256(train_path)}")
     print(f"wrote {test_path} ({len(test_recs)} videos) sha256={_sha256(test_path)}")
     return 0
+
+
+def _training_set(path):
+    """The dataset at `path`, refused when it holds no video to train on."""
+    dataset = read_dataset(path)
+    if not dataset.records:
+        raise DataFormatError(f"{path} holds no videos to train on")
+    return dataset
 
 
 def _run_overrides(args, cfg: Config):
@@ -92,13 +113,11 @@ def _run_overrides(args, cfg: Config):
 
 
 def cmd_train(args) -> int:
-    _writable(args.out, args.log)
+    _writable(args, {"--out": args.out, "--log": args.log}, {"--data": args.data})
     cfg = _load(args)
     run = _run_overrides(args, cfg)
-    dataset = read_dataset(args.data)
-    videos = training_view(dataset.records)
-    run = replace(run, checkpoint_path=args.out, log_path=args.log)
-    last = train(videos, run).log[-1].losses
+    videos = training_view(_training_set(args.data).records)
+    last = train(videos, run, checkpoint_path=args.out, log_path=args.log).log[-1].losses
     if args.out is None:
         print("training finished (no checkpoint path given)")
     else:
@@ -146,7 +165,8 @@ def _same_shape(path_a, shape_a: tuple, path_b, shape_b: tuple) -> None:
 
 
 def cmd_localize(args) -> int:
-    _writable(args.out)
+    _writable(args, {"--out": args.out},
+              {"--checkpoint": args.checkpoint, "--data": args.data})
     params = load_checkpoint(args.checkpoint)
     cfg = _load(args)
     dataset = read_dataset(args.data)
@@ -163,7 +183,7 @@ def cmd_localize(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _writable(args.out)
+    _writable(args, {"--out": args.out}, {"--proposals": args.proposals, "--data": args.data})
     cfg = _load(args)
     dataset = read_dataset(args.data)
     proposals = read_proposals(args.proposals)
@@ -196,10 +216,10 @@ def _ablation_rows(args, run) -> list:
 
 
 def cmd_ablate(args) -> int:
-    _writable(args.out)
+    _writable(args, {"--out": args.out}, {"--data": args.data, "--test": args.test})
     cfg = _load(args)
     grid = _ablation_rows(args, _run_overrides(args, cfg))
-    train_ds = read_dataset(args.data)
+    train_ds = _training_set(args.data)
     test_ds = read_dataset(args.test)
     _same_shape(args.data, (train_ds.feature_dim, train_ds.num_classes),
                 args.test, (test_ds.feature_dim, test_ds.num_classes))

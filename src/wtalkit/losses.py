@@ -288,6 +288,21 @@ class PackedForward:
     p_bg: np.ndarray
 
 
+class NonFiniteForward(NumericError):
+    """A packed forward with non-finite outputs. `position` indexes the first
+    video whose rows (base or refilled) or pooled outputs are non-finite, in
+    the videos the failing call was handed; a caller that knows more shifts
+    it to its own batch and may set `video_id`."""
+
+    def __init__(self, position: int):
+        super().__init__()
+        self.position, self.video_id = position, None
+
+    def __str__(self):
+        named = "" if self.video_id is None else f" ({self.video_id})"
+        return f"forward produced non-finite outputs at batch position {self.position}{named}"
+
+
 def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
                    norm_mode: NormMode = NormMode.STANDARD) -> PackedForward:
     """Forward of one chunk as packed rows: the chunk's videos back to back,
@@ -340,7 +355,12 @@ def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
     z_bg = np.add.reduceat(yb * (1.0 - ab), starts, axis=1) / denom
     p_fg, p_bg = softmax(z_fg, axis=0), softmax(z_bg, axis=0)
     if not all(np.all(np.isfinite(arr)) for arr in (y, a, p_fg, p_bg)):
-        raise NumericError("forward produced non-finite outputs")
+        rows = np.isfinite(y).all(axis=0) & np.isfinite(a)
+        if refill is not None:
+            rows = rows[:n] & rows[n:]  # refilled row n + r copies base row r's video
+        ok = (np.logical_and.reduceat(rows, starts)
+              & np.isfinite(p_fg).all(axis=0) & np.isfinite(p_bg).all(axis=0))
+        raise NonFiniteForward(int(np.flatnonzero(~ok)[0]))
     return PackedForward(lengths=lengths, starts=starts, wide=wide, refill=refill, win=win,
                          xs=xs, xe=xe, a_modal=a_modal, y=y, a=a, n_f=n_f, denom=denom,
                          z_fg=z_fg, z_bg=z_bg, p_fg=p_fg, p_bg=p_bg)
@@ -473,10 +493,15 @@ def backward(videos: list, plan: np.ndarray | None, params: ModelParams,
                              f"of a video with T={limits[bad[0]]}")
     grad = np.zeros(params.size)
     acc = packed_views(grad, params.header)
-    losses = [_chunk_backward(videos[lo:hi],
-                              None if plan is None else plan[offsets[lo]:offsets[hi]],
-                              params, hp, mode, acc)
-              for lo, hi in _chunks(videos, params.header[-1])]
+    losses = []
+    for lo, hi in _chunks(videos, params.header[-1]):
+        try:
+            losses.append(_chunk_backward(
+                videos[lo:hi], None if plan is None else plan[offsets[lo]:offsets[hi]],
+                params, hp, mode, acc))
+        except NonFiniteForward as exc:
+            exc.position += lo
+            raise
     grad /= len(videos)
     if not np.all(np.isfinite(grad)):
         raise NumericError("backward produced non-finite gradients")

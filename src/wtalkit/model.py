@@ -91,8 +91,8 @@ def packed_views(vec: np.ndarray, header: tuple) -> PackedWeights:
 
 
 def _views(vec: np.ndarray | None, header: tuple) -> "ModelParams":
-    """ModelParams whose arrays view `packed_views(vec, header)` (a new zero
-    `vec` if None), the named blocks as well as the packed arrays."""
+    """ModelParams whose `vector` is `vec` (a new zero vector if None) and
+    whose arrays view it: `packed_views(vec, header)` and the named blocks."""
     vec = np.zeros(_layout(*header)[-1][-1]) if vec is None else vec
     packed = packed_views(vec, header)
     points = vec.shape[:-1]
@@ -102,18 +102,19 @@ def _views(vec: np.ndarray | None, header: tuple) -> "ModelParams":
         w_embed=rows[..., m, :, :].reshape(points + (k, d, e)).swapaxes(-1, -3),
         b_embed=bias[..., m, :], w_cls=head[..., m, :, :-1], b_cls=head_bias[..., m, :-1],
         w_att=head[..., m, :, -1], b_att=head_bias[..., m, -1]) for m in (0, 1))
-    return ModelParams(rgb=rgb, flow=flow, packed=packed)
+    return ModelParams(rgb=rgb, flow=flow, packed=packed, vector=vec)
 
 
 @dataclass
 class ModelParams:
-    """Both modality branches, as views of one flat float64 vector that holds
-    the `packed` arrays; `zeros`, `from_vector` and `load_checkpoint` build
-    them."""
+    """Both modality branches, as views of the flat float64 `vector` that
+    holds the `packed` arrays; `zeros`, `from_vector` and `load_checkpoint`
+    build them. Writes to `vector` show in every array, and the reverse."""
 
     rgb: ModalityParams
     flow: ModalityParams
     packed: PackedWeights
+    vector: np.ndarray
 
     @staticmethod
     def zeros(d: int, e: int, c: int, k: int) -> "ModelParams":
@@ -146,9 +147,8 @@ class ModelParams:
                 for name in MODALITIES for field in fields(ModalityParams)]
 
     def to_vector(self) -> np.ndarray:
-        """A copy of the flat vector of one point, in its in-memory
-        (`_layout`) order."""
-        return np.concatenate([a.ravel() for a in self.packed])
+        """A copy of `vector`, in its in-memory (`_layout`) order."""
+        return self.vector.copy()
 
     def from_vector(self, vec: np.ndarray) -> "ModelParams":
         """Params with this instance's shapes as views of `vec`, with no copy

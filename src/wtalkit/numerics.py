@@ -11,7 +11,7 @@ evaluate in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,26 +84,20 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Adam moments plus the step size and weight decay, which `RunConfig`
-    checks. The trainer lowers `learning_rate` once, halfway through a run.
-    Weight decay is decoupled (applied to the parameter directly, never
-    folded into the gradient).
-    """
+    """Adam's state: the two moment vectors, zero before the first step, and
+    the number of steps taken. The step size and the weight decay are
+    arguments of each `adam_step`."""
 
-    shape: tuple
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.0
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step: int = 0
-    first_moment: np.ndarray = field(init=False)
-    second_moment: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.first_moment = np.zeros(self.shape)
-        self.second_moment = np.zeros(self.shape)
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
-    """One bias-corrected Adam update of `params` and the moments, in place."""
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
+              learning_rate: float, weight_decay: float) -> None:
+    """One bias-corrected Adam update of `params` and the moments, in place.
+    Weight decay is decoupled: it shrinks the parameters directly and is
+    never folded into the gradient."""
     if params.shape != grads.shape or params.shape != state.first_moment.shape:
         raise ValueError(
             f"adam_step: shape mismatch params {params.shape}, grads {grads.shape}, "
@@ -116,8 +110,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     np.add(ADAM_BETA2 * v, (1.0 - ADAM_BETA2) * grads**2, out=v)
     m_hat = m / (1.0 - ADAM_BETA1**t)
     v_hat = v / (1.0 - ADAM_BETA2**t)
-    params *= 1.0 - state.learning_rate * state.weight_decay
-    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    params *= 1.0 - learning_rate * weight_decay
+    params -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     if not np.all(np.isfinite(params)):
         raise NumericError("adam_step produced non-finite parameters")
 

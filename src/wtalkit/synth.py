@@ -208,8 +208,12 @@ def write_dataset(path, records: list, num_classes: int | None = None,
         if not records:
             raise ValueError("num_classes required for an empty dataset")
         num_classes = records[0].video_label.shape[0]
+    if num_classes < 1:
+        raise ValueError(f"num_classes must be >= 1, got {num_classes}")
     if records:
         feature_dim = records[0].x_rgb.shape[1]
+        if feature_dim < 1:
+            raise ValueError(f"{records[0].video_id}: feature dim must be >= 1, got 0")
     else:
         feature_dim = 0
     parts = [struct.pack("<IIIQ", DATASET_VERSION, num_classes, feature_dim,
@@ -252,7 +256,14 @@ def read_dataset(path) -> Dataset:
         (version,) = cur.unpack("<I", "version")
         if version != DATASET_VERSION:
             raise DataFormatError(f"unsupported version {version}", offset=cur.pos - 4)
+        header_at = cur.pos
         num_classes, feature_dim, count, frames_per_snippet, fps = cur.unpack("<IIQId", "header")
+        if num_classes == 0:
+            raise DataFormatError("header field num_classes (C) is 0, must be >= 1",
+                                  offset=header_at)
+        if feature_dim == 0 and count:
+            raise DataFormatError(f"header field feature_dim (D) is 0 for {count} videos, "
+                                  "must be >= 1", offset=header_at + 4)
         mask_len = (num_classes + 7) // 8
 
         def snippet(i):

@@ -10,7 +10,7 @@ from .container import atomic_write
 from .errors import NumericError, at_least, check_settings, within
 from .evaluate import DEFAULT_IOU_THRESHOLDS, EvalReport, evaluate
 from .localize import localize_scores
-from .losses import GradMode, LossBreakdown, _chunks, backward, packed_forward
+from .losses import GradMode, LossBreakdown, NonFiniteForward, _chunks, backward, packed_forward
 # unused here, but bench/test_bench.py checks that its tracer patches this binding
 from .model import Hyperparams, ModelParams, forward, init_params, save_checkpoint  # noqa: F401
 from .numerics import AdamState, adam_step
@@ -19,7 +19,8 @@ from .ten import make_plan
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One training run: mode, branch wiring, optimizer, and bookkeeping.
+    """The settings of one training run: mode, branch wiring, optimizer
+    and checkpoint cadence. Where the run writes is an argument of `train`.
 
     `iterations` is the number of Adam steps; nothing else sets it. With
     use_ten off, or with k=1 (where sample-and-refill is the identity and the
@@ -37,8 +38,6 @@ class RunConfig:
     iterations: int = 6000
     batch_size: int = 16
     seed: int = 0
-    checkpoint_path: str | None = None
-    log_path: str | None = None
     checkpoint_every: int = 0  # 0 = write only the final checkpoint
 
     def __post_init__(self):
@@ -46,6 +45,12 @@ class RunConfig:
             self, learning_rate=at_least(0), decay_fraction=within(0, 1),
             weight_decay=at_least(0), iterations=at_least(1), batch_size=at_least(1),
             seed=at_least(0), checkpoint_every=at_least(0))
+
+    def learning_rate_at(self, step: int) -> float:
+        """The step size of 0-based `step`: `learning_rate` before
+        `iterations // 2`, times `decay_fraction` from there on."""
+        return (self.learning_rate * self.decay_fraction if step >= self.iterations // 2
+                else self.learning_rate)
 
 
 @dataclass
@@ -70,11 +75,14 @@ def write_log_csv(path, log: list) -> None:
                      f"{b.kl:.8f},{b.bvl:.8f},{b.total:.8f},{row.learning_rate:.8g}\n")
 
 
-def train(videos: list, config: RunConfig) -> TrainResult:
+def train(videos: list, config: RunConfig, checkpoint_path=None,
+          log_path=None) -> TrainResult:
     """Run the configured number of Adam steps over randomly batched videos.
 
     `videos` need features and a video label only (TrainingVideo suffices);
-    ground truth is never consulted. Deterministic under config.seed.
+    ground truth is never consulted. Deterministic under config.seed. A
+    checkpoint goes to `checkpoint_path` after the last step and after each
+    multiple of `checkpoint_every`; the loss CSV goes to `log_path` at the end.
     """
     if not videos:
         raise ValueError("train: empty dataset")
@@ -88,12 +96,7 @@ def train(videos: list, config: RunConfig) -> TrainResult:
     num_classes = videos[0].video_label.shape[0]
     embed_dim = hp.embed_dim if hp.embed_dim > 0 else feature_dim
     params = init_params(rng, feature_dim, embed_dim, num_classes, hp.kernel_size)
-    # params become views of the buffer that adam_step updates in place
-    flat = params.to_vector()
-    params = params.from_vector(flat)
-    state = AdamState(shape=flat.shape, learning_rate=config.learning_rate,
-                      weight_decay=config.weight_decay)
-    half = config.iterations // 2
+    state = AdamState(np.zeros(params.size), np.zeros(params.size))
     log = []
 
     for step in range(config.iterations):
@@ -106,21 +109,20 @@ def train(videos: list, config: RunConfig) -> TrainResult:
         try:
             grad, mean_losses = backward(batch, plan, params, hp, config.grad_mode)
         except NumericError as exc:
+            if isinstance(exc, NonFiniteForward):
+                exc.video_id = batch[exc.position].video_id
             raise NumericError(f"step {step} on batch "
                                f"{[v.video_id for v in batch]}: {exc}") from exc
-        state.learning_rate = (config.learning_rate * config.decay_fraction
-                               if step >= half else config.learning_rate)
-        adam_step(flat, grad, state)
-        log.append(LogRow(step=step, losses=mean_losses,
-                          learning_rate=state.learning_rate))
-        if (config.checkpoint_path and config.checkpoint_every > 0
-                and (step + 1) % config.checkpoint_every == 0):
-            save_checkpoint(config.checkpoint_path, params)
+        learning_rate = config.learning_rate_at(step)
+        adam_step(params.vector, grad, state, learning_rate, config.weight_decay)
+        log.append(LogRow(step=step, losses=mean_losses, learning_rate=learning_rate))
+        done = step + 1
+        if checkpoint_path and (done == config.iterations or config.checkpoint_every
+                                and done % config.checkpoint_every == 0):
+            save_checkpoint(checkpoint_path, params)
 
-    if config.checkpoint_path:
-        save_checkpoint(config.checkpoint_path, params)
-    if config.log_path:
-        write_log_csv(config.log_path, log)
+    if log_path:
+        write_log_csv(log_path, log)
     return TrainResult(params=params, log=log)
 
 
@@ -132,7 +134,12 @@ def localize_dataset(records: list, params: ModelParams, hp: Hyperparams) -> dic
     """
     proposals = {}
     for lo, hi in _chunks(records, params.header[-1]):
-        out = packed_forward(records[lo:hi], None, params)
+        try:
+            out = packed_forward(records[lo:hi], None, params)
+        except NonFiniteForward as exc:
+            exc.position += lo
+            exc.video_id = records[exc.position].video_id
+            raise
         for r, start, t, p_fg in zip(records[lo:hi], out.starts, out.lengths, out.p_fg.T):
             rows = slice(start, start + t)
             proposals[r.video_id] = localize_scores(out.y[:, rows].T, out.a[rows], p_fg, hp)
@@ -168,13 +175,9 @@ class AblationRow:
 
 def ablate(train_videos: list, test_records: list, rows: list,
            iou_thresholds=DEFAULT_IOU_THRESHOLDS) -> list:
-    """Train, localize and evaluate each (label, RunConfig) row, in order.
-
-    Rows never write checkpoints or logs, whatever their configs say.
-    """
+    """Train, localize and evaluate each (label, RunConfig) row, in order."""
     results = []
     for label, config in rows:
-        config = replace(config, checkpoint_path=None, log_path=None)
         result = train(train_videos, config)
         proposals = localize_dataset(test_records, result.params, config.hp)
         report = evaluate(proposals, test_records, iou_thresholds=iou_thresholds)

@@ -190,7 +190,7 @@ def sigmoid_oracle(x):
     return out if out.ndim else float(out)
 
 
-def adam_oracle(params, grads, state):
+def adam_oracle(params, grads, state, learning_rate, weight_decay):
     """Out-of-place bias-corrected Adam with decoupled weight decay.
 
     Rebinds fresh moment arrays on `state` and returns new parameters, doing
@@ -204,8 +204,8 @@ def adam_oracle(params, grads, state):
     state.second_moment = 0.999 * state.second_moment + (1.0 - 0.999) * grads**2
     m_hat = state.first_moment / (1.0 - 0.9**t)
     v_hat = state.second_moment / (1.0 - 0.999**t)
-    out = params * (1.0 - state.learning_rate * state.weight_decay)
-    return out - state.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    out = params * (1.0 - learning_rate * weight_decay)
+    return out - learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
 def finite_diff_oracle(loss_fn, params, epsilon=1e-5):

@@ -2,6 +2,7 @@
 
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -515,6 +516,142 @@ class TestDirectoryAsPath:
         self._refused(["--config", ini, "gen", "--out", str(folder)],
                       f"cannot write {folder / 'test.bin'}: it is a directory", capsys)
         assert sorted(p.name for p in folder.iterdir()) == ["test.bin"]
+
+
+class TestOutputNamesAnotherFile:
+    """An output path that resolves to the same file as an input (the config
+    included) or as another output is a data error (exit 2) with a one-line
+    message, raised before any work, and nothing is written."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        TestDirectoryAsPath._no_work(monkeypatch, "train", "localize_dataset",
+                                     "evaluate", "ablate")
+
+    @pytest.fixture()
+    def files(self, tmp_path, ini, data_dir):
+        ckpt, props = tmp_path / "m.ckpt", tmp_path / "p.tsv"
+        save_checkpoint(ckpt, init_params(np.random.default_rng(0), 8, 8, 3))
+        props.write_text("")
+        return {"ini": Path(ini), "train": data_dir / "train.bin",
+                "test": data_dir / "test.bin", "ckpt": ckpt, "props": props}
+
+    def _refused(self, argv, files, message, capsys):
+        before = {name: path.read_bytes() for name, path in files.items()}
+        made = set(files["ckpt"].parent.iterdir())
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"data error: {message}\n"
+        assert {name: path.read_bytes() for name, path in files.items()} == before
+        assert set(files["ckpt"].parent.iterdir()) == made
+
+    def test_train(self, files, tmp_path, capsys):
+        new = tmp_path / "new.ckpt"
+        train = ["--config", str(files["ini"]), "train", "--data", str(files["train"])]
+        self._refused(train + ["--out", str(new), "--log", str(new)], files,
+                      f"cannot write {new} (--log): it is the same file as --out", capsys)
+        self._refused(train + ["--out", str(files["train"])], files,
+                      f"cannot write {files['train']} (--out): it is the same file as --data",
+                      capsys)
+        self._refused(train + ["--log", str(files["ini"])], files,
+                      f"cannot write {files['ini']} (--log): it is the same file as the config",
+                      capsys)
+
+    def test_localize(self, files, tmp_path, monkeypatch, capsys):
+        localize = ["--config", str(files["ini"]), "localize", "--checkpoint",
+                    str(files["ckpt"]), "--data", str(files["test"]), "--out"]
+        self._refused(localize + [str(files["test"])], files,
+                      f"cannot write {files['test']} (--out): it is the same file as --data",
+                      capsys)
+        # a relative spelling of the checkpoint, and a link to it
+        monkeypatch.chdir(tmp_path)
+        self._refused(localize + ["./m.ckpt"], files,
+                      "cannot write ./m.ckpt (--out): it is the same file as --checkpoint",
+                      capsys)
+        link = tmp_path / "link.tsv"
+        link.symlink_to(files["ckpt"])
+        files["link"] = link
+        self._refused(localize + [str(link)], files,
+                      f"cannot write {link} (--out): it is the same file as --checkpoint",
+                      capsys)
+
+    def test_eval(self, files, monkeypatch, capsys):
+        evaluate = ["eval", "--proposals", str(files["props"]), "--data", str(files["test"]),
+                    "--out"]
+        config = ["--config", str(files["ini"])]
+        self._refused(config + evaluate + [str(files["props"])], files,
+                      f"cannot write {files['props']} (--out): it is the same file as "
+                      "--proposals", capsys)
+        self._refused(config + evaluate + [str(files["test"])], files,
+                      f"cannot write {files['test']} (--out): it is the same file as --data",
+                      capsys)
+        monkeypatch.setenv(ENV_CONFIG, str(files["ini"]))
+        self._refused(evaluate + [str(files["ini"])], files,
+                      f"cannot write {files['ini']} (--out): it is the same file as the config",
+                      capsys)
+
+    def test_ablate(self, files, capsys):
+        ablate = ["--config", str(files["ini"]), "ablate", "--data", str(files["train"]),
+                  "--test", str(files["test"]), "--out"]
+        for name, flag in (("train", "--data"), ("test", "--test"), ("ini", "the config")):
+            self._refused(ablate + [str(files[name])], files,
+                          f"cannot write {files[name]} (--out): it is the same file as {flag}",
+                          capsys)
+
+
+def _dataset_file(path, records, num_classes, c=None, d=None):
+    """A dataset file of `records`, its header's C and D overwritten when
+    given, with the checksum recomputed so that only the header is wrong."""
+    write_dataset(path, records, num_classes=num_classes)
+    blob = bytearray(path.read_bytes())
+    for at, value in ((12, c), (16, d)):
+        if value is not None:
+            blob[at:at + 4] = struct.pack("<I", value)
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[8:-4])))
+    path.write_bytes(bytes(blob))
+    return str(path)
+
+
+class TestUntrainableDataset:
+    """A training file with no videos, no classes, or videos without
+    features is a data error (exit 2), raised before any training step."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        TestDirectoryAsPath._no_work(monkeypatch, "train", "ablate")
+
+    def _refused(self, argv, message, capsys):
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_no_videos(self, tmp_path, ini, data_dir, capsys):
+        empty = _dataset_file(tmp_path / "empty.bin", [], 3)
+        ckpt = tmp_path / "m.ckpt"
+        self._refused(["--config", ini, "train", "--data", empty, "--out", str(ckpt)],
+                      f"{empty} holds no videos to train on", capsys)
+        assert not ckpt.exists()
+        self._refused(["--config", ini, "ablate", "--data", empty,
+                       "--test", str(data_dir / "test.bin")],
+                      f"{empty} holds no videos to train on", capsys)
+
+    @pytest.mark.parametrize("c, d, message", [
+        (0, None, "header field num_classes (C) is 0, must be >= 1 (at byte offset 12)"),
+        (None, 0, "header field feature_dim (D) is 0 for 8 videos, must be >= 1 "
+                  "(at byte offset 16)"),
+    ], ids=["no_classes", "no_features"])
+    def test_header_without_classes_or_features(self, c, d, message, tmp_path, ini,
+                                                data_dir, capsys):
+        ds = read_dataset(data_dir / "train.bin")
+        bad = _dataset_file(tmp_path / "bad.bin", ds.records, ds.num_classes, c, d)
+        self._refused(["--config", ini, "train", "--data", bad], message, capsys)
+        self._refused(["--config", ini, "ablate", "--data", bad,
+                       "--test", str(data_dir / "test.bin")], message, capsys)
 
 
 class TestBadProposals:

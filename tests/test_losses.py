@@ -22,6 +22,7 @@ from wtalkit.losses import (
     CERTIFIED_MODES,
     MIN_MARGIN,
     GradMode,
+    NonFiniteForward,
     TinyInstance,
     backward,
     build_fd_loss,
@@ -360,6 +361,21 @@ class TestPackedBatch:
         videos[1].x_flow[2, 0] = np.inf
         with pytest.raises(NumericError, match="non-finite"):
             backward(videos, plan, params, HP, GradMode.STANDARD)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("budget", [1, CHUNK_CELLS])
+    @pytest.mark.parametrize("ten", [False, True])
+    def test_non_finite_forward_names_the_first_poisoned_video(self, budget, ten):
+        # one chunk per video at budget 1: the position is the batch's, not the chunk's
+        videos, plan, params = ragged_batch([5, 3, 7, 4, 6], 2, 3, 6, 3)
+        for bad in (3, 1):
+            videos[bad].x_rgb[bad, 0] = np.nan
+            with patch.object(losses_mod, "CHUNK_CELLS", budget), \
+                    pytest.raises(NonFiniteForward) as caught:
+                backward(videos, plan if ten else None, params, HP, GradMode.STANDARD)
+            assert caught.value.position == bad and caught.value.video_id is None
+            assert str(caught.value) == ("forward produced non-finite outputs "
+                                         f"at batch position {bad}")
 
 
 def drawn_plan(lengths, k, kind, rng):

@@ -39,10 +39,9 @@ def block_starts(params):
 
 
 def flat_buffer(params):
-    """The one flat vector that every block of `params` views."""
-    buffer = params.rgb.w_embed.base
-    assert all(block.base is buffer for _, block in params.blocks())
-    return buffer
+    """The one flat vector that every block of `params` views, `params.vector`."""
+    assert all(block.base is params.vector for _, block in params.blocks())
+    return params.vector
 
 
 def random_inputs(rng, t=8, d=6):
@@ -257,6 +256,22 @@ class TestParamsVector:
         np.testing.assert_array_equal(rebuilt.to_vector(), vec)
         np.testing.assert_array_equal(rebuilt.rgb.w_embed, params.rgb.w_embed)
         assert rebuilt.flow.b_att == params.flow.b_att
+
+    def test_to_vector_copies_the_vector_that_the_blocks_view(self):
+        params = make_params(np.random.default_rng(23))
+        vec = params.to_vector()
+        # the concatenation of the packed arrays that to_vector used to build
+        np.testing.assert_array_equal(vec, np.concatenate([a.ravel() for a in params.packed]))
+        np.testing.assert_array_equal(vec, params.vector)
+        assert not np.shares_memory(vec, params.vector)
+        vec[:] = np.nan
+        assert np.isfinite(params.vector).all()
+        for name, block in params.blocks():
+            assert np.shares_memory(block, params.vector), name
+        params.vector[:] = 2.0
+        assert all(np.all(block == 2.0) for _, block in params.blocks())
+        stack = np.zeros((3, params.size))
+        assert params.from_vector(stack).vector is stack
 
     def test_vector_edit_lands_in_right_block(self):
         rng = np.random.default_rng(17)

@@ -1,5 +1,7 @@
 """Numeric kernels: softmax, sigmoid, smoothing, Adam, finite differences."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,47 +164,52 @@ class TestGaussianSmooth:
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+def _adam_state(n):
+    return AdamState(np.zeros(n), np.zeros(n))
+
+
 class TestAdam:
     def test_zero_grad_zero_decay_is_identity(self):
-        state = AdamState(shape=(3,), learning_rate=0.1, weight_decay=0.0)
+        state = _adam_state(3)
         params = np.array([1.0, -2.0, 0.5])
         before = params.copy()
-        adam_step(params, np.zeros(3), state)
+        adam_step(params, np.zeros(3), state, 0.1, 0.0)
         np.testing.assert_array_equal(params, before)
         assert state.step == 1
 
     def test_first_step_delta(self):
         # bias-corrected first step: m_hat=g, v_hat=g^2, delta=-eta*g/(|g|+eps)
-        state = AdamState(shape=(1,), learning_rate=0.1, weight_decay=0.0)
         params = np.array([0.0])
-        adam_step(params, np.array([1.0]), state)
+        adam_step(params, np.array([1.0]), _adam_state(1), 0.1, 0.0)
         expected = -0.1 * 1.0 / (1.0 + 1e-8)
         assert params[0] == pytest.approx(expected, abs=1e-9)
 
     def test_quadratic_convergence(self):
-        state = AdamState(shape=(1,), learning_rate=0.1, weight_decay=0.0)
+        state = _adam_state(1)
         w = np.array([1.0])
         for _ in range(100):
-            adam_step(w, 2.0 * w, state)
+            adam_step(w, 2.0 * w, state, 0.1, 0.0)
         assert abs(w[0]) < 0.05
 
     def test_decoupled_weight_decay(self):
         # with zero gradient the update is exactly the decay shrink
-        state = AdamState(shape=(1,), learning_rate=0.1, weight_decay=1e-3)
         params = np.array([2.0])
-        adam_step(params, np.array([0.0]), state)
+        adam_step(params, np.array([0.0]), _adam_state(1), 0.1, 1e-3)
         assert params[0] == pytest.approx(2.0 * (1.0 - 0.1 * 1e-3), abs=1e-15)
 
     def test_shape_mismatch(self):
-        state = AdamState(shape=(2,), learning_rate=0.1)
         with pytest.raises(ValueError):
-            adam_step(np.zeros(3), np.zeros(3), state)
+            adam_step(np.zeros(3), np.zeros(3), _adam_state(2), 0.1, 0.0)
+
+    def test_state_holds_only_the_moments_and_the_step(self):
+        assert [f.name for f in fields(AdamState)] == ["first_moment", "second_moment",
+                                                       "step"]
 
     def test_updates_the_callers_arrays(self):
-        state = AdamState(shape=(4,), learning_rate=0.1)
+        state = _adam_state(4)
         params = np.ones(4)
         m, v = state.first_moment, state.second_moment
-        assert adam_step(params, np.full(4, 0.5), state) is None
+        assert adam_step(params, np.full(4, 0.5), state, 0.1, 0.0) is None
         assert state.first_moment is m and state.second_moment is v
         assert np.all(params < 1.0) and np.all(m > 0.0) and np.all(v > 0.0)
 
@@ -214,13 +221,12 @@ class TestAdam:
         rng = np.random.default_rng(seed)
         params = rng.normal(size=n)
         expected = params.copy()
-        state = AdamState(shape=(n,), learning_rate=1e-3, weight_decay=decay)
-        ref = AdamState(shape=(n,), learning_rate=1e-3, weight_decay=decay)
+        state, ref = _adam_state(n), _adam_state(n)
         for step in range(steps):
             grads = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=n)
-            state.learning_rate = ref.learning_rate = 1e-4 if step >= steps // 2 else 1e-3
-            adam_step(params, grads, state)
-            expected = adam_oracle(expected, grads, ref)
+            rate = 1e-4 if step >= steps // 2 else 1e-3
+            adam_step(params, grads, state, rate, decay)
+            expected = adam_oracle(expected, grads, ref, rate, decay)
             np.testing.assert_array_equal(params, expected)
             np.testing.assert_array_equal(state.first_moment, ref.first_moment)
             np.testing.assert_array_equal(state.second_moment, ref.second_moment)

@@ -201,6 +201,16 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             write_dataset(tmp_path / "e.bin", [])
 
+    def test_writer_refuses_what_cannot_be_trained_on(self, tmp_path):
+        path = tmp_path / "e.bin"
+        with pytest.raises(ValueError, match="num_classes must be >= 1, got 0"):
+            write_dataset(path, [], num_classes=0)
+        featureless = [VideoRecord("v0", np.zeros((3, 0)), np.zeros((3, 0)),
+                                   np.ones(2), [])]
+        with pytest.raises(ValueError, match="v0: feature dim must be >= 1, got 0"):
+            write_dataset(path, featureless)
+        assert not path.exists()
+
     def test_generated_dataset_round_trips(self, tmp_path):
         train, _ = generate(SynthConfig(seed=4, **SMALL))
         path = tmp_path / "g.bin"
@@ -250,6 +260,31 @@ class TestFormatErrors:
         with pytest.raises(DataFormatError) as ei:
             read_dataset(path)
         assert 0 < ei.value.offset <= len(DATASET_MAGIC) + 40
+
+    @pytest.mark.parametrize("records, c, d, message, offset", [
+        (True, 0, 2, r"num_classes \(C\) is 0", 12),
+        (False, 0, 0, r"num_classes \(C\) is 0", 12),
+        (True, 3, 0, r"feature_dim \(D\) is 0 for 2 videos", 16),
+    ], ids=["no_classes", "no_classes_no_videos", "no_features"])
+    def test_header_that_cannot_be_trained_on(self, tmp_path, records, c, d,
+                                              message, offset):
+        import struct
+        import zlib
+        path = tmp_path / "d.bin"
+        write_dataset(path, _tiny_records() if records else [], num_classes=3)
+        payload = bytearray(path.read_bytes()[len(DATASET_MAGIC):-4])
+        payload[4:12] = struct.pack("<II", c, d)  # after the version field
+        path.write_bytes(DATASET_MAGIC + bytes(payload)
+                         + struct.pack("<I", zlib.crc32(bytes(payload))))
+        with pytest.raises(DataFormatError, match=rf"header field {message}") as ei:
+            read_dataset(path)
+        assert ei.value.offset == offset
+
+    def test_featureless_header_without_videos_reads(self, tmp_path):
+        path = tmp_path / "e.bin"
+        write_dataset(path, [], num_classes=2)
+        ds = read_dataset(path)
+        assert ds.records == [] and ds.feature_dim == 0
 
     def test_version_mismatch(self, tmp_path):
         import struct

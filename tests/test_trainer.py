@@ -1,13 +1,18 @@
 """Training loop behaviour: schedule, logging, checkpoints, ablation grids."""
 
+import ast
+import re
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+import wtalkit.losses as losses_mod
 import wtalkit.trainer as trainer_mod
 from wtalkit.errors import NumericError
 from wtalkit.localize import localize_video
 from wtalkit.losses import GradMode, _chunks
-from wtalkit.model import Hyperparams, init_params, load_checkpoint
+from wtalkit.model import Hyperparams, ModelParams, init_params, load_checkpoint
 from wtalkit.synth import VideoRecord, training_view
 from wtalkit.trainer import (
     COMPONENT_GRID,
@@ -45,6 +50,24 @@ class TestTrain:
         result = train(_videos(tiny_dataset), _cfg(iterations=6))
         lrs = [row.learning_rate for row in result.log]
         assert lrs == [1e-3, 1e-3, 1e-3, 1e-4, 1e-4, 1e-4]
+        assert lrs == [_cfg(iterations=6).learning_rate_at(s) for s in range(6)]
+        # the only step of a one-step run is already past the midpoint
+        assert train(_videos(tiny_dataset), _cfg(iterations=1)).log[0].learning_rate == 1e-4
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 7, 6000])
+    def test_learning_rate_at_is_the_midpoint_drop(self, iterations):
+        cfg = _cfg(iterations=iterations, learning_rate=3e-3, decay_fraction=0.3)
+        half = iterations // 2
+        for step in range(iterations):
+            want = (cfg.learning_rate * cfg.decay_fraction if step >= half
+                    else cfg.learning_rate)
+            assert cfg.learning_rate_at(step) == want
+        if iterations == 1:
+            assert cfg.learning_rate_at(0) == 3e-3 * 0.3
+
+    def test_run_config_holds_no_output_paths(self):
+        names = {f.name for f in fields(RunConfig)}
+        assert not {"checkpoint_path", "log_path"} & names
 
     def test_bitwise_deterministic(self, tiny_dataset):
         vids = _videos(tiny_dataset)
@@ -82,15 +105,19 @@ class TestTrain:
         monkeypatch.setattr(trainer_mod, "backward", never)
         path = tmp_path / "m.ckpt"
         with pytest.raises(ValueError, match=f"iterations must be >= 1, got {iterations}"):
-            train(_videos(tiny_dataset),
-                  _cfg(iterations=iterations, checkpoint_path=str(path)))
+            train(_videos(tiny_dataset), _cfg(iterations=iterations),
+                  checkpoint_path=str(path))
         assert not path.exists()
 
-    def test_params_are_views_of_one_trained_buffer(self, tiny_dataset):
+    def test_params_are_views_of_one_trained_buffer(self, tiny_dataset, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("train copied the parameter vector")
+
+        monkeypatch.setattr(ModelParams, "to_vector", never)
+        monkeypatch.setattr(ModelParams, "from_vector", never)
         params = train(_videos(tiny_dataset), _cfg(iterations=2)).params
-        buffer = params.rgb.w_embed.base
-        assert buffer is not None and buffer.size == params.size
-        assert all(block.base is buffer for _, block in params.blocks())
+        assert params.vector.shape == (params.size,)
+        assert all(block.base is params.vector for _, block in params.blocks())
 
     def test_ten_branch_losses_appear_only_when_enabled(self, tiny_dataset):
         vids = _videos(tiny_dataset)
@@ -119,12 +146,37 @@ class TestTrain:
         with pytest.raises(NumericError, match=r"step 0 on batch \['train_\d+'.*"
                                                r"forward produced non-finite"):
             train(vids, _cfg(use_ten=True))
+        # one poisoned video among clean ones: the message names it and its
+        # first place in the batch, with or without the continuity branch
+        clean = _videos(tiny_dataset)
+        poisoned = replace(clean[5], x_flow=clean[5].x_flow.copy())
+        poisoned.x_flow[3, 2] = np.inf
+        for use_ten in (False, True):
+            with pytest.raises(NumericError) as caught:
+                train(clean[:5] + [poisoned] + clean[6:], _cfg(use_ten=use_ten, iterations=50))
+            found = re.fullmatch(r"step \d+ on batch (\[.*\]): forward produced non-finite "
+                                 r"outputs at batch position (\d+) \((\S+)\)",
+                                 str(caught.value))
+            assert found, str(caught.value)
+            batch, position, named = found.groups()
+            assert named == poisoned.video_id
+            assert ast.literal_eval(batch).index(named) == int(position)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_localization_names_the_video(self, tiny_dataset, monkeypatch):
+        _, _, test_recs = tiny_dataset
+        records = list(test_recs)
+        records[4] = replace(records[4], x_rgb=records[4].x_rgb * np.inf)
+        monkeypatch.setattr(losses_mod, "CHUNK_CELLS", 1)  # one chunk per video
+        params = train(_videos(tiny_dataset), _cfg(iterations=1)).params
+        with pytest.raises(NumericError, match=r"at batch position 4 \(" + records[4].video_id):
+            localize_dataset(records, params, Hyperparams(embed_dim=8))
 
 
 class TestCheckpoints:
     def test_final_checkpoint_written_and_loads(self, tiny_dataset, tmp_path):
         path = tmp_path / "model.ckpt"
-        result = train(_videos(tiny_dataset), _cfg(checkpoint_path=str(path)))
+        result = train(_videos(tiny_dataset), _cfg(), checkpoint_path=str(path))
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.to_vector(),
                                       result.params.to_vector())
@@ -132,32 +184,54 @@ class TestCheckpoints:
     def test_cadence_does_not_change_result(self, tiny_dataset, tmp_path):
         vids = _videos(tiny_dataset)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        train(vids, _cfg(checkpoint_path=str(p1), checkpoint_every=0))
-        train(vids, _cfg(checkpoint_path=str(p2), checkpoint_every=2))
+        train(vids, _cfg(checkpoint_every=0), checkpoint_path=str(p1))
+        train(vids, _cfg(checkpoint_every=2), checkpoint_path=str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @staticmethod
+    def _write_steps(monkeypatch, vids, cfg, path):
+        """The Adam step count at each checkpoint write of a run."""
+        steps, writes = [], []
+        real_step, real_save = trainer_mod.adam_step, trainer_mod.save_checkpoint
+
+        def step_spy(params, grads, state, *rates):
+            real_step(params, grads, state, *rates)
+            steps.append(state.step)
+
+        def save_spy(path, params):
+            writes.append(steps[-1])
+            real_save(path, params)
+
+        with monkeypatch.context() as m:
+            m.setattr(trainer_mod, "adam_step", step_spy)
+            m.setattr(trainer_mod, "save_checkpoint", save_spy)
+            train(vids, cfg, checkpoint_path=str(path))
+        return writes
 
     def test_intermediate_checkpoints_happen(self, tiny_dataset, tmp_path,
                                               monkeypatch):
-        writes = []
-        real = trainer_mod.save_checkpoint
-
-        def spy(path, params):
-            writes.append(path)
-            real(path, params)
-
-        monkeypatch.setattr(trainer_mod, "save_checkpoint", spy)
         path = tmp_path / "c.ckpt"
-        train(_videos(tiny_dataset),
-              _cfg(iterations=4, checkpoint_path=str(path), checkpoint_every=2))
-        # steps 2 and 4, plus the unconditional final write
-        assert len(writes) == 3
+        writes = self._write_steps(monkeypatch, _videos(tiny_dataset),
+                                   _cfg(iterations=4, checkpoint_every=2), path)
+        # the write after step 4 is the final checkpoint, not a second one
+        assert writes == [2, 4]
+
+    @pytest.mark.parametrize("iterations, every, after", [
+        (4, 3, [3, 4]), (4, 0, [4]), (3, 1, [1, 2, 3]), (1, 5, [1])])
+    def test_one_write_after_each_cadence_multiple_and_the_last_step(
+            self, tiny_dataset, tmp_path, monkeypatch, iterations, every, after):
+        vids = _videos(tiny_dataset)
+        path, plain = tmp_path / "c.ckpt", tmp_path / "plain.ckpt"
+        cfg = _cfg(iterations=iterations, checkpoint_every=every)
+        assert self._write_steps(monkeypatch, vids, cfg, path) == after
+        train(vids, _cfg(iterations=iterations), checkpoint_path=str(plain))
+        assert path.read_bytes() == plain.read_bytes()
 
 
 class TestLogCsv:
     def test_exact_header_and_rows(self, tiny_dataset, tmp_path):
         path = tmp_path / "log.csv"
-        result = train(_videos(tiny_dataset),
-                       _cfg(iterations=3, log_path=str(path)))
+        result = train(_videos(tiny_dataset), _cfg(iterations=3), log_path=str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == LOG_HEADER
         assert len(lines) == 4
@@ -234,14 +308,6 @@ class TestAblate:
             list(COMPONENT_GRID)
         for _, cfg in rows:
             assert cfg.seed == 7 and cfg.hp == base.hp and cfg.iterations == 4
-
-    def test_rows_never_write_files(self, tiny_dataset, tmp_path):
-        _, train_recs, test_recs = tiny_dataset
-        cfg = _cfg(iterations=2, checkpoint_path=str(tmp_path / "m.ckpt"),
-                   log_path=str(tmp_path / "log.csv"))
-        rows = ablate(training_view(train_recs), test_recs, [("only", cfg)])
-        assert [r.label for r in rows] == ["only"]
-        assert list(tmp_path.iterdir()) == []
 
     def test_component_grid_covers_modes(self):
         labels = [label for label, _, _ in COMPONENT_GRID]
