@@ -157,9 +157,13 @@ def cmd_gradcheck(args) -> int:
     return 3 if failed else 0
 
 
-def _same_shape(path_a, shape_a: tuple, path_b, shape_b: tuple) -> None:
-    """Refuse two files whose feature dimension D or class count C differ."""
-    if shape_a != shape_b:
+def _same_shape(path_a, shape_a: tuple, path_b, dataset) -> None:
+    """Refuse a dataset whose feature dimension D or class count C differs
+    from shape_a. An empty dataset has no D to differ (its header holds 0),
+    so only its C is compared."""
+    shape_b = (dataset.feature_dim, dataset.num_classes)
+    compared = 0 if dataset.records else 1
+    if shape_a[compared:] != shape_b[compared:]:
         raise DataFormatError(f"{path_a} has (D, C) = {shape_a} but "
                               f"{path_b} has (D, C) = {shape_b}")
 
@@ -171,8 +175,7 @@ def cmd_localize(args) -> int:
     cfg = _load(args)
     dataset = read_dataset(args.data)
     d, _, c, _ = params.header
-    _same_shape(args.checkpoint, (d, c), args.data,
-                (dataset.feature_dim, dataset.num_classes))
+    _same_shape(args.checkpoint, (d, c), args.data, dataset)
     proposals = localize_dataset(dataset.records, params, cfg.run.hp)
     write_proposals(args.out, proposals,
                     frames_per_snippet=dataset.frames_per_snippet,
@@ -221,8 +224,7 @@ def cmd_ablate(args) -> int:
     grid = _ablation_rows(args, _run_overrides(args, cfg))
     train_ds = _training_set(args.data)
     test_ds = read_dataset(args.test)
-    _same_shape(args.data, (train_ds.feature_dim, train_ds.num_classes),
-                args.test, (test_ds.feature_dim, test_ds.num_classes))
+    _same_shape(args.data, (train_ds.feature_dim, train_ds.num_classes), args.test, test_ds)
     rows = ablate(training_view(train_ds.records), test_ds.records, grid,
                   cfg.eval_thresholds)
     print(format_ablation(rows))

@@ -29,7 +29,10 @@ calls, each point rounding as it would alone.
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +67,11 @@ L1_TIE = 1e-12
 # the counted cells per modality. A whole golden batch fits; each long video
 # runs alone.
 CHUNK_CELLS = 1 << 18
+# Per-modality embedding multiply-adds (rows·K·D·E) from which a chunk runs its
+# two modality halves on two threads: about 0.8 ms of one-thread GEMM at 40
+# GFLOP/s, against a hand-off of about 45 µs. A golden chunk holds at most
+# CHUNK_CELLS·E = 8.4 M; a long video holds 59 M or more.
+PAIR_WORK = 1 << 24
 
 
 class GradMode(enum.Enum):
@@ -207,6 +215,75 @@ def _chunks(videos: list, kernel_size: int):
         yield start, len(videos)
 
 
+@functools.cache
+def _blas_thread_getter():
+    """The loaded OpenBLAS's thread-count function, or None. Found as
+    threadpoolctl finds it: in a mapped library whose file name holds
+    "openblas", under one of the symbol names OpenBLAS builds export."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps
+                     if "openblas" in line.rsplit("/", 1)[-1]}
+    except (OSError, IndexError):
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                return getter
+    return None
+
+
+def _may_pair() -> bool:
+    """Whether a second thread would run on an otherwise idle CPU: the
+    process may use two CPUs, and the BLAS runs each call on one thread.
+    A BLAS that already splits its calls is left alone, and so is one whose
+    thread count cannot be read."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    getter = _blas_thread_getter()
+    return getter is not None and getter() == 1
+
+
+@functools.cache
+def _worker(pid: int):
+    """The one worker thread of process `pid`, started on first use; a
+    forked child, whose pid differs, starts its own."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="wtalkit-modality")
+
+
+def _by_modality(half, work: int) -> None:
+    """Run `half` over the modality axis of a chunk's arrays.
+
+    `half(m)` computes the modalities of the slice `m` and writes only their
+    rows of arrays indexed (modality, ...). Below PAIR_WORK multiply-adds per
+    modality, or when `_may_pair` says no, it runs as half(slice(0, 2)) on
+    this thread. Otherwise the worker runs half(slice(1, 2)) while this
+    thread runs half(slice(0, 1)). The bits are the same either way: each
+    modality's products are the same stacked `np.matmul` calls, one BLAS call
+    per modality, in the same order, and the two halves write disjoint
+    arrays. An exception in either half reaches the caller, after both are
+    done.
+    """
+    if work < PAIR_WORK or not _may_pair():
+        half(slice(0, 2))
+        return
+    flow = _worker(os.getpid()).submit(half, slice(1, 2))
+    try:
+        half(slice(0, 1))
+    finally:
+        flow.exception()  # wait: the worker writes into the caller's arrays
+    flow.result()
+
+
 @dataclass
 class RefillTables:
     """Index tables of a chunk's refilled copy, shared by both modalities and
@@ -307,11 +384,13 @@ def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
                    norm_mode: NormMode = NormMode.STANDARD) -> PackedForward:
     """Forward of one chunk as packed rows: the chunk's videos back to back,
     then (with a plan) their refilled copies in the same order, so both
-    branches share the head GEMM, and both modalities each GEMM call, which
-    multiplies the arrays of `params.packed` as they are stored. Per-row
-    head outputs are held class-major, (C+2, rows): the C+1 CAS logits, then
-    the attention logit. The background pooling divides by N_f under BGES
-    and by N_b otherwise.
+    branches share the head GEMM. Each GEMM multiplies the arrays of
+    `params.packed` as they are stored. A modality's half (window gather,
+    embedding, the refilled copy's tap products and sums, bias and ReLU,
+    head) writes its rows of arrays allocated once for both modalities, and
+    `_by_modality` runs the two halves. Per-row head outputs are held
+    class-major, (C+2, rows): the C+1 CAS logits, then the attention logit.
+    The background pooling divides by N_f under BGES and by N_b otherwise.
     """
     lengths = np.array([v.x_rgb.shape[0] for v in videos])
     n = int(lengths.sum())
@@ -326,22 +405,29 @@ def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
     refill = None if plan is None else _refill_tables(rows, plan + starts.repeat(lengths))
 
     x = np.concatenate([v.x_rgb for v in videos] + [v.x_flow for v in videos]).reshape(2, n, -1)
-    win = x.take(rows, axis=1).reshape(2, n, -1)
+    win = np.empty((2, n, k * d))
+    xs = None if refill is None else np.empty((2, refill.sources.size, d))
     xe = np.empty((2, n if refill is None else 2 * n, e))
-    np.matmul(win, weights.rows, out=xe[:, :n])
-    xs = None
-    if refill is not None:
-        # x_R[reflect(t+j)] = x[source of its segment]: K products per segment
-        xs = x[:, refill.sources]
-        prods = np.matmul(xs[:, None], weights.rows.reshape(2, k, d, -1))
-        prods = prods.reshape(2, -1, e)
-        xe[:, n:] = prods.take(refill.taps[0], axis=1)
-        for cells in refill.taps[1:]:
-            xe[:, n:] += prods.take(cells, axis=1)
-    xe += weights.bias[:, None]
-    np.maximum(xe, 0.0, out=xe)  # ReLU in place; xe > 0 is the z > 0 mask
-    h = (np.matmul(weights.head.transpose(0, 2, 1), xe.transpose(0, 2, 1))
-         + weights.head_bias[..., None])
+    h = np.empty((2, weights.head.shape[-1], xe.shape[1]))
+
+    def modality_half(m: slice) -> None:
+        # rows is in range by construction; "clip" writes `out` unbuffered
+        x[m].take(rows, axis=1, out=win[m].reshape(-1, n, k, d), mode="clip")
+        np.matmul(win[m], weights.rows[m], out=xe[m, :n])
+        if refill is not None:
+            # x_R[reflect(t+j)] = x[source of its segment]: K products per segment
+            xs[m] = x[m, refill.sources]
+            prods = np.matmul(xs[m, None], weights.rows[m].reshape(-1, k, d, e))
+            prods = prods.reshape(-1, k * refill.sources.size, e)
+            xe[m, n:] = prods.take(refill.taps[0], axis=1)
+            for cells in refill.taps[1:]:
+                xe[m, n:] += prods.take(cells, axis=1)
+        xe[m] += weights.bias[m, None]
+        np.maximum(xe[m], 0.0, out=xe[m])  # ReLU in place; xe > 0 is the z > 0 mask
+        np.matmul(weights.head[m].transpose(0, 2, 1), xe[m].transpose(0, 2, 1), out=h[m])
+        h[m] += weights.head_bias[m, :, None]
+
+    _by_modality(modality_half, n * k * d * e)
     a_modal = sigmoid(h[:, -1])
     y = 0.5 * (h[0, :-1] + h[1, :-1])
     a = 0.5 * (a_modal[0] + a_modal[1])
@@ -441,7 +527,9 @@ def _chunk_backward(videos: list, plan: np.ndarray | None, params: ModelParams,
 
     Adds the gradient of the summed per-video totals into `acc`, the packed
     arrays of a gradient vector; returns the (videos, 6) losses in
-    LossBreakdown order.
+    LossBreakdown order. From the fused outputs' gradient on, each modality's
+    half (d_z, and the embedding, bias and head sums into its rows of `acc`)
+    runs through `_by_modality`.
     """
     fwd = packed_forward(videos, plan, params, mode.norm_mode)
     losses, d_y, d_a = _output_grads(fwd, videos, hp, mode)
@@ -452,21 +540,26 @@ def _chunk_backward(videos: list, plan: np.ndarray | None, params: ModelParams,
     d_h[:, -1] = 0.5 * d_a * fwd.a_modal * (1.0 - fwd.a_modal)
     d_z = np.empty((2, xe.shape[1] + 1, xe.shape[2]))
     d_z[:, -1] = 0.0  # the pad row of refill.sums
-    np.matmul(d_h.transpose(0, 2, 1), params.packed.head.transpose(0, 2, 1), out=d_z[:, :-1])
-    d_z[:, :-1] *= xe > 0
-    acc.rows[...] += np.matmul(fwd.win.transpose(0, 2, 1), d_z[:, :n])
-    if refill is not None:
-        # each (segment, tap) cell's d_z sum: runs of rows, then the reflected taps
-        r = d_z.take(refill.sums[0], axis=1)
-        for level in refill.sums[1:]:
-            r += d_z.take(level, axis=1)
-        np.add.at(r, (slice(None), refill.edge_cells), d_z[:, refill.edge_rows])
-        xs = fwd.xs.transpose(0, 2, 1)[:, None]
-        r = r.reshape(2, -1, xs.shape[3], r.shape[2])
-        acc.rows[...] += np.matmul(xs, r).reshape(acc.rows.shape)
-    acc.bias[...] += d_z[:, :-1].sum(axis=1)
-    acc.head[...] += np.matmul(d_h, xe).transpose(0, 2, 1)
-    acc.head_bias[...] += d_h.sum(axis=2)
+
+    def modality_half(m: slice) -> None:
+        np.matmul(d_h[m].transpose(0, 2, 1), params.packed.head[m].transpose(0, 2, 1),
+                  out=d_z[m, :-1])
+        d_z[m, :-1] *= xe[m] > 0
+        acc.rows[m] += np.matmul(fwd.win[m].transpose(0, 2, 1), d_z[m, :n])
+        if refill is not None:
+            # each (segment, tap) cell's d_z sum: runs of rows, then the reflected taps
+            r = d_z[m].take(refill.sums[0], axis=1)
+            for level in refill.sums[1:]:
+                r += d_z[m].take(level, axis=1)
+            np.add.at(r, (slice(None), refill.edge_cells), d_z[m, refill.edge_rows])
+            xs = fwd.xs[m].transpose(0, 2, 1)[:, None]
+            r = r.reshape(len(r), -1, xs.shape[3], r.shape[2])
+            acc.rows[m] += np.matmul(xs, r).reshape(acc.rows[m].shape)
+        acc.bias[m] += d_z[m, :-1].sum(axis=1)
+        acc.head[m] += np.matmul(d_h[m], xe[m]).transpose(0, 2, 1)
+        acc.head_bias[m] += d_h[m].sum(axis=2)
+
+    _by_modality(modality_half, n * fwd.win.shape[2] * xe.shape[2])
     return losses
 
 

@@ -730,6 +730,55 @@ class TestShapeMismatch:
         assert not out_csv.exists()
 
 
+class TestEmptyTestSet:
+    """A test file with no videos (`gen` writes one for num_test = 0) holds
+    D = 0 in its header. It has no D to disagree with, so only its C is
+    compared: localize, eval and ablate run on it."""
+
+    @pytest.fixture()
+    def empty_dir(self, tmp_path):
+        ini = tmp_path / "empty.ini"
+        ini.write_text(TINY_INI.replace("num_test = 4", "num_test = 0"))
+        out = tmp_path / "empty"
+        assert main(["--config", str(ini), "gen", "--out", str(out)]) == 0
+        assert read_dataset(out / "test.bin").feature_dim == 0
+        return out
+
+    def test_localize_eval_and_ablate_run(self, tmp_path, ini, empty_dir, capsys):
+        test = str(empty_dir / "test.bin")
+        ckpt, props = tmp_path / "m.ckpt", tmp_path / "p.txt"
+        report, grid = tmp_path / "report.csv", tmp_path / "grid.csv"
+        assert main(["--config", ini, "train", "--data", str(empty_dir / "train.bin"),
+                     "--out", str(ckpt), "--iterations", "2"]) == 0
+        capsys.readouterr()
+        assert main(["--config", ini, "localize", "--checkpoint", str(ckpt),
+                     "--data", test, "--out", str(props)]) == 0
+        assert capsys.readouterr().out == f"wrote {props}: 0 proposals over 0 videos\n"
+        assert props.read_text() == "# video_id class q start end\n"
+        assert main(["--config", ini, "eval", "--proposals", str(props),
+                     "--data", test, "--out", str(report)]) == 0
+        assert "skipped (no ground truth): 0 1 2" in capsys.readouterr().out
+        assert report.exists()
+        assert main(["--config", ini, "ablate", "--data", str(empty_dir / "train.bin"),
+                     "--test", test, "--iterations", "2", "--out", str(grid)]) == 0
+        assert len(grid.read_text().splitlines()) == 1 + len(COMPONENT_GRID)
+
+    def test_other_class_count_is_still_refused(self, tmp_path, ini, data_dir, capsys):
+        empty = _dataset_file(tmp_path / "empty.bin", [], 4)
+        ckpt, props = tmp_path / "m.ckpt", tmp_path / "p.txt"
+        save_checkpoint(ckpt, init_params(np.random.default_rng(0), 8, 8, 3))
+        capsys.readouterr()
+        assert main(["--config", ini, "localize", "--checkpoint", str(ckpt),
+                     "--data", empty, "--out", str(props)]) == 2
+        assert (f"data error: {ckpt} has (D, C) = (8, 3) but {empty} has (D, C) = (0, 4)"
+                in capsys.readouterr().err)
+        assert main(["--config", ini, "ablate", "--data", str(data_dir / "train.bin"),
+                     "--test", empty]) == 2
+        assert (f"data error: {data_dir / 'train.bin'} has (D, C) = (8, 3) but {empty} "
+                "has (D, C) = (0, 4)") in capsys.readouterr().err
+        assert not props.exists()
+
+
 class TestAblate:
     def test_lambda_grid_with_csv(self, tmp_path, ini, data_dir, capsys):
         out_csv = tmp_path / "grid.csv"

@@ -1,6 +1,13 @@
 """Losses, hand-derived gradients, certification harness, factor identities."""
 
-from dataclasses import fields
+import contextlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -21,6 +28,7 @@ from wtalkit.losses import (
     CHUNK_CELLS,
     CERTIFIED_MODES,
     MIN_MARGIN,
+    PAIR_WORK,
     GradMode,
     NonFiniteForward,
     TinyInstance,
@@ -452,6 +460,161 @@ class TestWindowMatrixOracle:
             want = packed_forward_oracle(videos[lo:hi], chunk_plan, params, mode.norm_mode)
             for field in ("y", "a", "n_f", "denom", "z_fg", "z_bg", "p_fg", "p_bg"):
                 assert_close_rel(getattr(got, field), getattr(want, field))
+
+
+@contextlib.contextmanager
+def modality_schedule(paired):
+    """Every chunk's two modality halves on two threads, or none of them,
+    whatever the BLAS and the CPUs. Yields a spy on the worker's `submit`.
+    The interpreter switches threads every microsecond meanwhile, so the
+    halves interleave at many more points than they would."""
+    pool = losses_mod._worker(os.getpid())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with patch.object(losses_mod, "PAIR_WORK", 0 if paired else np.inf), \
+                patch.object(losses_mod, "_may_pair", lambda: True), \
+                patch.object(pool, "submit", wraps=pool.submit) as submit:
+            yield submit
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def same_bits(a, b):
+    """Whether two packed-forward values hold the same bits, field by field."""
+    if is_dataclass(a):
+        return all(same_bits(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestModalitySchedule:
+    """A chunk's two modality halves give the same bits whether they run
+    stacked on one thread or paired on two."""
+
+    @given(lengths=st.lists(st.integers(1, 13), min_size=1, max_size=5),
+           k=st.integers(1, 8), kernel_size=st.sampled_from([1, 3, 5, 7]),
+           plan_kind=st.sampled_from([None, "make_plan", "rows", "runs"]),
+           mode=st.sampled_from(list(GradMode)),
+           budget=st.sampled_from([1, 150, CHUNK_CELLS]), seed=st.integers(0, 2**16))
+    # one-snippet videos, and taps that reflect at both ends of short videos
+    @example(lengths=[1, 7, 1], k=3, kernel_size=7, plan_kind="make_plan",
+             mode=GradMode.BVL_PLUS_BGES, budget=CHUNK_CELLS, seed=0)
+    @example(lengths=[2, 13], k=1, kernel_size=5, plan_kind=None,
+             mode=GradMode.GRL, budget=150, seed=1)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_paired_and_stacked_give_the_same_bits(self, lengths, k, kernel_size, plan_kind,
+                                                   mode, budget, seed):
+        videos, _, params = ragged_batch(lengths, k, kernel_size, 6, seed)
+        plan = (None if plan_kind is None
+                else drawn_plan(lengths, k, plan_kind, np.random.default_rng(seed)))
+        offsets = np.cumsum([0] + lengths)
+        runs = []
+        for paired in (False, True):
+            with patch.object(losses_mod, "CHUNK_CELLS", budget), \
+                    modality_schedule(paired) as submit:
+                chunks = list(_chunks(videos, kernel_size))
+                grad, parts = backward(videos, plan, params, HP, mode)
+                fwds = [packed_forward(videos[lo:hi],
+                                       None if plan is None else plan[offsets[lo]:offsets[hi]],
+                                       params, mode.norm_mode)
+                        for lo, hi in chunks]
+            # backward's forward and backward halves, then each packed_forward's
+            assert submit.call_count == (3 * len(chunks) if paired else 0)
+            runs.append((grad, parts, fwds))
+        (grad, parts, fwds), (grad2, parts2, fwds2) = runs
+        assert grad.tobytes() == grad2.tobytes()
+        assert parts == parts2
+        assert all(same_bits(a, b) for a, b in zip(fwds, fwds2))
+
+    def test_a_failing_worker_half_reaches_the_caller(self):
+        videos, plan, params = ragged_batch([7, 5, 9], 3, 3, 6, 4)
+        want_grad, want_parts = backward(videos, plan, params, HP, GradMode.BGES)
+        pool = losses_mod._worker(os.getpid())
+        submit = pool.submit
+
+        def failing_submit(half, m):
+            def fail(m):
+                half(m)
+                raise RuntimeError("the flow half failed")
+            return submit(fail, m)
+
+        with modality_schedule(True):
+            with patch.object(pool, "submit", failing_submit), \
+                    pytest.raises(RuntimeError, match="the flow half failed"):
+                backward(videos, plan, params, HP, GradMode.BGES)
+            grad, parts = backward(videos, plan, params, HP, GradMode.BGES)
+        assert grad.tobytes() == want_grad.tobytes()
+        assert parts == want_parts
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CAN_PAIR = (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
+
+
+def child_run(blas_threads, lengths, feature_dim, one_cpu=False):
+    """Import the package in a fresh interpreter at the given BLAS thread
+    count, on one CPU if asked, and run one BGES backward with a plan on
+    videos of `lengths` at D = E = feature_dim. Returns the modules of
+    `concurrent` that the import loaded, the worker threads after the run,
+    and whether the run's gradient has the bits of a stacked run."""
+    program = textwrap.dedent(f"""\
+        import json, os, sys, threading
+        if {one_cpu}:
+            os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+        import wtalkit.cli
+        pools = sorted(m for m in sys.modules if m.split(".")[0] == "concurrent")
+        import numpy as np
+        import wtalkit.losses as losses
+        from wtalkit.model import Hyperparams, init_params
+        from wtalkit.synth import TrainingVideo
+        from wtalkit.ten import make_plan
+        rng = np.random.default_rng(0)
+        lengths, d = {lengths!r}, {feature_dim}
+        videos = [TrainingVideo(f"v{{i}}", *rng.normal(size=(2, t, d)), np.eye(5)[i % 5])
+                  for i, t in enumerate(lengths)]
+        params = init_params(rng, d, d, 5, 3)
+        run = lambda: losses.backward(videos, make_plan(lengths, 4, np.random.default_rng(1)),
+                                      params, Hyperparams(), losses.GradMode.BGES)[0]
+        grad = run()
+        workers = sum(t.name.startswith("wtalkit-modality") for t in threading.enumerate())
+        losses.PAIR_WORK = float("inf")
+        print(json.dumps({{"pools": pools, "workers": workers,
+                           "same_bits": grad.tobytes() == run().tobytes()}}))
+        """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join([str(SRC)] + sys.path))
+    done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+class TestPairingGuard:
+    """A chunk is paired only when the work pays for the hand-off and a
+    second CPU would otherwise idle: each case runs in a fresh interpreter,
+    since the BLAS reads its thread count when numpy loads."""
+
+    @pytest.mark.skipif(not CAN_PAIR, reason="needs 2 CPUs and numpy on OpenBLAS")
+    def test_a_long_chunk_is_paired_at_one_blas_thread(self):
+        got = child_run(1, [300], 256)
+        assert got == {"pools": [], "workers": 1, "same_bits": True}
+
+    @pytest.mark.parametrize("blas_threads, one_cpu", [(2, False), (1, True)],
+                             ids=["two_blas_threads", "one_cpu"])
+    def test_no_worker_when_a_second_cpu_is_busy(self, blas_threads, one_cpu):
+        if one_cpu and not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        got = child_run(blas_threads, [300], 256, one_cpu)
+        assert got == {"pools": [], "workers": 0, "same_bits": True}
+
+    def test_no_worker_for_a_golden_chunk(self):
+        # a whole golden batch, 16 videos at T = 120 and D = E = 32, is 5.9 M
+        # multiply-adds per modality, under PAIR_WORK
+        assert 16 * 120 * 3 * 32 * 32 < PAIR_WORK
+        got = child_run(1, [120] * 16, 32)
+        assert got == {"pools": [], "workers": 0, "same_bits": True}
 
 
 def one_row_tail_instance(seed):
