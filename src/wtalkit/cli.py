@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 usage or config error, 2 data error (a bad or
 unreadable file, or an output path that cannot be written or that names an
 input or another output), 3 numeric failure
 (training blow-up or failed gradient certification). The default config path
-comes from $WTALKIT_CONFIG when --config is not given. The settings types
-check every value when the file loads and when a flag or an ablation row
-overrides one, so a bad value is refused before any data is read.
+comes from $WTALKIT_CONFIG, if set and not empty, when --config is not given.
+The settings types check every value when the file loads and when a flag or
+an ablation row overrides one, so a bad value is refused before any data is
+read.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ def _sha256(path) -> str:
 
 
 def _config_path(args):
-    return args.config if args.config is not None else os.environ.get(ENV_CONFIG)
+    # an empty $WTALKIT_CONFIG names no file; an empty --config is an error
+    return args.config if args.config is not None else os.environ.get(ENV_CONFIG) or None
 
 
 def _writable(args, outputs: dict, inputs: dict) -> None:
@@ -106,7 +108,7 @@ def _training_set(path):
 
 
 def _run_overrides(args, cfg: Config):
-    run = _given(cfg.run, grad_mode=MODE_NAMES.get(getattr(args, "mode", None)),
+    run = _given(cfg.run, mode=MODE_NAMES.get(getattr(args, "mode", None)),
                  use_ten=getattr(args, "ten", None), iterations=args.iterations,
                  seed=args.seed)
     return _given(run, hp=_given(run.hp, lam=getattr(args, "lam", None)))
@@ -191,7 +193,7 @@ def cmd_eval(args) -> int:
     dataset = read_dataset(args.data)
     proposals = read_proposals(args.proposals)
     report = evaluate(proposals, dataset.records,
-                      iou_thresholds=cfg.eval_thresholds,
+                      iou_thresholds=cfg.iou_thresholds,
                       num_classes=dataset.num_classes)
     if args.out:
         write_report_csv(args.out, report)
@@ -226,7 +228,7 @@ def cmd_ablate(args) -> int:
     test_ds = read_dataset(args.test)
     _same_shape(args.data, (train_ds.feature_dim, train_ds.num_classes), args.test, test_ds)
     rows = ablate(training_view(train_ds.records), test_ds.records, grid,
-                  cfg.eval_thresholds)
+                  cfg.iou_thresholds)
     print(format_ablation(rows))
     if args.out:
         write_ablation_csv(args.out, rows)

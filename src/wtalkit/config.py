@@ -1,11 +1,11 @@
 """Declarative run configuration: one INI file, every key optional.
 
 Sections mirror the settings dataclasses: [synth] is `SynthConfig`, [run]
-`RunConfig`, [hyperparams] `Hyperparams` and [eval] the scoring thresholds.
-Every int, float or bool field of a section's dataclass is a key of that
-name and type; `_EXTRA_KEYS` lists the few keys that differ from a field.
-The dataclasses, `Config` among them, check their own values when built
-(with `errors.check_settings` rules, and [eval] with
+`RunConfig`, [hyperparams] `Hyperparams` and [eval] `Config` itself. Every
+field of a section's dataclass whose type is int, float, bool, tuple (a list
+of numbers) or `GradMode` (a mode name) is a key of the same name; nothing
+else is. The dataclasses check their own values when built (with
+`errors.check_settings` rules, and [eval] with
 `evaluate.check_iou_thresholds`), so a bad value is a ConfigError on load,
 as is an unknown section or key (with the closest valid name suggested). An
 empty (or absent) file yields the stock desk-scale setup.
@@ -24,8 +24,10 @@ from .synth import SynthConfig
 from .trainer import RunConfig
 
 MODE_NAMES = {m.value: m for m in GradMode}
+SECTIONS = ("synth", "run", "hyperparams", "eval")
 # a field's type, as a class or as the string that postponed annotations leave
-_KINDS = {key: kind for kind in (int, float, bool) for key in (kind, kind.__name__)}
+_KINDS = {key: kind for kind in (int, float, bool, tuple, GradMode)
+          for key in (kind, kind.__name__)}
 
 
 def parse_mode(name: str, where: str) -> GradMode:
@@ -43,28 +45,25 @@ class Config:
 
     synth: SynthConfig = field(default_factory=SynthConfig)
     run: RunConfig = field(default_factory=RunConfig)
-    eval_thresholds: tuple = DEFAULT_IOU_THRESHOLDS
+    iou_thresholds: tuple = DEFAULT_IOU_THRESHOLDS
 
     def __post_init__(self):
-        check_iou_thresholds(self.eval_thresholds)
+        check_iou_thresholds(self.iou_thresholds)
 
 
-def _suggest(key: str, valid) -> str:
-    close = difflib.get_close_matches(key, list(valid), n=1)
-    hint = f"; closest valid key is {close[0]!r}" if close else ""
-    return f"unknown key {key!r}{hint}"
-
-
-def _parse_float_list(where: str, raw: str, _) -> tuple:
-    try:
-        return tuple(float(v) for v in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad number list {raw!r}: {exc}") from exc
+def _suggest(name: str, valid, kind: str) -> str:
+    close = difflib.get_close_matches(name, list(valid), n=1)
+    return f"; closest valid {kind} is {close[0]!r}" if close else ""
 
 
 def coerce(where: str, raw: str, kind):
-    """The text `raw` as an int, float or bool, or a ConfigError naming `where`."""
+    """The text `raw` as an int, float, bool, tuple of floats (split at commas
+    or spaces) or GradMode, or a ConfigError naming `where`."""
+    if kind is GradMode:
+        return parse_mode(raw.strip().lower(), where)
     try:
+        if kind is tuple:
+            return tuple(float(v) for v in raw.replace(",", " ").split())
         if kind is bool:
             low = raw.strip().lower()
             if low in ("1", "true", "yes", "on"):
@@ -77,45 +76,17 @@ def coerce(where: str, raw: str, kind):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _range_end(name: str, index: int) -> tuple:
-    """The extra key that sets end `index` of the (low, high) field `name`."""
-    def parse(where, raw, ends):
-        ends = list(ends)
-        ends[index] = coerce(where, raw, int)
-        return tuple(ends)
-    return name, parse
-
-
-# Per section, each key that is not an int, float or bool field of the same
-# name: key -> (field it sets, parse(where, raw text, field's current value)).
-_EXTRA_KEYS = {
-    "synth": {f"{key}_{end}": _range_end(f"{key}_range", i)
-              for key in ("t", "instances", "instance_len")
-              for i, end in enumerate(("min", "max"))},
-    "run": {"mode": ("grad_mode",
-                     lambda where, raw, _: parse_mode(raw.strip().lower(), where))},
-    "hyperparams": {"proposal_thresholds": ("proposal_thresholds", _parse_float_list)},
-    "eval": {"iou_thresholds": ("eval_thresholds", _parse_float_list)},
-}
-
-
 def _apply(parser, section: str, settings):
     """`settings` with the keys of INI `section` applied, rebuilt once so
     that its dataclass checks the result; a ConfigError names the section."""
     if not parser.has_section(section):
         return settings
     kinds = {f.name: _KINDS[f.type] for f in fields(settings) if f.type in _KINDS}
-    extra = _EXTRA_KEYS[section]
     updates = {}
     for key, raw in parser.items(section):
-        where = f"[{section}] {key}"
-        if key in kinds:
-            updates[key] = coerce(where, raw, kinds[key])
-        elif key in extra:
-            name, parse = extra[key]
-            updates[name] = parse(where, raw, updates.get(name, getattr(settings, name)))
-        else:
-            raise ConfigError(f"[{section}] {_suggest(key, [*kinds, *extra])}")
+        if key not in kinds:
+            raise ConfigError(f"[{section}] unknown key {key!r}{_suggest(key, kinds, 'key')}")
+        updates[key] = coerce(f"[{section}] {key}", raw, kinds[key])
     try:
         return replace(settings, **updates)
     except ConfigError as exc:
@@ -126,7 +97,8 @@ def load_config(path: str | None) -> Config:
     """Parse the INI file into a Config; None means all defaults."""
     if path is None:
         return Config()
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name the empty section, so [DEFAULT] is an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -136,9 +108,9 @@ def load_config(path: str | None) -> Config:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _EXTRA_KEYS:
-            raise ConfigError(f"unknown section [{section}]; "
-                              f"{_suggest(section, _EXTRA_KEYS)}")
+        if section not in SECTIONS:
+            raise ConfigError(f"unknown section [{section}]"
+                              f"{_suggest(section, SECTIONS, 'section')}")
 
     defaults = Config()
     synth = _apply(parser, "synth", defaults.synth)

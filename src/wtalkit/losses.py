@@ -435,8 +435,8 @@ def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
     # base-branch pooling, one segment per video
     yb, ab = y[:, :n], a[:n]
     n_f = np.maximum(np.add.reduceat(ab, starts), NORMALIZER_FLOOR)
-    n_b = np.maximum(np.add.reduceat(1.0 - ab, starts), NORMALIZER_FLOOR)
-    denom = n_f if norm_mode is NormMode.BGES else n_b
+    denom = (n_f if norm_mode is NormMode.BGES
+             else np.maximum(np.add.reduceat(1.0 - ab, starts), NORMALIZER_FLOOR))  # N_b
     z_fg = np.add.reduceat(yb * ab, starts, axis=1) / n_f
     z_bg = np.add.reduceat(yb * (1.0 - ab), starts, axis=1) / denom
     p_fg, p_bg = softmax(z_fg, axis=0), softmax(z_bg, axis=0)

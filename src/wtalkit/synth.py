@@ -4,7 +4,9 @@ The generated world is built so that localization quality hinges on telling
 class-specific background apart from action: background snippets of a video
 share the static (RGB) component of one of its action classes with strength
 `confound_strength`, while their motion (flow) component is pure noise. Action
-snippets carry both a static and a motion prototype.
+snippets carry both a static and a motion prototype. `SynthConfig` sets the
+world: each of its fields is the [synth] config key of the same name, and
+each range is a `<name>_min`, `<name>_max` pair of ints.
 
 File container: magic "WTALDS01", little-endian payload, CRC32 trailer.
 The same container with zero instances per video carries externally extracted
@@ -82,10 +84,6 @@ def training_view(records: list) -> list:
             for r in records]
 
 
-_RANGE = (lambda v: len(v) == 2 and 1 <= v[0] <= v[1],
-          "must be a (low, high) pair with 1 <= low <= high")
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     """The synthetic world. Frozen: construction (and so
@@ -93,9 +91,12 @@ class SynthConfig:
 
     num_classes: int = 5
     feature_dim: int = 32
-    t_range: tuple = (60, 120)
-    instances_range: tuple = (1, 3)
-    instance_len_range: tuple = (8, 20)
+    t_min: int = 60  # snippets per video
+    t_max: int = 120
+    instances_min: int = 1  # action instances per video
+    instances_max: int = 3
+    instance_len_min: int = 8  # snippets per instance
+    instance_len_max: int = 20
     confound_strength: float = 0.8
     noise_sigma: float = 0.7
     num_train: int = 200
@@ -104,16 +105,18 @@ class SynthConfig:
 
     def __post_init__(self):
         check_settings(
-            self, num_classes=at_least(1), feature_dim=at_least(1), t_range=_RANGE,
-            instances_range=_RANGE, instance_len_range=_RANGE,
+            self, num_classes=at_least(1), feature_dim=at_least(1),
+            t_min=at_least(1), t_max=at_least(self.t_min),
+            instances_min=at_least(1), instances_max=at_least(self.instances_min),
+            instance_len_min=at_least(1), instance_len_max=at_least(self.instance_len_min),
             confound_strength=within(0, 1), noise_sigma=at_least(0),
             num_train=at_least(1), num_test=at_least(0), seed=at_least(0))
         # minimal draw must fit: i_lo instances of l_lo snippets plus a
         # background snippet before, between, and after each
-        t_lo, i_lo, l_lo = self.t_range[0], self.instances_range[0], self.instance_len_range[0]
-        if i_lo * l_lo + (i_lo + 1) > t_lo:
+        i_lo, l_lo = self.instances_min, self.instance_len_min
+        if i_lo * l_lo + (i_lo + 1) > self.t_min:
             raise ConfigError(f"instances cannot fit: {i_lo} x {l_lo} snippets plus "
-                              f"{i_lo + 1} background gaps exceed min T={t_lo}")
+                              f"{i_lo + 1} background gaps exceed min T={self.t_min}")
 
 
 @dataclass
@@ -133,11 +136,9 @@ def draw_prototypes(cfg: SynthConfig, rng: np.random.Generator) -> Prototypes:
 
 def _layout(cfg: SynthConfig, t: int, rng: np.random.Generator):
     """Instance classes and spans for one video, background in every gap."""
-    i_lo, i_hi = cfg.instances_range
-    l_lo, l_hi = cfg.instance_len_range
-    n = int(rng.integers(i_lo, i_hi + 1))
-    n = min(n, (t - 1) // (l_lo + 1))  # SynthConfig guarantees n >= i_lo fits
-    lens = rng.integers(l_lo, l_hi + 1, size=n)
+    n = int(rng.integers(cfg.instances_min, cfg.instances_max + 1))
+    n = min(n, (t - 1) // (cfg.instance_len_min + 1))  # instances_min always fits
+    lens = rng.integers(cfg.instance_len_min, cfg.instance_len_max + 1, size=n)
     while lens.sum() + n + 1 > t:
         lens[int(np.argmax(lens))] -= 1
     extra_bg = t - int(lens.sum()) - (n + 1)
@@ -179,12 +180,11 @@ def generate(cfg: SynthConfig) -> tuple:
     """Draw (train, test) record lists, deterministic under cfg.seed."""
     rng = np.random.default_rng(cfg.seed)
     proto = draw_prototypes(cfg, rng)
-    t_lo, t_hi = cfg.t_range
 
     def make(prefix: str, count: int) -> list:
         out = []
         for i in range(count):
-            t = int(rng.integers(t_lo, t_hi + 1))
+            t = int(rng.integers(cfg.t_min, cfg.t_max + 1))
             spans = _layout(cfg, t, rng)
             out.append(_render(cfg, proto, f"{prefix}_{i:04d}", t, spans, rng))
         return out

@@ -29,7 +29,7 @@ class RunConfig:
     `dataclasses.replace`) checks every value and raises ConfigError.
     """
 
-    grad_mode: GradMode = GradMode.STANDARD
+    mode: GradMode = GradMode.STANDARD
     use_ten: bool = False
     hp: Hyperparams = field(default_factory=Hyperparams)
     learning_rate: float = 1e-3
@@ -107,7 +107,7 @@ def train(videos: list, config: RunConfig, checkpoint_path=None,
         if config.use_ten and hp.k > 1:
             plan = make_plan([v.x_rgb.shape[0] for v in batch], hp.k, plan_rng)
         try:
-            grad, mean_losses = backward(batch, plan, params, hp, config.grad_mode)
+            grad, mean_losses = backward(batch, plan, params, hp, config.mode)
         except NumericError as exc:
             if isinstance(exc, NonFiniteForward):
                 exc.video_id = batch[exc.position].video_id
@@ -162,7 +162,7 @@ COMPONENT_GRID = (
 def component_rows(config: RunConfig) -> list:
     """One (label, RunConfig) ablation row per COMPONENT_GRID entry: `config`
     with that entry's gradient mode and continuity-branch switch."""
-    return [(label, replace(config, grad_mode=mode, use_ten=use_ten))
+    return [(label, replace(config, mode=mode, use_ten=use_ten))
             for label, mode, use_ten in COMPONENT_GRID]
 
 
@@ -170,7 +170,6 @@ def component_rows(config: RunConfig) -> list:
 class AblationRow:
     label: str
     report: EvalReport
-    final_loss: float
 
 
 def ablate(train_videos: list, test_records: list, rows: list,
@@ -178,11 +177,10 @@ def ablate(train_videos: list, test_records: list, rows: list,
     """Train, localize and evaluate each (label, RunConfig) row, in order."""
     results = []
     for label, config in rows:
-        result = train(train_videos, config)
-        proposals = localize_dataset(test_records, result.params, config.hp)
+        params = train(train_videos, config).params
+        proposals = localize_dataset(test_records, params, config.hp)
         report = evaluate(proposals, test_records, iou_thresholds=iou_thresholds)
-        results.append(AblationRow(label=label, report=report,
-                                   final_loss=result.log[-1].losses.total))
+        results.append(AblationRow(label=label, report=report))
     return results
 
 

@@ -29,8 +29,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def tiny_dataset():
     """Small fast synthetic world shared by trainer/localize tests."""
-    cfg = SynthConfig(num_classes=3, feature_dim=8, t_range=(24, 40),
-                      instances_range=(1, 2), instance_len_range=(5, 9),
+    cfg = SynthConfig(num_classes=3, feature_dim=8, t_min=24, t_max=40,
+                      instances_min=1, instances_max=2,
+                      instance_len_min=5, instance_len_max=9,
                       noise_sigma=0.1, confound_strength=0.5,
                       num_train=12, num_test=6, seed=11)
     train, test = generate(cfg)

@@ -243,11 +243,11 @@ def test_criterion_7_determinism_and_round_trips(tiny_dataset, tmp_path):
 @pytest.mark.slow
 def test_criterion_8_noiseless_sanity():
     cfg = SynthConfig(noise_sigma=0.0, confound_strength=0.0,
-                      num_train=50, num_test=50, instances_range=(1, 1))
+                      num_train=50, num_test=50, instances_min=1, instances_max=1)
     train_recs, test_recs = generate(cfg)
     iterations = 1000  # well inside the documented 2000-iteration ceiling
     result = train(training_view(train_recs),
-                   RunConfig(grad_mode=GradMode.BGES, use_ten=True,
+                   RunConfig(mode=GradMode.BGES, use_ten=True,
                              seed=0, iterations=iterations))
     proposals = localize_dataset(test_recs, result.params, Hyperparams())
     report = evaluate(proposals, test_recs, iou_thresholds=(0.5,))

@@ -80,6 +80,17 @@ class TestGen:
         assert main(["gen", "--out", str(out)]) == 0
         assert len(read_dataset(out / "train.bin").records) == 8
 
+    def test_empty_env_var_means_no_config(self, tmp_path, data_dir, monkeypatch, capsys):
+        argv = ["train", "--data", str(data_dir / "train.bin"), "--iterations", "1"]
+        monkeypatch.delenv(ENV_CONFIG, raising=False)
+        assert main([*argv, "--out", str(tmp_path / "unset.ckpt")]) == 0
+        monkeypatch.setenv(ENV_CONFIG, "")
+        assert main([*argv, "--out", str(tmp_path / "empty.ckpt")]) == 0
+        assert (tmp_path / "empty.ckpt").read_bytes() == (tmp_path / "unset.ckpt").read_bytes()
+        capsys.readouterr()
+        assert main(["--config", "", *argv]) == 1  # an explicit empty path is refused
+        assert "config error: cannot read config ''" in capsys.readouterr().err
+
 
 class TestTrainLocalizeEval:
     def test_full_pipeline(self, tmp_path, ini, data_dir, capsys):

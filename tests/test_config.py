@@ -1,19 +1,22 @@
-"""INI config parsing: coercion, range pairs, and typo suggestions."""
+"""INI config parsing: each key is the settings field of its name, typo suggestions."""
 
 import re
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
 import pytest
 
 from wtalkit.cli import main
-from wtalkit.config import _EXTRA_KEYS, Config, load_config
+from wtalkit.config import SECTIONS, Config, load_config
 from wtalkit.errors import ConfigError
 from wtalkit.losses import GradMode
 from wtalkit.model import Hyperparams
 from wtalkit.synth import SynthConfig
 from wtalkit.trainer import RunConfig
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _write(tmp_path, text):
@@ -60,16 +63,16 @@ iou_thresholds = 0.3 0.5 0.7
 """)
         cfg = load_config(path)
         assert cfg.synth.num_classes == 3
-        assert cfg.synth.t_range == (24, 40)
+        assert (cfg.synth.t_min, cfg.synth.t_max) == (24, 40)
         assert cfg.synth.noise_sigma == 0.2
         assert cfg.run.hp.lam == 0.2
         assert cfg.run.hp.k == 2
         assert cfg.run.iterations == 50
-        assert cfg.run.grad_mode is GradMode.BGES
+        assert cfg.run.mode is GradMode.BGES
         assert cfg.run.use_ten is True
         assert cfg.run.seed == 9
         assert cfg.run.batch_size == 4
-        assert cfg.eval_thresholds == (0.3, 0.5, 0.7)
+        assert cfg.iou_thresholds == (0.3, 0.5, 0.7)
 
     @pytest.mark.parametrize("raw, message", [
         ("", "need at least one value"),
@@ -86,15 +89,49 @@ iou_thresholds = 0.3 0.5 0.7
 
     def test_iou_threshold_of_one_is_valid(self, tmp_path):
         cfg = load_config(_write(tmp_path, "[eval]\niou_thresholds = 1 0.1\n"))
-        assert cfg.eval_thresholds == (1.0, 0.1)
+        assert cfg.iou_thresholds == (1.0, 0.1)
+
+    @pytest.mark.parametrize("section, key", [
+        ("eval", "iou_thresholds"), ("hyperparams", "proposal_thresholds")])
+    def test_bad_number_list(self, tmp_path, section, key):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: could not "
+                                              r"convert string to float: 'x'$"):
+            load_config(_write(tmp_path, f"[{section}]\n{key} = 0.5, x\n"))
 
     def test_partial_range_override_keeps_other_end(self, tmp_path):
-        cfg = load_config(_write(tmp_path, "[synth]\nt_min = 70\n"))
-        assert cfg.synth.t_range == (70, 120)
+        cfg = load_config(_write(tmp_path, "[synth]\nt_min = 70\ninstance_len_max = 30\n"))
+        assert (cfg.synth.t_min, cfg.synth.t_max) == (70, 120)
+        assert (cfg.synth.instance_len_min, cfg.synth.instance_len_max) == (8, 30)
+
+    @pytest.mark.parametrize("text, message", [
+        ("t_min = 130", "t_max must be >= 130, got 120"),  # against the default end
+        ("instances_min = 4\ninstances_max = 3", "instances_max must be >= 4, got 3"),
+        ("instance_len_min = 0", "instance_len_min must be >= 1, got 0"),
+    ], ids=["t_min_above_default_t_max", "instances_min_above_max", "instance_len_min_0"])
+    def test_bad_range_is_refused(self, tmp_path, text, message):
+        with pytest.raises(ConfigError, match=rf"^\[synth\] {message}$"):
+            load_config(_write(tmp_path, f"[synth]\n{text}\n"))
 
     def test_unknown_section(self, tmp_path):
-        with pytest.raises(ConfigError, match=r"unknown section \[model\]"):
+        with pytest.raises(ConfigError, match=r"^unknown section \[model\]$"):
             load_config(_write(tmp_path, "[model]\nx = 1\n"))
+        with pytest.raises(ConfigError,
+                           match=r"^unknown section \[synt\]; closest valid section is 'synth'$"):
+            load_config(_write(tmp_path, "[synt]\nseed = 1\n"))
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nlam = 0.5\n",  # alone, configparser would ignore it
+        "[run]\nseed = 3\n[DEFAULT]\nnum_train = 5\n",  # beside, merge it into [run]
+        "[DEFAULT]\n",
+    ], ids=["alone", "beside_run", "empty"])
+    def test_default_section_is_refused(self, tmp_path, text, capsys):
+        path = _write(tmp_path, text)
+        with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+            load_config(path)
+        out = tmp_path / "world"
+        assert main(["--config", path, "gen", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: unknown section [DEFAULT]\n"
+        assert not out.exists()
 
     def test_unknown_key_suggests(self, tmp_path):
         with pytest.raises(ConfigError, match="noise_sigma"):
@@ -131,13 +168,15 @@ iou_thresholds = 0.3 0.5 0.7
             load_config(_write(tmp_path, "[run]\nuse_ten = maybe\n"))
 
     def test_bad_mode(self, tmp_path):
-        with pytest.raises(ConfigError, match="mode"):
+        names = sorted(m.value for m in GradMode)
+        with pytest.raises(ConfigError) as info:
             load_config(_write(tmp_path, "[run]\nmode = reverse\n"))
+        assert str(info.value) == f"[run] mode: 'reverse' is not one of {names}"
 
     def test_mode_names_cover_all(self, tmp_path):
         for mode in GradMode:
-            cfg = load_config(_write(tmp_path, f"[run]\nmode = {mode.value}\n"))
-            assert cfg.run.grad_mode is mode
+            cfg = load_config(_write(tmp_path, f"[run]\nmode = {mode.value.upper()}\n"))
+            assert cfg.run.mode is mode
 
 
 class TestHyperparamKeys:
@@ -167,7 +206,7 @@ class TestFieldKeys:
     def test_every_scalar_field_is_a_key_of_its_type(self, tmp_path, section, cls):
         scalars = {name: kind for name, kind in get_type_hints(cls).items()
                    if kind in (int, float, bool)}
-        assert len(scalars) == {"synth": 7, "hyperparams": 8, "run": 8}[section]
+        assert len(scalars) == {"synth": 13, "hyperparams": 8, "run": 8}[section]
         default = cls()
         values = {}
         for name, kind in scalars.items():
@@ -200,7 +239,7 @@ class TestChecks:
         (Hyperparams, {"embed_dim": -1}, "embed_dim must be >= 0, got -1"),
         (Hyperparams, {"proposal_thresholds": (0.2, float("nan"))},
          "proposal_thresholds must be finite, got nan"),
-        (Config, {"eval_thresholds": (0.00001, 0.5)},
+        (Config, {"iou_thresholds": (0.00001, 0.5)},
          r"^iou_thresholds: 1e-05 rounds to 0 at 4 decimals$"),
         (RunConfig, {"decay_fraction": 1.5},
          r"decay_fraction must lie in \[0, 1\], got 1.5"),
@@ -221,25 +260,23 @@ class TestChecks:
         (Hyperparams, {"proposal_thresholds": ()}, r"proposal_thresholds must not be empty"),
         (SynthConfig, {"num_classes": 0}, "num_classes must be >= 1, got 0"),
         (SynthConfig, {"feature_dim": 0}, "feature_dim must be >= 1, got 0"),
-        (SynthConfig, {"t_range": (40, 30)},
-         r"t_range must be a \(low, high\) pair with 1 <= low <= high, got \(40, 30\)"),
-        (SynthConfig, {"instances_range": (0, 2)},
-         r"instances_range must be a \(low, high\) pair .*, got \(0, 2\)"),
-        (SynthConfig, {"instance_len_range": (8,)},
-         r"instance_len_range must be a \(low, high\) pair .*, got \(8,\)"),
+        (SynthConfig, {"t_min": 40, "t_max": 30}, "t_max must be >= 40, got 30"),
+        (SynthConfig, {"instances_min": 0, "instances_max": 2},
+         "instances_min must be >= 1, got 0"),
+        (SynthConfig, {"instance_len_max": 7}, "instance_len_max must be >= 8, got 7"),
         (SynthConfig, {"confound_strength": 1.5},
          r"confound_strength must lie in \[0, 1\], got 1.5"),
         (SynthConfig, {"noise_sigma": -0.1}, "noise_sigma must be >= 0, got -0.1"),
         (SynthConfig, {"num_train": 0}, "num_train must be >= 1, got 0"),
         (SynthConfig, {"num_test": -1}, "num_test must be >= 0, got -1"),
-        (SynthConfig, {"t_range": (8, 12), "instances_range": (3, 3),
-                       "instance_len_range": (4, 6)},
+        (SynthConfig, {"t_min": 8, "t_max": 12, "instances_min": 3, "instances_max": 3,
+                       "instance_len_min": 4, "instance_len_max": 6},
          "instances cannot fit: 3 x 4 snippets plus 4 background gaps exceed min T=8"),
-        (Config, {"eval_thresholds": (2.0, 0.5)},
+        (Config, {"iou_thresholds": (2.0, 0.5)},
          r"^iou_thresholds: 2.0 is outside \(0, 1\]$"),
-        (Config, {"eval_thresholds": (0.5, 0.50001)},
+        (Config, {"iou_thresholds": (0.5, 0.50001)},
          r"^iou_thresholds: 0.50001 is repeated$"),
-        (Config, {"eval_thresholds": ()}, "^iou_thresholds: need at least one value$"),
+        (Config, {"iou_thresholds": ()}, "^iou_thresholds: need at least one value$"),
     ])
     def test_bad_value_is_refused_on_build_and_replace(self, cls, changes, message):
         with pytest.raises(ConfigError, match=message):
@@ -257,12 +294,13 @@ class TestChecks:
         (RunConfig, {"decay_fraction": 1.0}),
         (Hyperparams, {"rho_cls": 0.0, "proposal_thresholds": (0.001, 0.999)}),
         (Hyperparams, {"rho_cls": 1.0}),
-        (SynthConfig, {"num_classes": 1, "feature_dim": 1, "t_range": (3, 3),
-                       "instances_range": (1, 1), "instance_len_range": (1, 1),
+        (SynthConfig, {"num_classes": 1, "feature_dim": 1, "t_min": 3, "t_max": 3,
+                       "instances_min": 1, "instances_max": 1,
+                       "instance_len_min": 1, "instance_len_max": 1,
                        "confound_strength": 0.0, "noise_sigma": 0.0, "num_train": 1,
                        "num_test": 0, "seed": 0}),
         (SynthConfig, {"confound_strength": 1.0}),
-        (Config, {"eval_thresholds": (1.0, 0.5, 0.5001)}),
+        (Config, {"iou_thresholds": (1.0, 0.5, 0.5001)}),
     ])
     def test_range_ends_are_accepted(self, cls, changes):
         got = replace(cls(), **changes)
@@ -276,7 +314,7 @@ class TestChecks:
 
 def _readme_table() -> dict:
     """Section -> keys named in the README's key table."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = (REPO / "README.md").read_text(encoding="utf-8")
     table, section = {}, None
     for line in text.splitlines():
         cells = [c.strip() for c in line.split("|")[1:-1]]
@@ -287,22 +325,55 @@ def _readme_table() -> dict:
     return table
 
 
-class TestReadmeKeyTable:
-    """The README's key table lists exactly the keys `load_config` accepts."""
+# the settings dataclass of each section, and the field types a value can spell
+SETTINGS = {"synth": SynthConfig, "hyperparams": Hyperparams, "run": RunConfig,
+            "eval": Config}
+PARSABLE = (int, float, bool, tuple, GradMode)
 
-    @pytest.mark.parametrize("section, cls", [
-        ("synth", SynthConfig), ("hyperparams", Hyperparams), ("run", RunConfig),
-        ("eval", None)])
+
+class TestReadmeKeyTable:
+    """A section accepts exactly the fields of its dataclass whose type an
+    INI value can spell, by their own names, and README's key table lists
+    exactly those keys."""
+
+    @pytest.mark.parametrize("section, cls", SETTINGS.items())
     def test_table_names_every_accepted_key_and_no_other(self, tmp_path, section, cls):
-        scalars = {name for name, kind in get_type_hints(cls).items()
-                   if kind in (int, float, bool)} if cls else set()
-        accepted = scalars | set(_EXTRA_KEYS[section])
-        assert _readme_table()[section] == accepted
-        for key in accepted:  # each is a key, whatever its value's fate
+        keys = {name for name, kind in get_type_hints(cls).items() if kind in PARSABLE}
+        assert _readme_table()[section] == keys
+        for key in keys:  # each is a key, whatever its value's fate
             try:
                 load_config(_write(tmp_path, f"[{section}]\n{key} = 1\n"))
             except ConfigError as exc:
                 assert "unknown key" not in str(exc), key
+        for name in {f.name for f in fields(cls)} - keys:
+            with pytest.raises(ConfigError, match=rf"^\[{section}\] unknown key '{name}'"):
+                load_config(_write(tmp_path, f"[{section}]\n{name} = 1\n"))
 
     def test_table_has_only_the_config_sections(self):
-        assert set(_readme_table()) == set(_EXTRA_KEYS)
+        assert set(_readme_table()) == set(SETTINGS) == set(SECTIONS)
+
+
+class TestBenchWorkloads:
+    """The benchmark's worlds load to the values they have always been
+    measured at, spelled out field by field."""
+
+    WORLDS = {
+        "golden": dict(num_classes=5, feature_dim=32, t_min=60, t_max=120,
+                       instances_min=1, instances_max=3, instance_len_min=8,
+                       instance_len_max=20, confound_strength=0.8, noise_sigma=0.7,
+                       num_train=200, num_test=60, seed=7),
+        "long": dict(num_classes=5, feature_dim=256, t_min=300, t_max=600,
+                     instances_min=2, instances_max=5, instance_len_min=20,
+                     instance_len_max=80, confound_strength=0.8, noise_sigma=0.7,
+                     num_train=40, num_test=12, seed=7),
+        "gradcheck": dict(num_classes=3, feature_dim=6, t_min=8, t_max=16,
+                          instances_min=1, instances_max=2, instance_len_min=2,
+                          instance_len_max=5, confound_strength=0.8, noise_sigma=0.7,
+                          num_train=200, num_test=60, seed=7),
+    }
+
+    @pytest.mark.parametrize("name", WORLDS)
+    def test_workload_world(self, name):
+        cfg = load_config(str(REPO / "bench" / "workloads" / f"{name}.ini"))
+        assert asdict(cfg.synth) == self.WORLDS[name]
+        assert cfg == Config(synth=SynthConfig(**self.WORLDS[name]))

@@ -138,7 +138,7 @@ def _ablation(tail):
     from wtalkit.trainer import AblationRow, write_ablation_csv
 
     report = _report(None)[1]
-    good = AblationRow(label="BL", report=report, final_loss=1.0)
+    good = AblationRow(label="BL", report=report)
     return write_ablation_csv, [good, tail or good]
 
 

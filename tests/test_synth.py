@@ -23,8 +23,9 @@ from wtalkit.synth import (
     write_dataset,
 )
 
-SMALL = dict(num_classes=3, feature_dim=6, t_range=(20, 32), instances_range=(1, 2),
-             instance_len_range=(4, 7), num_train=6, num_test=3)
+SMALL = dict(num_classes=3, feature_dim=6, t_min=20, t_max=32, instances_min=1,
+             instances_max=2, instance_len_min=4, instance_len_max=7, num_train=6,
+             num_test=3)
 
 
 class TestConfig:
@@ -33,8 +34,8 @@ class TestConfig:
 
     def test_infeasible_layout(self):
         with pytest.raises(ConfigError, match="instances cannot fit"):
-            SynthConfig(t_range=(8, 12), instances_range=(3, 3),
-                        instance_len_range=(4, 6))
+            SynthConfig(t_min=8, t_max=12, instances_min=3, instances_max=3,
+                        instance_len_min=4, instance_len_max=6)
 
     def test_bad_confound(self):
         with pytest.raises(ConfigError):
@@ -46,7 +47,7 @@ class TestConfig:
 
     def test_empty_range(self):
         with pytest.raises(ConfigError):
-            SynthConfig(t_range=(40, 30))
+            SynthConfig(t_min=40, t_max=30)
 
 
 class TestGenerate:
@@ -403,8 +404,9 @@ class TestMonotoneDifficulty:
         for conf in (0.0, 0.5, 1.0):
             scores = []
             for seed in range(10):
-                cfg = SynthConfig(num_classes=3, feature_dim=12, t_range=(30, 50),
-                                  instances_range=(1, 2), instance_len_range=(5, 9),
+                cfg = SynthConfig(num_classes=3, feature_dim=12, t_min=30, t_max=50,
+                                  instances_min=1, instances_max=2,
+                                  instance_len_min=5, instance_len_max=9,
                                   noise_sigma=0.4, confound_strength=conf,
                                   num_train=24, num_test=12, seed=100 + seed)
                 train_recs, test_recs = generate(cfg)
