@@ -3,8 +3,8 @@
 Gradient modes
 --------------
 STANDARD        honest gradient of the written losses.
-BGES            the background pooling normalizer N_b is replaced by N_f in
-                the forward pass; the gradient is the honest gradient of that
+BGES            the background pooling divides by N_f instead of N_b in the
+                forward pass; the gradient is the honest gradient of that
                 modified forward. Per snippet this turns the attention-path
                 difference (y_bg - y_i) into (-y_bg - y_i), pushing every
                 snippet toward background by the same margin.
@@ -43,7 +43,6 @@ from .model import (
     ForwardOutputs,
     Hyperparams,
     ModelParams,
-    NormMode,
     PackedWeights,
     forward,
     packed_views,
@@ -82,14 +81,18 @@ class GradMode(enum.Enum):
     BVL_PLUS_BGES = "bvl+bges"
 
     @property
-    def norm_mode(self) -> NormMode:
-        if self in (GradMode.BGES, GradMode.BVL_PLUS_BGES):
-            return NormMode.BGES
-        return NormMode.STANDARD
+    def bges(self) -> bool:
+        """The background pooling divides by N_f instead of N_b."""
+        return self in (GradMode.BGES, GradMode.BVL_PLUS_BGES)
 
     @property
     def uses_bvl(self) -> bool:
         return self in (GradMode.BVL, GradMode.BVL_PLUS_BGES)
+
+    @property
+    def is_gradient(self) -> bool:
+        """The update is the gradient of a loss: every mode but GRL."""
+        return self is not GradMode.GRL
 
 
 @dataclass
@@ -381,7 +384,7 @@ class NonFiniteForward(NumericError):
 
 
 def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
-                   norm_mode: NormMode = NormMode.STANDARD) -> PackedForward:
+                   bges: bool = False) -> PackedForward:
     """Forward of one chunk as packed rows: the chunk's videos back to back,
     then (with a plan) their refilled copies in the same order, so both
     branches share the head GEMM. Each GEMM multiplies the arrays of
@@ -390,7 +393,7 @@ def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
     head) writes its rows of arrays allocated once for both modalities, and
     `_by_modality` runs the two halves. Per-row head outputs are held
     class-major, (C+2, rows): the C+1 CAS logits, then the attention logit.
-    The background pooling divides by N_f under BGES and by N_b otherwise.
+    The background pooling divides by N_f when `bges` is set, else by N_b.
     """
     lengths = np.array([v.x_rgb.shape[0] for v in videos])
     n = int(lengths.sum())
@@ -435,8 +438,7 @@ def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
     # base-branch pooling, one segment per video
     yb, ab = y[:, :n], a[:n]
     n_f = np.maximum(np.add.reduceat(ab, starts), NORMALIZER_FLOOR)
-    denom = (n_f if norm_mode is NormMode.BGES
-             else np.maximum(np.add.reduceat(1.0 - ab, starts), NORMALIZER_FLOOR))  # N_b
+    denom = n_f if bges else np.maximum(np.add.reduceat(1.0 - ab, starts), NORMALIZER_FLOOR)
     z_fg = np.add.reduceat(yb * ab, starts, axis=1) / n_f
     z_bg = np.add.reduceat(yb * (1.0 - ab), starts, axis=1) / denom
     p_fg, p_bg = softmax(z_fg, axis=0), softmax(z_bg, axis=0)
@@ -480,7 +482,7 @@ def _output_grads(fwd, videos: list, hp: Hyperparams, mode: GradMode) -> tuple:
     g_bg[-1] -= 1.0
     g_bg = g_bg[:, seg]
     d_y[:, :n] += (hp.lam * g_bg) * ((1.0 - ab) / denom[seg])
-    z_bg_sign = -1.0 if mode.norm_mode is NormMode.BGES else 1.0
+    z_bg_sign = -1.0 if mode.bges else 1.0
     att_path = np.sum((z_bg_sign * z_bg[:, seg] - yb) * g_bg, axis=0) / denom[seg]
     d_a[:n] += hp.lam * (-att_path if mode is GradMode.GRL else att_path)
 
@@ -531,7 +533,7 @@ def _chunk_backward(videos: list, plan: np.ndarray | None, params: ModelParams,
     half (d_z, and the embedding, bias and head sums into its rows of `acc`)
     runs through `_by_modality`.
     """
-    fwd = packed_forward(videos, plan, params, mode.norm_mode)
+    fwd = packed_forward(videos, plan, params, mode.bges)
     losses, d_y, d_a = _output_grads(fwd, videos, hp, mode)
     n, refill, xe = int(fwd.lengths.sum()), fwd.refill, fwd.xe
     # through both modality heads (0.5 fusion)
@@ -637,13 +639,14 @@ def make_tiny_instance(seed: int) -> TinyInstance:
 
 
 def _forward_pair(inst: TinyInstance, params: ModelParams, mode: GradMode):
-    bb = forward(inst.x_rgb, inst.x_flow, params, mode.norm_mode)
+    bb = forward(inst.x_rgb, inst.x_flow, params, mode.bges)
     tcb = tcb_forward_full(inst.x_rgb, inst.x_flow, params, inst.plan)
     return bb, tcb
 
 
-def instance_margin(inst: TinyInstance, mode: GradMode) -> float:
-    """Smallest distance to any non-differentiable point or active floor.
+def instance_margin(bb: ForwardOutputs, tcb: ForwardOutputs) -> float:
+    """Smallest distance to any non-differentiable point or active floor of
+    an instance's base-point forward pair.
 
     Central differences near ReLU or absolute-value kinks measure the wrong
     one-sided slope, so certification instances are rejected when any margin
@@ -651,7 +654,6 @@ def instance_margin(inst: TinyInstance, mode: GradMode) -> float:
     against the other branch's track smoothed by the constant GAUSS_TAPS, as
     in the continuity loss.
     """
-    bb, tcb = _forward_pair(inst, inst.params, mode)
     margins = [
         float(np.min(np.abs(bb.z_rgb))), float(np.min(np.abs(bb.z_flow))),
         float(np.min(np.abs(tcb.z_rgb))), float(np.min(np.abs(tcb.z_flow))),
@@ -665,12 +667,13 @@ def instance_margin(inst: TinyInstance, mode: GradMode) -> float:
     return min(margins)
 
 
-def build_fd_loss(inst: TinyInstance, hp: Hyperparams, mode: GradMode):
+def build_fd_loss(inst: TinyInstance, hp: Hyperparams, mode: GradMode,
+                  bb: ForwardOutputs, tcb: ForwardOutputs):
     """The instance's total loss as `finite_diff_grad` takes it: (n, P)
     parameter points to their n losses, in one stacked `forward` pair and
-    `compute_losses`. The continuity targets are frozen at the base
-    parameters, as in `backward`."""
-    frozen = capture_targets(*_forward_pair(inst, inst.params, mode))
+    `compute_losses`. The continuity targets are frozen at the base-point
+    pair `bb`, `tcb`, as in `backward`."""
+    frozen = capture_targets(bb, tcb)
 
     def fd_loss(points: np.ndarray) -> np.ndarray:
         p = inst.params.from_vector(points)
@@ -680,7 +683,7 @@ def build_fd_loss(inst: TinyInstance, hp: Hyperparams, mode: GradMode):
     return fd_loss
 
 
-CERTIFIED_MODES = (GradMode.STANDARD, GradMode.BGES, GradMode.BVL)
+CERTIFIED_MODES = tuple(m for m in GradMode if m.is_gradient)
 # certification draws instances from this seed on, skipping margins below MIN_MARGIN
 FIRST_SEED, MIN_MARGIN = 1000, 2e-3
 
@@ -714,7 +717,8 @@ def certify_gradients(num_instances: int = 20, tolerance: float = 1e-5,
         while accepted < num_instances:
             inst = make_tiny_instance(seed)
             seed += 1
-            if instance_margin(inst, mode) < MIN_MARGIN:
+            pair = _forward_pair(inst, inst.params, mode)
+            if instance_margin(*pair) < MIN_MARGIN:
                 continue
             accepted += 1
             analytic, _ = backward([inst], inst.plan, inst.params, hp, mode)
@@ -723,7 +727,7 @@ def certify_gradients(num_instances: int = 20, tolerance: float = 1e-5,
                 if flip_block not in blocks:
                     raise ValueError(f"flip_block: no parameter block {flip_block!r}")
                 np.negative(blocks[flip_block], out=blocks[flip_block])
-            numeric = finite_diff_grad(build_fd_loss(inst, hp, mode),
+            numeric = finite_diff_grad(build_fd_loss(inst, hp, mode, *pair),
                                        inst.params.to_vector(), fd_epsilon)
             # the denominator floor keeps central-difference roundoff
             # (|loss| * 1e-16 / fd_epsilon, ~2e-11 here) from dominating the
@@ -749,7 +753,7 @@ def closed_form_attention_factors(out: ForwardOutputs, modality: str) -> dict:
     Returns a dict with keys std, bges, grl, increment, val, y_video_bg where
     increment = bges - (N_b/N_f) * std = val * y_video_bg exactly.
     """
-    if out.norm_mode is not NormMode.STANDARD:
+    if out.bges:
         raise ValueError("closed-form factors are defined on a STANDARD forward")
     y_m = (out.y_rgb if modality == "rgb" else out.y_flow)[:, -1]
     a_m = out.a_rgb if modality == "rgb" else out.a_flow

@@ -1,15 +1,13 @@
 """Two-modality base branch: temporal-conv embedding, snippet classifier,
 temporal attention, fusion, and attention-weighted video-level pooling.
 
-The background pooling normalizer is selectable: STANDARD divides the
-background aggregate by N_b = sum(1 - a); BGES divides it by N_f = sum(a),
-which is the training-time gradient-enhancement device. Foreground pooling is
-identical in both modes.
+The background pooling divides the background aggregate by N_b = sum(1 - a),
+or, with the `bges` bit set, by N_f = sum(a): the training-time
+gradient-enhancement device. Foreground pooling divides by N_f either way.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import math
@@ -28,11 +26,6 @@ NORMALIZER_FLOOR = 1e-12
 
 CHECKPOINT_MAGIC = b"WTALCP01"
 CHECKPOINT_VERSION = 1
-
-
-class NormMode(enum.Enum):
-    STANDARD = "standard"
-    BGES = "bges"
 
 
 @dataclass
@@ -192,8 +185,8 @@ class Hyperparams:
 @dataclass
 class ForwardOutputs:
     """One video's forward pass, as inference and the loss oracle read it.
-    At a stack of n parameter points every field but `norm_mode` has a
-    leading axis of n, and n_f and n_b are (n,) arrays."""
+    At a stack of n parameter points every field but `bges` has a leading
+    axis of n, and n_f and n_b are (n,) arrays."""
 
     z_rgb: np.ndarray  # (T, E) pre-ReLU embedding
     z_flow: np.ndarray
@@ -209,7 +202,7 @@ class ForwardOutputs:
     p_bg: np.ndarray
     n_f: float
     n_b: float
-    norm_mode: NormMode
+    bges: bool  # the background pooling divided by N_f
 
 
 def init_params(rng: np.random.Generator, feature_dim: int, embed_dim: int,
@@ -274,13 +267,13 @@ def attention(xe: np.ndarray, mod: ModalityParams) -> np.ndarray:
     return sigmoid((xe @ mod.w_att[..., None])[..., 0] + np.expand_dims(mod.b_att, -1))
 
 
-def pool(y: np.ndarray, a: np.ndarray, norm_mode: NormMode = NormMode.STANDARD):
+def pool(y: np.ndarray, a: np.ndarray, bges: bool = False):
     """Attention-weighted video-level pooling over the snippet axis, for
     (T, C+1) scores and (T,) attention with any common leading axes.
 
-    Foreground aggregate is divided by N_f; the background aggregate by N_b in
-    STANDARD mode and by N_f in BGES mode. Returns (p_fg, p_bg, z_fg, z_bg,
-    n_f, n_b).
+    The foreground aggregate is divided by N_f; the background aggregate by
+    N_b, or by N_f when `bges` is set. Returns (p_fg, p_bg, z_fg, z_bg, n_f,
+    n_b).
     """
     y = np.asarray(y, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -290,7 +283,7 @@ def pool(y: np.ndarray, a: np.ndarray, norm_mode: NormMode = NormMode.STANDARD):
         raise ValueError("pool: empty sequence")
     n_f = np.maximum(a.sum(axis=-1), NORMALIZER_FLOOR)
     n_b = np.maximum((1.0 - a).sum(axis=-1), NORMALIZER_FLOOR)
-    denom = n_f if norm_mode is NormMode.BGES else n_b
+    denom = n_f if bges else n_b
     # a (1, T) row times y per point: the one-point product's BLAS call
     z_fg = (a[..., None, :] @ y)[..., 0, :] / n_f[..., None]
     z_bg = ((1.0 - a)[..., None, :] @ y)[..., 0, :] / denom[..., None]
@@ -298,7 +291,7 @@ def pool(y: np.ndarray, a: np.ndarray, norm_mode: NormMode = NormMode.STANDARD):
 
 
 def forward(x_rgb: np.ndarray, x_flow: np.ndarray, params: ModelParams,
-            norm_mode: NormMode = NormMode.STANDARD) -> ForwardOutputs:
+            bges: bool = False) -> ForwardOutputs:
     """Full base-branch forward pass over one video.
 
     `params` may be a stack of points (`from_vector` of an (n, P) array):
@@ -321,13 +314,13 @@ def forward(x_rgb: np.ndarray, x_flow: np.ndarray, params: ModelParams,
     a_o = attention(xe_o, params.flow)
     y = 0.5 * (y_r + y_o)
     a = 0.5 * (a_r + a_o)
-    p_fg, p_bg, z_fg, z_bg, n_f, n_b = pool(y, a, norm_mode)
+    p_fg, p_bg, z_fg, z_bg, n_f, n_b = pool(y, a, bges)
     out = ForwardOutputs(
         z_rgb=z_r, z_flow=z_o,
         y_rgb=y_r, y_flow=y_o, y=y,
         a_rgb=a_r, a_flow=a_o, a=a,
         z_fg=z_fg, z_bg=z_bg, p_fg=p_fg, p_bg=p_bg,
-        n_f=n_f, n_b=n_b, norm_mode=norm_mode,
+        n_f=n_f, n_b=n_b, bges=bges,
     )
     for arr in (out.y, out.a, out.p_fg, out.p_bg):
         if not np.all(np.isfinite(arr)):

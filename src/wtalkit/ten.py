@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ForwardOutputs, ModelParams, NormMode, forward
+from .model import ForwardOutputs, ModelParams, forward
 
 
 def make_plan(lengths, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -48,4 +48,4 @@ def tcb_forward_full(x_rgb: np.ndarray, x_flow: np.ndarray, params: ModelParams,
                      src: np.ndarray) -> ForwardOutputs:
     """Run the shared model on the refilled pair (the per-video continuity
     branch), at one parameter point or at a stack of them, as `forward`."""
-    return forward(refill(x_rgb, src), refill(x_flow, src), params, NormMode.STANDARD)
+    return forward(refill(x_rgb, src), refill(x_flow, src), params, bges=False)

@@ -235,8 +235,7 @@ def attention_factor_oracle(out, modality):
     by lam. d z_bg[c] / d a_t is (z_bg[c] - y[t, c]) / N_b, or under BGES
     (-z_bg[c] - y[t, c]) / N_f; the fused attention is half the modality's
     sigmoid."""
-    bges = out.norm_mode.value == "bges"
-    denom = out.n_f if bges else out.n_b
+    denom = out.n_f if out.bges else out.n_b
     num_classes = len(out.p_bg)
     a_m = out.a_rgb if modality == "rgb" else out.a_flow
     factors = np.zeros(len(out.a))
@@ -244,18 +243,18 @@ def attention_factor_oracle(out, modality):
         d_a = 0.0
         for c in range(num_classes):
             g = out.p_bg[c] - (1.0 if c == num_classes - 1 else 0.0)
-            d_z = ((-out.z_bg[c] if bges else out.z_bg[c]) - out.y[t, c]) / denom
+            d_z = ((-out.z_bg[c] if out.bges else out.z_bg[c]) - out.y[t, c]) / denom
             d_a += g * d_z
         factors[t] = d_a * 0.5 * a_m[t] * (1.0 - a_m[t])
     return factors
 
 
-def packed_forward_oracle(videos, plan, params, norm_mode):
+def packed_forward_oracle(videos, plan, params, bges):
     """The packed forward with window matrices for both branches, as it ran
     before the refilled copy was embedded from its per-segment sources: each
     refilled row gathers its own (K·D) window of refilled snippets and
     multiplies it like a base row. Returns the fields the loss part reads."""
-    from wtalkit.model import MODALITIES, NORMALIZER_FLOOR, NormMode
+    from wtalkit.model import MODALITIES, NORMALIZER_FLOOR
     from wtalkit.numerics import packed_windows, sigmoid, softmax
 
     lengths = np.array([v.x_rgb.shape[0] for v in videos])
@@ -285,7 +284,7 @@ def packed_forward_oracle(videos, plan, params, norm_mode):
     yb, ab = y[:, :n], a[:n]
     n_f = np.maximum(np.add.reduceat(ab, starts), NORMALIZER_FLOOR)
     n_b = np.maximum(np.add.reduceat(1.0 - ab, starts), NORMALIZER_FLOOR)
-    denom = n_f if norm_mode is NormMode.BGES else n_b
+    denom = n_f if bges else n_b
     z_fg = np.add.reduceat(yb * ab, starts, axis=1) / n_f
     z_bg = np.add.reduceat(yb * (1.0 - ab), starts, axis=1) / denom
     return SimpleNamespace(lengths=lengths, starts=starts, wide=wide, modal=cache,
@@ -307,7 +306,7 @@ def backward_oracle(videos, plan, params, hp, mode):
     losses = []
     for lo, hi in _chunks(videos, params.header[-1]):
         chunk_plan = None if plan is None else plan[offsets[lo]:offsets[hi]]
-        fwd = packed_forward_oracle(videos[lo:hi], chunk_plan, params, mode.norm_mode)
+        fwd = packed_forward_oracle(videos[lo:hi], chunk_plan, params, mode.bges)
         parts, d_y, d_a = _output_grads(fwd, videos[lo:hi], hp, mode)
         losses.append(parts)
         d_h = np.empty((d_y.shape[0] + 1, d_y.shape[1]))

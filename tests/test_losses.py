@@ -48,14 +48,12 @@ from wtalkit.losses import (
     _chunks,
     _forward_pair,
 )
-from wtalkit.model import Hyperparams, ModelParams, NormMode, embed, forward, init_params
+from wtalkit.model import Hyperparams, ModelParams, embed, forward, init_params
 from wtalkit.synth import SynthConfig, TrainingVideo, generate, training_view
 from wtalkit.ten import make_plan, tcb_forward_full
 from wtalkit.numerics import finite_diff_grad, gaussian_smooth, packed_windows, softmax
 
 HP = Hyperparams()
-# every mode that claims to be a gradient; GRL is covered by its sign flip
-GRADIENT_MODES = tuple(m for m in GradMode if m is not GradMode.GRL)
 
 
 def accepted_instance(start_seed, mode=GradMode.STANDARD, draw=make_tiny_instance):
@@ -63,9 +61,26 @@ def accepted_instance(start_seed, mode=GradMode.STANDARD, draw=make_tiny_instanc
     seed = start_seed
     while True:
         inst = draw(seed)
-        if instance_margin(inst, mode) >= MIN_MARGIN:
+        if instance_margin(*_forward_pair(inst, inst.params, mode)) >= MIN_MARGIN:
             return inst
         seed += 1
+
+
+def fd_loss_at(inst, hp, mode):
+    """`build_fd_loss` with the targets frozen at the instance's own base point."""
+    return build_fd_loss(inst, hp, mode, *_forward_pair(inst, inst.params, mode))
+
+
+class TestGradMode:
+    def test_each_mode_states_what_it_does(self):
+        bits = {m.value: (m.bges, m.uses_bvl, m.is_gradient) for m in GradMode}
+        assert bits == {"standard": (False, False, True), "bges": (True, False, True),
+                        "grl": (False, False, False), "bvl": (False, True, True),
+                        "bvl+bges": (True, True, True)}
+
+    def test_certified_modes_are_the_gradient_modes(self):
+        assert CERTIFIED_MODES == tuple(m for m in GradMode if m.is_gradient)
+        assert [m for m in GradMode if not m.is_gradient] == [GradMode.GRL]
 
 
 class TestFullLabel:
@@ -247,7 +262,7 @@ class TestBackward:
         inst = accepted_instance(70)
         hp = Hyperparams(lam=0.0, beta=0.0)
         analytic = backward_one(inst, hp, GradMode.STANDARD).to_vector()
-        numeric = finite_diff_grad(build_fd_loss(inst, hp, GradMode.STANDARD),
+        numeric = finite_diff_grad(fd_loss_at(inst, hp, GradMode.STANDARD),
                                    inst.params.to_vector())
         scale = np.maximum(np.abs(numeric), 1e-5)
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
@@ -282,8 +297,10 @@ class TestBackward:
                     factors.sum(), rel=1e-9, abs=1e-15)
 
     def test_frozen_targets_certify_every_gradient_mode(self):
-        # CERTIFIED_MODES (the CLI default) leaves out BVL+BGES
-        results = certify_gradients(num_instances=3, modes=GRADIENT_MODES)
+        # the default certificate is every mode but GRL, BVL+BGES included
+        results = certify_gradients(num_instances=3)
+        assert [r.mode for r in results] == [
+            name for name in ("standard", "bges", "bvl", "bvl+bges") for _ in range(3)]
         assert all(r.passed for r in results)
 
 
@@ -338,7 +355,7 @@ class TestPackedBatch:
             assert getattr(parts, field) == pytest.approx(expected, rel=1e-12, abs=1e-15)
         # each one-video run's losses are those of the per-video reference path
         for v, p, (_, got) in zip(videos, plans, singles):
-            bb = forward(v.x_rgb, v.x_flow, params, mode.norm_mode)
+            bb = forward(v.x_rgb, v.x_flow, params, mode.bges)
             tcb = None if p is None else tcb_forward_full(v.x_rgb, v.x_flow, params, p)
             ref = compute_losses(bb, tcb, v.video_label, HP, mode)
             for field in ("fg", "bg", "att", "kl", "bvl", "total"):
@@ -423,7 +440,7 @@ class TestWindowMatrixOracle:
             assert getattr(parts, field) == pytest.approx(getattr(want_parts, field),
                                                           rel=1e-12, abs=1e-15)
         # the refilled copy multiplies one source row per segment, no window
-        fwd = packed_forward(videos, plan, params, mode.norm_mode)
+        fwd = packed_forward(videos, plan, params, mode.bges)
         assert fwd.refill.sources.size == sum(-(-t // HP.k) for t in lengths)
         assert fwd.win.shape == (2, sum(lengths), 3 * 32)
 
@@ -456,8 +473,8 @@ class TestWindowMatrixOracle:
         offsets = np.cumsum([0] + lengths)
         for lo, hi in chunks:
             chunk_plan = plan[offsets[lo]:offsets[hi]]
-            got = packed_forward(videos[lo:hi], chunk_plan, params, mode.norm_mode)
-            want = packed_forward_oracle(videos[lo:hi], chunk_plan, params, mode.norm_mode)
+            got = packed_forward(videos[lo:hi], chunk_plan, params, mode.bges)
+            want = packed_forward_oracle(videos[lo:hi], chunk_plan, params, mode.bges)
             for field in ("y", "a", "n_f", "denom", "z_fg", "z_bg", "p_fg", "p_bg"):
                 assert_close_rel(getattr(got, field), getattr(want, field))
 
@@ -518,7 +535,7 @@ class TestModalitySchedule:
                 grad, parts = backward(videos, plan, params, HP, mode)
                 fwds = [packed_forward(videos[lo:hi],
                                        None if plan is None else plan[offsets[lo]:offsets[hi]],
-                                       params, mode.norm_mode)
+                                       params, mode.bges)
                         for lo, hi in chunks]
             # backward's forward and backward halves, then each packed_forward's
             assert submit.call_count == (3 * len(chunks) if paired else 0)
@@ -632,12 +649,12 @@ def one_row_tail_instance(seed):
 
 
 class TestRefillFiniteDifferences:
-    @pytest.mark.parametrize("mode", GRADIENT_MODES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("mode", CERTIFIED_MODES, ids=lambda m: m.value)
     def test_one_row_last_segment(self, mode):
         # the certificate's instances (T = 8, k = 3) never end in a one-row segment
         inst = accepted_instance(0, mode, one_row_tail_instance)
         analytic = backward_one(inst, HP, mode).to_vector()
-        numeric = finite_diff_grad(build_fd_loss(inst, HP, mode), inst.params.to_vector())
+        numeric = finite_diff_grad(fd_loss_at(inst, HP, mode), inst.params.to_vector())
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-5)
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
 
@@ -652,17 +669,17 @@ class TestStackedPoints:
     def test_finite_differences_match_the_one_point_loop(self, mode, draw):
         for start in (0, 40):
             inst = accepted_instance(start, mode, draw)
-            loss = build_fd_loss(inst, HP, mode)
+            loss = fd_loss_at(inst, HP, mode)
             vec = inst.params.to_vector()
             got = finite_diff_grad(loss, vec)
             want = finite_diff_oracle(loss, vec)
             assert got.tobytes() == want.tobytes()
 
     @given(t=st.integers(1, 16), kernel_size=st.sampled_from([1, 3, 5]),
-           points=st.integers(1, 5), norm_mode=st.sampled_from(list(NormMode)),
+           points=st.integers(1, 5), bges=st.booleans(),
            classes=st.integers(1, 5), k=st.integers(1, 5), seed=st.integers(0, 2**31))
     @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_stack_equals_one_point_calls(self, t, kernel_size, points, norm_mode, classes,
+    def test_stack_equals_one_point_calls(self, t, kernel_size, points, bges, classes,
                                           k, seed):
         rng = np.random.default_rng(seed)
         base = ModelParams.zeros(4, 3, classes, kernel_size)
@@ -671,22 +688,22 @@ class TestStackedPoints:
         plan = make_plan([t], k, rng)
         label = (rng.random(classes) < 0.5).astype(float)
         label[rng.integers(classes)] = 1.0
-        mode = GradMode.BGES if norm_mode is NormMode.BGES else GradMode.BVL
+        mode = GradMode.BGES if bges else GradMode.BVL
         first = base.from_vector(stack[0])
-        frozen = capture_targets(forward(x_rgb, x_flow, first, norm_mode),
+        frozen = capture_targets(forward(x_rgb, x_flow, first, bges),
                                  tcb_forward_full(x_rgb, x_flow, first, plan))
         many = base.from_vector(stack)
-        bb = forward(x_rgb, x_flow, many, norm_mode)
+        bb = forward(x_rgb, x_flow, many, bges)
         tcb = tcb_forward_full(x_rgb, x_flow, many, plan)
         total = compute_losses(bb, tcb, label, HP, mode, frozen).total
         assert total.shape == (points,)
         for i in range(points):
             one = base.from_vector(stack[i])
-            bb_i = forward(x_rgb, x_flow, one, norm_mode)
+            bb_i = forward(x_rgb, x_flow, one, bges)
             tcb_i = tcb_forward_full(x_rgb, x_flow, one, plan)
             for got, want in ((bb, bb_i), (tcb, tcb_i)):
                 for field in fields(want):
-                    if field.name != "norm_mode":
+                    if field.name != "bges":
                         g, w = getattr(got, field.name)[i], getattr(want, field.name)
                         assert np.shape(g) == np.shape(w)
                         assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), field.name
@@ -701,6 +718,30 @@ class TestCertification:
         assert len(results) == 3 * len(CERTIFIED_MODES)
         assert all(r.passed for r in results)
         assert max(r.max_rel_error for r in results) < 1e-5
+
+    def test_each_candidate_runs_its_base_point_pair_once(self):
+        # the kink filter and the frozen targets share one base-point pair;
+        # the stacked finite-difference points are the two other calls
+        draws, calls = [], []
+
+        def counted(real, name):
+            def run(x_rgb, x_flow, params, *args, **kwargs):
+                calls.append((name, params.points))
+                return real(x_rgb, x_flow, params, *args, **kwargs)
+            return run
+
+        def draw(seed):
+            draws.append(seed)
+            return make_tiny_instance(seed)
+
+        with patch.object(losses_mod, "forward", counted(forward, "bb")), \
+                patch.object(losses_mod, "tcb_forward_full", counted(tcb_forward_full, "tcb")), \
+                patch.object(losses_mod, "make_tiny_instance", draw):
+            results = certify_gradients(num_instances=3, modes=(GradMode.BGES,))
+        assert len(results) == 3
+        for name in ("bb", "tcb"):
+            assert sum(c == (name, ()) for c in calls) == len(draws)
+            assert sum(c[0] == name and c[1] != () for c in calls) == 2 * len(results)
 
     def test_injected_bug_is_caught(self):
         # negating one block's analytic gradient must break certification;
@@ -804,6 +845,6 @@ class TestFactorIdentities:
     def test_closed_form_requires_standard_forward(self):
         inst = make_tiny_instance(7)
         bb = forward(inst.x_rgb, inst.x_flow, inst.params,
-                     GradMode.BGES.norm_mode)
+                     GradMode.BGES.bges)
         with pytest.raises(ValueError):
             closed_form_attention_factors(bb, "rgb")

@@ -12,7 +12,6 @@ from wtalkit.model import (
     Hyperparams,
     ModalityParams,
     ModelParams,
-    NormMode,
     attention,
     cas,
     embed,
@@ -147,7 +146,7 @@ class TestPool:
         p_fg, p_bg, _, _, _, _ = pool(y, a)
         np.testing.assert_allclose(p_fg, softmax(v), atol=1e-12)
         np.testing.assert_allclose(p_bg, softmax(v), atol=1e-12)
-        p_fg2, p_bg2, _, _, _, _ = pool(y, a, NormMode.BGES)
+        p_fg2, p_bg2, _, _, _, _ = pool(y, a, bges=True)
         np.testing.assert_allclose(p_bg2, softmax(v), atol=1e-12)
 
     def test_bges_rescales_background_aggregate(self):
@@ -156,8 +155,8 @@ class TestPool:
         a = rng.uniform(0.1, 0.9, size=6)
         n_f, n_b = a.sum(), (1.0 - a).sum()
         agg_std = (1.0 - a) @ y / n_b
-        _, p_bg_std, _, _, _, _ = pool(y, a, NormMode.STANDARD)
-        _, p_bg_bges, _, _, _, _ = pool(y, a, NormMode.BGES)
+        _, p_bg_std, _, _, _, _ = pool(y, a, bges=False)
+        _, p_bg_bges, _, _, _, _ = pool(y, a, bges=True)
         np.testing.assert_allclose(p_bg_std, softmax(agg_std), atol=1e-12)
         np.testing.assert_allclose(p_bg_bges, softmax(agg_std * n_b / n_f),
                                    atol=1e-12)
@@ -209,8 +208,8 @@ class TestForward:
         rng = np.random.default_rng(12)
         x_rgb, x_flow = random_inputs(rng)
         params = make_params(rng)
-        std = forward(x_rgb, x_flow, params, NormMode.STANDARD)
-        bges = forward(x_rgb, x_flow, params, NormMode.BGES)
+        std = forward(x_rgb, x_flow, params, bges=False)
+        bges = forward(x_rgb, x_flow, params, bges=True)
         np.testing.assert_array_equal(std.p_fg, bges.p_fg)
         assert not np.array_equal(std.p_bg, bges.p_bg)
 
