@@ -139,6 +139,12 @@ def cmd_gradcheck(args) -> int:
     modes = CERTIFIED_MODES
     if args.modes:
         modes = tuple(parse_mode(m, "--modes") for m in args.modes.split(","))
+    for i, mode in enumerate(modes):
+        if not mode.is_gradient:
+            raise ConfigError(f"--modes: {mode.value} is not the gradient of a loss, "
+                              "so it cannot be certified")
+        if mode in modes[:i]:
+            raise ConfigError(f"--modes: {mode.value} is named twice")
     results = certify_gradients(num_instances=args.instances,
                                 tolerance=args.tolerance,
                                 modes=modes, fd_epsilon=args.eps,
@@ -284,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-5,
                    help="finite-difference step")
     p.add_argument("--modes", default=None,
-                   help="comma list, default standard,bges,bvl")
+                   help="comma list, default "
+                        + ",".join(m.value for m in CERTIFIED_MODES))
     p.add_argument("--inject-bug", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -702,13 +702,17 @@ def certify_gradients(num_instances: int = 20, tolerance: float = 1e-5,
     """Compare analytic and central-difference gradients on tiny instances.
 
     Returns one CertificationResult per (mode, instance), of at least one
-    instance. `flip_block` names a parameter block ("rgb.w_att", ...) whose
-    analytic gradient is negated before comparison; a certification that
-    still passes with a flipped block would prove the harness toothless, so
-    the hook exists for exactly that self-test.
+    instance; every mode must be a gradient. `flip_block` names a parameter
+    block ("rgb.w_att", ...) whose analytic gradient is negated before
+    comparison; a certification that still passes with a flipped block
+    would prove the harness toothless, so the hook exists for exactly that
+    self-test.
     """
     if num_instances < 1:
         raise ValueError(f"certify_gradients: num_instances must be >= 1, got {num_instances}")
+    for mode in modes:
+        if not mode.is_gradient:
+            raise ValueError(f"certify_gradients: {mode.value} is not the gradient of a loss")
     hp = Hyperparams()
     results = []
     for mode in modes:

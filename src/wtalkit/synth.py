@@ -203,13 +203,16 @@ def _label_from_bytes(mask: bytes, c: int) -> np.ndarray:
 
 def write_dataset(path, records: list, num_classes: int | None = None,
                   frames_per_snippet: int = 0, fps: float = 0.0) -> None:
-    """Serialize records; 0 / 0.0 mark snippet timing as unknown."""
+    """Serialize records; 0 / 0.0 mark snippet timing as unknown, and `fps`
+    must be finite and >= 0."""
     if num_classes is None:
         if not records:
             raise ValueError("num_classes required for an empty dataset")
         num_classes = records[0].video_label.shape[0]
     if num_classes < 1:
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
+    if not 0.0 <= fps < np.inf:
+        raise ValueError(f"fps must be finite and >= 0, got {fps}")
     if records:
         feature_dim = records[0].x_rgb.shape[1]
         if feature_dim < 1:
@@ -264,6 +267,9 @@ def read_dataset(path) -> Dataset:
         if feature_dim == 0 and count:
             raise DataFormatError(f"header field feature_dim (D) is 0 for {count} videos, "
                                   "must be >= 1", offset=header_at + 4)
+        if not 0.0 <= fps < np.inf:
+            raise DataFormatError(f"header field fps is {fps}, must be finite and >= 0",
+                                  offset=header_at + 20)
         mask_len = (num_classes + 7) // 8
 
         def snippet(i):

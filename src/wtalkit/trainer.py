@@ -11,8 +11,9 @@ from .errors import NumericError, at_least, check_settings, within
 from .evaluate import DEFAULT_IOU_THRESHOLDS, EvalReport, evaluate
 from .localize import localize_scores
 from .losses import GradMode, LossBreakdown, NonFiniteForward, _chunks, backward, packed_forward
+from .model import Hyperparams, ModelParams, init_params, save_checkpoint
 # unused here, but bench/test_bench.py checks that its tracer patches this binding
-from .model import Hyperparams, ModelParams, forward, init_params, save_checkpoint  # noqa: F401
+from .model import forward  # noqa: F401
 from .numerics import AdamState, adam_step
 from .ten import make_plan
 

@@ -374,6 +374,24 @@ class TestGradcheck:
         assert out == ""
         assert "config error: --modes: 'bogus' is not one of ['bges', 'bvl'," in err
 
+    @pytest.mark.parametrize("modes, message", [
+        ("grl", "--modes: grl is not the gradient of a loss, so it cannot be certified"),
+        ("standard,grl", "--modes: grl is not the gradient of a loss, so it cannot be certified"),
+        ("bges,bges", "--modes: bges is named twice"),
+        ("bges,standard,bges", "--modes: bges is named twice"),
+    ])
+    def test_mode_that_cannot_be_certified_once_is_config_error(self, modes, message,
+                                                                monkeypatch, capsys):
+        TestDirectoryAsPath._no_work(monkeypatch, "certify_gradients")
+        assert main(["gradcheck", "--instances", "1", "--modes", modes]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: {message}\n"
+
+    def test_help_names_the_default_modes(self, capsys):
+        assert main(["gradcheck", "--help"]) == 0
+        assert "default standard,bges,bvl,bvl+bges" in " ".join(capsys.readouterr().out.split())
+
     @pytest.mark.parametrize("instances", ["0", "-2"])
     def test_instances_below_one_is_config_error(self, instances, capsys):
         assert main(["gradcheck", "--instances", instances]) == 1
@@ -665,6 +683,41 @@ class TestUntrainableDataset:
         self._refused(["--config", ini, "train", "--data", bad], message, capsys)
         self._refused(["--config", ini, "ablate", "--data", bad,
                        "--test", str(data_dir / "test.bin")], message, capsys)
+
+
+class TestFpsThatTimesNothing:
+    """A test set whose header fps is not finite and >= 0 is a data error
+    (exit 2) naming the field's offset, before any inference or scoring."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        TestDirectoryAsPath._no_work(monkeypatch, "localize_dataset", "evaluate", "ablate")
+
+    @pytest.mark.parametrize("fps", [float("inf"), float("nan"), -25.0])
+    def test_localize_eval_and_ablate(self, fps, tmp_path, ini, data_dir, capsys):
+        test = read_dataset(data_dir / "test.bin")
+        bad = tmp_path / "bad.bin"
+        write_dataset(bad, test.records, test.num_classes, frames_per_snippet=16, fps=25.0)
+        blob = bytearray(bad.read_bytes())
+        blob[32:40] = struct.pack("<d", fps)
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[8:-4])))
+        bad.write_bytes(bytes(blob))
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, init_params(np.random.default_rng(0), 8, 8, 3))
+        props = tmp_path / "props.txt"
+        props.write_text("")
+        message = f"header field fps is {fps}, must be finite and >= 0 (at byte offset 32)"
+        for argv in (["localize", "--checkpoint", str(ckpt), "--data", str(bad),
+                      "--out", str(tmp_path / "out.txt")],
+                     ["eval", "--proposals", str(props), "--data", str(bad)],
+                     ["ablate", "--data", str(data_dir / "train.bin"), "--test", str(bad)]):
+            capsys.readouterr()
+            assert main(["--config", ini] + argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("data error: ") and err.count("\n") == 1
+            assert message in err
+        assert not (tmp_path / "out.txt").exists()
 
 
 class TestBadProposals:

@@ -7,18 +7,20 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wtalkit"
-MARKER = "# noqa: F401"
+# (module, name) of the bindings that bench/test_bench.py checks its tracer
+# patches; their modules import them without reading them
+TRACER_BINDINGS = {("trainer", "forward"), ("localize", "temporal_iou")}
 
 
-def unused_imports(source: str) -> list:
-    """(line, name) of each name that `source` imports and never reads.
+def unused_imports(source: str, module: str = "") -> list:
+    """(line, name) of each name that `source`, the package module called
+    `module`, imports and never reads.
 
     A name counts as read when it appears as a name anywhere in the module or
-    is listed in its `__all__`; an import on a line marked MARKER counts as
-    read, and `from __future__` imports are not bindings.
+    is listed in its `__all__`; `from __future__` imports are not bindings,
+    and the bindings of TRACER_BINDINGS are exempt, whatever marks their line.
     """
     tree = ast.parse(source)
-    lines = source.splitlines()
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -31,12 +33,18 @@ def unused_imports(source: str) -> list:
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             read.update(ast.literal_eval(node.value))
     return [(line, name) for line, name in imported
-            if name not in read and MARKER not in lines[line - 1]]
+            if name not in read and (module, name) not in TRACER_BINDINGS]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_module_has_no_unused_import(path):
-    assert unused_imports(path.read_text(encoding="utf-8")) == []
+    assert unused_imports(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+@pytest.mark.parametrize("module, name", sorted(TRACER_BINDINGS))
+def test_each_exempt_binding_is_imported_and_unread(module, name):
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert [n for _, n in unused_imports(source)] == [name]
 
 
 def test_the_check_finds_what_it_should():
@@ -52,4 +60,9 @@ def test_the_check_finds_what_it_should():
         "__all__ = ['E']\n"
         "x = np.zeros(1)\n"
     )
-    assert unused_imports(source) == [(2, "os"), (2, "os"), (7, "F")]
+    assert unused_imports(source) == [(2, "os"), (2, "os"), (4, "A"), (4, "C"), (4, "D"),
+                                      (7, "F")]
+    # a marked line exempts nothing; only the (module, name) pair does
+    marked = "from .model import forward, init_params  # noqa: F401\n"
+    assert unused_imports(marked, "trainer") == [(1, "init_params")]
+    assert unused_imports(marked, "losses") == [(1, "forward"), (1, "init_params")]

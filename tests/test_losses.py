@@ -761,6 +761,10 @@ class TestCertification:
                                     flip_block="flow.b_att")
         assert all(not r.passed for r in results)
 
+    def test_a_mode_that_is_no_gradient_is_refused(self):
+        with pytest.raises(ValueError, match="grl is not the gradient of a loss"):
+            certify_gradients(num_instances=1, modes=(GradMode.STANDARD, GradMode.GRL))
+
     def test_unknown_block_rejected(self):
         with pytest.raises(ValueError, match="no parameter block 'rgb.w_nope'"):
             certify_gradients(num_instances=1, flip_block="rgb.w_nope")

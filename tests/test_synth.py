@@ -281,6 +281,30 @@ class TestFormatErrors:
             read_dataset(path)
         assert ei.value.offset == offset
 
+    @staticmethod
+    def _with_fps(tmp_path, fps):
+        # write a timed file, then put `fps` into its header under a valid checksum
+        import struct
+        import zlib
+        path = tmp_path / "d.bin"
+        write_dataset(path, _tiny_records(), frames_per_snippet=16, fps=25.0)
+        payload = bytearray(path.read_bytes()[len(DATASET_MAGIC):-4])
+        payload[24:32] = struct.pack("<d", fps)  # fps sits at byte 32 of the file
+        path.write_bytes(DATASET_MAGIC + bytes(payload)
+                         + struct.pack("<I", zlib.crc32(bytes(payload))))
+        return path
+
+    @pytest.mark.parametrize("fps", [float("inf"), float("nan"), -25.0])
+    def test_fps_that_times_nothing_is_refused(self, tmp_path, fps):
+        with pytest.raises(DataFormatError,
+                           match=rf"header field fps is {fps}, must be finite and >= 0") as ei:
+            read_dataset(self._with_fps(tmp_path, fps))
+        assert ei.value.offset == 32
+
+    @pytest.mark.parametrize("fps", [0.0, 25.0])
+    def test_untimed_and_timed_fps_read(self, tmp_path, fps):
+        assert read_dataset(self._with_fps(tmp_path, fps)).fps == fps
+
     def test_featureless_header_without_videos_reads(self, tmp_path):
         path = tmp_path / "e.bin"
         write_dataset(path, [], num_classes=2)
@@ -339,6 +363,13 @@ class TestFormatErrors:
 
 
 class TestWriteValidation:
+    @pytest.mark.parametrize("fps", [float("inf"), float("nan"), -25.0])
+    def test_fps_that_times_nothing_rejected(self, tmp_path, fps):
+        path = tmp_path / "d.bin"
+        with pytest.raises(ValueError, match=rf"fps must be finite and >= 0, got {fps}"):
+            write_dataset(path, _tiny_records(), frames_per_snippet=16, fps=fps)
+        assert not path.exists()
+
     def test_label_length_mismatch(self, tmp_path):
         recs = _tiny_records()
         recs[1].video_label = np.array([1.0, 0.0])
