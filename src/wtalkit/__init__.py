@@ -24,7 +24,6 @@ from .losses import (
     backward,
     certify_gradients,
     closed_form_attention_factors,
-    compute_losses,
 )
 from .model import Hyperparams, ModelParams, forward, init_params
 from .synth import SynthConfig, VideoRecord, generate, read_dataset, write_dataset
@@ -53,7 +52,6 @@ __all__ = [
     "backward",
     "certify_gradients",
     "closed_form_attention_factors",
-    "compute_losses",
     "evaluate",
     "forward",
     "generate",

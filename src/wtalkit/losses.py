@@ -17,14 +17,16 @@ BVL_PLUS_BGES   both of the above.
 
 The continuity losses tie the branches by mutual learning (Zhang et al.,
 CVPR 2018): each branch's smoothed attention and softened CAS are a constant
-target for the other, and the finite-difference oracle freezes them too.
+target for the other.
 
-`backward` is the one analytic gradient: it runs a whole batch as packed
-rows through `packed_forward`, the forward that batched inference shares.
-The per-video `forward` and `compute_losses` stay as the independent loss
-that the finite-difference oracle differentiates. Both broadcast over a
-leading parameter-point axis, so the oracle evaluates its 2P points in two
-calls, each point rounding as it would alone.
+`compute_losses` states the losses once, on a chunk's `packed_forward`, the
+forward that training and batched inference share. `backward` is its
+hand-derived gradient. The certificate differentiates the same function by
+central differences: the packed loss of the instance's one-video chunk, with
+the continuity targets held at the base point. `packed_forward` broadcasts
+over a leading parameter-point axis, so the oracle evaluates its 2P points
+in two calls, each point rounding as it would alone. The per-video `forward`
+serves the kink filter `instance_margin`, which reads pre-activations.
 """
 
 from __future__ import annotations
@@ -97,8 +99,8 @@ class GradMode(enum.Enum):
 
 @dataclass
 class LossBreakdown:
-    """Raw (unweighted) loss components plus the weighted total; (n,) arrays
-    for a forward at a stack of n parameter points."""
+    """Raw (unweighted) loss components plus the weighted total, in the
+    column order of `compute_losses`."""
 
     fg: float
     bg: float
@@ -106,101 +108,6 @@ class LossBreakdown:
     kl: float
     bvl: float
     total: float
-
-
-def full_label(video_label: np.ndarray) -> np.ndarray:
-    """Extend a C-class multi-hot to C+1 with the background bit set.
-
-    Every untrimmed video contains background, so the last entry is always 1.
-    """
-    video_label = np.asarray(video_label, dtype=np.float64)
-    return np.concatenate([video_label, [1.0]])
-
-
-def _scalar(x):
-    """A float for one point's 0-d loss; a stack's array as it is."""
-    return x if np.ndim(x) else float(x)
-
-
-def loss_fg(p_fg: np.ndarray, label: np.ndarray) -> float:
-    """Cross-entropy against the sum-normalized multi-hot label over C+1."""
-    label = np.asarray(label, dtype=np.float64)
-    if label.shape != p_fg.shape[-1:]:
-        raise ValueError(f"loss_fg: label shape {label.shape} != probs {p_fg.shape}")
-    s = label.sum()
-    if s <= 0:
-        raise ValueError("loss_fg: label is all zeros")
-    # a vector-by-column product per point: the one-point dot product
-    return _scalar((-(label / s) @ np.log(np.maximum(p_fg, LOG_FLOOR))[..., None])[..., 0])
-
-
-def loss_bg(p_bg: np.ndarray) -> float:
-    """Negative log-probability of the background class (last index)."""
-    return _scalar(-np.log(np.maximum(p_bg[..., -1], LOG_FLOOR)))
-
-
-def loss_bvl(y: np.ndarray) -> float:
-    """Cross-entropy treating the video's mean CAS as pure background."""
-    p = softmax(np.asarray(y, dtype=np.float64).mean(axis=-2))
-    return _scalar(-np.log(np.maximum(p[..., -1], LOG_FLOOR)))
-
-
-def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    logs = np.log(np.maximum(p, LOG_FLOOR)) - np.log(np.maximum(q, LOG_FLOOR))
-    return np.sum(p * logs, axis=-1)
-
-
-@dataclass
-class FrozenTargets:
-    """Stop-gradient targets captured from a base-point forward pass.
-
-    Used by the finite-difference loss evaluation so that it differentiates
-    the same function the analytic backward does.
-    """
-
-    smooth_a: np.ndarray
-    smooth_a_refill: np.ndarray
-    p_rows: np.ndarray
-    p_rows_refill: np.ndarray
-
-
-def capture_targets(bb: ForwardOutputs, tcb: ForwardOutputs) -> FrozenTargets:
-    return FrozenTargets(smooth_a=gaussian_smooth(bb.a), smooth_a_refill=gaussian_smooth(tcb.a),
-                         p_rows=softmax(bb.y, axis=1), p_rows_refill=softmax(tcb.y, axis=1))
-
-
-def compute_losses(bb: ForwardOutputs, tcb: ForwardOutputs | None, video_label: np.ndarray,
-                   hp: Hyperparams, mode: GradMode,
-                   frozen: FrozenTargets | None = None) -> LossBreakdown:
-    """Evaluate all loss components and the weighted total.
-
-    The continuity losses are the mean L1 between each branch's attention
-    and the other's smoothed attention, plus the snippet-averaged symmetric
-    KL between the branches' softened CAS rows. Those counterparts are the
-    `frozen` targets when given (same value at their capture point,
-    different gradient), and otherwise captured from `bb` and `tcb`.
-    Forwards at a stack of parameter points give per-point losses; the
-    targets are then one point's.
-    """
-    label = full_label(video_label)
-    l_fg = loss_fg(bb.p_fg, label)
-    l_bg = loss_bg(bb.p_bg)
-    l_att = l_kl = 0.0
-    if tcb is not None:
-        if bb.a.shape != tcb.a.shape or bb.y.shape != tcb.y.shape:
-            raise ValueError(f"compute_losses: branch shapes differ: a {bb.a.shape} "
-                             f"vs {tcb.a.shape}, y {bb.y.shape} vs {tcb.y.shape}")
-        if frozen is None:
-            frozen = capture_targets(bb, tcb)
-        l_att = _scalar(np.mean(np.abs(bb.a - frozen.smooth_a_refill)
-                                + np.abs(tcb.a - frozen.smooth_a), axis=-1))
-        p = softmax(bb.y, axis=-1)
-        q = softmax(tcb.y, axis=-1)
-        l_kl = _scalar(np.mean(_kl_rows(frozen.p_rows_refill, p)
-                               + _kl_rows(frozen.p_rows, q), axis=-1))
-    l_bvl = loss_bvl(bb.y) if mode.uses_bvl else 0.0
-    total = l_fg + hp.lam * l_bg + hp.beta * (l_kl + l_att) + hp.lam * l_bvl
-    return LossBreakdown(fg=l_fg, bg=l_bg, att=l_att, kl=l_kl, bvl=l_bvl, total=total)
 
 
 def _chunks(videos: list, kernel_size: int):
@@ -342,12 +249,15 @@ class PackedForward:
 
     `wide` is the base rows' reflect-padded index table, wide enough for the
     conv windows and the smoothing taps; `refill` holds the refilled copy's
-    tables (None without a plan). Per modality, stacked (rgb, flow): `win`
-    the base rows' window matrix, `xs` the refilled copy's per-segment
-    source rows, `xe` the ReLU embedding of all rows and `a_modal` the
-    attention. The refilled copy is embedded from its source rows and forms
-    no window matrix. `y` (C+1, rows) and `a` are the fused CAS logits and
-    attention; the pooled fields are per video, over its base rows.
+    tables (None without a plan). Per
+    modality, stacked (rgb, flow): `win` the base rows' window matrix, `xs`
+    the refilled copy's per-segment source rows, `xe` the ReLU embedding of
+    all rows and `a_modal` the attention. The refilled copy is embedded from
+    its source rows and forms no window matrix. `y` (C+1, rows) and `a` are
+    the fused CAS logits and attention; the pooled fields are per video, over
+    its base rows. With a plan, `probs` is the softened CAS of every row,
+    which the continuity KL reads. At a stack of parameter points every
+    field that depends on them has a leading point axis.
     """
 
     lengths: np.ndarray
@@ -366,6 +276,7 @@ class PackedForward:
     z_bg: np.ndarray
     p_fg: np.ndarray
     p_bg: np.ndarray
+    probs: np.ndarray | None
 
 
 class NonFiniteForward(NumericError):
@@ -394,11 +305,16 @@ def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
     `_by_modality` runs the two halves. Per-row head outputs are held
     class-major, (C+2, rows): the C+1 CAS logits, then the attention logit.
     The background pooling divides by N_f when `bges` is set, else by N_b.
+
+    `params` may be a stack of points (`from_vector` of an (n, P) array).
+    Every output then has a leading point axis, and each point rounds as a
+    one-point call does: each product is the BLAS call one point makes, and
+    every reduction stays on its own axis.
     """
     lengths = np.array([v.x_rgb.shape[0] for v in videos])
     n = int(lengths.sum())
     starts = np.cumsum(lengths) - lengths
-    weights = params.packed
+    weights, points = params.packed, params.points
     d, e, _, k = params.header
     # one table serves the conv windows and the smoothing taps: column
     # width // 2 of every row is the row itself
@@ -410,70 +326,134 @@ def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
     x = np.concatenate([v.x_rgb for v in videos] + [v.x_flow for v in videos]).reshape(2, n, -1)
     win = np.empty((2, n, k * d))
     xs = None if refill is None else np.empty((2, refill.sources.size, d))
-    xe = np.empty((2, n if refill is None else 2 * n, e))
-    h = np.empty((2, weights.head.shape[-1], xe.shape[1]))
+    xe = np.empty(points + (2, n if refill is None else 2 * n, e))
+    h = np.empty(points + (2, weights.head.shape[-1], xe.shape[-2]))
 
     def modality_half(m: slice) -> None:
         # rows is in range by construction; "clip" writes `out` unbuffered
         x[m].take(rows, axis=1, out=win[m].reshape(-1, n, k, d), mode="clip")
-        np.matmul(win[m], weights.rows[m], out=xe[m, :n])
+        xe_m, w_rows = xe[..., m, :, :], weights.rows[..., m, :, :]
+        np.matmul(win[m], w_rows, out=xe_m[..., :n, :])
         if refill is not None:
             # x_R[reflect(t+j)] = x[source of its segment]: K products per segment
             xs[m] = x[m, refill.sources]
-            prods = np.matmul(xs[m, None], weights.rows[m].reshape(-1, k, d, e))
-            prods = prods.reshape(-1, k * refill.sources.size, e)
-            xe[m, n:] = prods.take(refill.taps[0], axis=1)
+            prods = np.matmul(xs[m, None], w_rows.reshape(w_rows.shape[:-2] + (k, d, e)))
+            prods = prods.reshape(prods.shape[:-3] + (k * refill.sources.size, e))
+            xe_m[..., n:, :] = prods.take(refill.taps[0], axis=-2)
             for cells in refill.taps[1:]:
-                xe[m, n:] += prods.take(cells, axis=1)
-        xe[m] += weights.bias[m, None]
-        np.maximum(xe[m], 0.0, out=xe[m])  # ReLU in place; xe > 0 is the z > 0 mask
-        np.matmul(weights.head[m].transpose(0, 2, 1), xe[m].transpose(0, 2, 1), out=h[m])
-        h[m] += weights.head_bias[m, :, None]
+                xe_m[..., n:, :] += prods.take(cells, axis=-2)
+        xe_m += weights.bias[..., m, None, :]
+        np.maximum(xe_m, 0.0, out=xe_m)  # ReLU in place; xe > 0 is the z > 0 mask
+        np.matmul(weights.head[..., m, :, :].swapaxes(-1, -2), xe_m.swapaxes(-1, -2),
+                  out=h[..., m, :, :])
+        h[..., m, :, :] += weights.head_bias[..., m, :, None]
 
     _by_modality(modality_half, n * k * d * e)
-    a_modal = sigmoid(h[:, -1])
-    y = 0.5 * (h[0, :-1] + h[1, :-1])
-    a = 0.5 * (a_modal[0] + a_modal[1])
+    a_modal = sigmoid(h[..., -1, :])
+    y = 0.5 * (h[..., 0, :-1, :] + h[..., 1, :-1, :])
+    a = 0.5 * (a_modal[..., 0, :] + a_modal[..., 1, :])
 
     # base-branch pooling, one segment per video
-    yb, ab = y[:, :n], a[:n]
-    n_f = np.maximum(np.add.reduceat(ab, starts), NORMALIZER_FLOOR)
-    denom = n_f if bges else np.maximum(np.add.reduceat(1.0 - ab, starts), NORMALIZER_FLOOR)
-    z_fg = np.add.reduceat(yb * ab, starts, axis=1) / n_f
-    z_bg = np.add.reduceat(yb * (1.0 - ab), starts, axis=1) / denom
-    p_fg, p_bg = softmax(z_fg, axis=0), softmax(z_bg, axis=0)
+    yb, ab = y[..., :n], a[..., :n]
+    n_f = np.maximum(np.add.reduceat(ab, starts, axis=-1), NORMALIZER_FLOOR)
+    denom = (n_f if bges else
+             np.maximum(np.add.reduceat(1.0 - ab, starts, axis=-1), NORMALIZER_FLOOR))
+    z_fg = np.add.reduceat(yb * ab[..., None, :], starts, axis=-1) / n_f[..., None, :]
+    z_bg = np.add.reduceat(yb * (1.0 - ab)[..., None, :], starts, axis=-1) / denom[..., None, :]
+    p_fg, p_bg = softmax(z_fg, axis=-2), softmax(z_bg, axis=-2)
     if not all(np.all(np.isfinite(arr)) for arr in (y, a, p_fg, p_bg)):
-        rows = np.isfinite(y).all(axis=0) & np.isfinite(a)
+        ok_rows = (np.isfinite(y).all(axis=-2) & np.isfinite(a)).reshape(-1, a.shape[-1]).all(0)
         if refill is not None:
-            rows = rows[:n] & rows[n:]  # refilled row n + r copies base row r's video
-        ok = (np.logical_and.reduceat(rows, starts)
-              & np.isfinite(p_fg).all(axis=0) & np.isfinite(p_bg).all(axis=0))
+            ok_rows = ok_rows[:n] & ok_rows[n:]  # refilled row n + r copies base row r's video
+        ok_pooled = np.isfinite(p_fg).all(axis=-2) & np.isfinite(p_bg).all(axis=-2)
+        ok = np.logical_and.reduceat(ok_rows, starts) & ok_pooled.reshape(-1, len(videos)).all(0)
         raise NonFiniteForward(int(np.flatnonzero(~ok)[0]))
     return PackedForward(lengths=lengths, starts=starts, wide=wide, refill=refill, win=win,
                          xs=xs, xe=xe, a_modal=a_modal, y=y, a=a, n_f=n_f, denom=denom,
-                         z_fg=z_fg, z_bg=z_bg, p_fg=p_fg, p_bg=p_bg)
+                         z_fg=z_fg, z_bg=z_bg, p_fg=p_fg, p_bg=p_bg,
+                         probs=None if refill is None else softmax(y, axis=-2))
+
+
+def continuity_targets(fwd) -> tuple:
+    """The continuity losses' targets of a one-point packed forward with a
+    plan: (smooth, probs), each branch's attention smoothed by GAUSS_TAPS
+    within its own video (the base rows, then the refilled copy's), and the
+    softened CAS of every row."""
+    n = int(fwd.lengths.sum())
+    width, size = fwd.wide.shape[1], GAUSS_TAPS.size
+    taps = fwd.wide[:, (width - size) // 2 : (width + size) // 2]
+    return fwd.a[np.concatenate([taps, taps + n])] @ GAUSS_TAPS, fwd.probs
+
+
+def _label_targets(videos: list, classes: int) -> np.ndarray:
+    """(C+1, videos) foreground targets: each video's multi-hot label with the
+    background bit set (every untrimmed video holds background), summing to 1."""
+    label = np.ones((classes, len(videos)))
+    label[:-1] = np.array([v.video_label for v in videos]).T
+    return label / label.sum(axis=0)
+
+
+def _mean_cas_probs(fwd) -> np.ndarray:
+    """Softmax of each video's snippet-mean CAS, (..., C+1, videos)."""
+    mean = np.add.reduceat(fwd.y[..., :int(fwd.lengths.sum())], fwd.starts, axis=-1)
+    return softmax(mean / fwd.lengths, axis=-2)
+
+
+def compute_losses(fwd, targets: tuple | None, videos: list, hp: Hyperparams,
+                   mode: GradMode) -> np.ndarray:
+    """The training losses of a chunk's packed forward `fwd`: (videos, 6) in
+    LossBreakdown order, with `fwd`'s leading point axes.
+
+    fg is the cross-entropy of p_fg against `_label_targets`, bg is
+    -log p_bg[C], and bvl (BVL modes only; else 0) is -log of the background
+    probability of the video's mean CAS. With a refilled copy, att is the
+    snippet mean of the L1 distances between each branch's attention and
+    the other branch's smoothed attention, and kl the snippet mean of the
+    KL divergences of each branch's softened CAS row from the other's. The
+    other branch's values are the `continuity_targets` `targets` (None
+    without a refilled copy): those of `fwd` itself in training, where
+    mutual learning holds them constant in the gradient, and those of the
+    base point in the finite-difference loss.
+    """
+    lengths, y, a = fwd.lengths, fwd.y, fwd.a
+    n = int(lengths.sum())
+    losses = np.zeros(a.shape[:-1] + (len(videos), 6))
+    y_hat = _label_targets(videos, y.shape[-2])
+    losses[..., 0] = -np.sum(y_hat * np.log(np.maximum(fwd.p_fg, LOG_FLOOR)), axis=-2)
+    losses[..., 1] = -np.log(np.maximum(fwd.p_bg[..., -1, :], LOG_FLOOR))
+    if y.shape[-1] > n:  # the refilled copy's rows follow the base rows
+        smooth, p_t = targets
+        l1 = np.abs(a - np.roll(smooth, n))
+        losses[..., 2] = np.add.reduceat(l1[..., :n] + l1[..., n:], fwd.starts,
+                                         axis=-1) / lengths
+        log_p = np.log(np.maximum(fwd.probs, LOG_FLOOR))
+        log_t = log_p if p_t is fwd.probs else np.log(np.maximum(p_t, LOG_FLOOR))
+        kl = (np.sum(p_t[..., n:] * (log_t[..., n:] - log_p[..., :n]), axis=-2)
+              + np.sum(p_t[..., :n] * (log_t[..., :n] - log_p[..., n:]), axis=-2))
+        losses[..., 3] = np.add.reduceat(kl, fwd.starts, axis=-1) / lengths
+    if mode.uses_bvl:
+        losses[..., 4] = -np.log(np.maximum(_mean_cas_probs(fwd)[..., -1, :], LOG_FLOOR))
+    losses[..., 5] = (losses[..., 0] + hp.lam * losses[..., 1]
+                      + hp.beta * (losses[..., 2] + losses[..., 3]) + hp.lam * losses[..., 4])
+    return losses
 
 
 def _output_grads(fwd, videos: list, hp: Hyperparams, mode: GradMode) -> tuple:
-    """Losses of a chunk's packed forward and their gradient in its fused
-    outputs: the (videos, 6) losses in LossBreakdown order, d_y and d_a."""
-    lengths, starts, y, a, n_f, denom = fwd.lengths, fwd.starts, fwd.y, fwd.a, fwd.n_f, fwd.denom
+    """Losses of a chunk's packed forward, by `compute_losses` with live
+    targets, and their gradient in its fused outputs: the (videos, 6) losses,
+    d_y and d_a."""
+    lengths, y, a, n_f, denom = fwd.lengths, fwd.y, fwd.a, fwd.n_f, fwd.denom
     z_fg, z_bg, p_fg, p_bg = fwd.z_fg, fwd.z_bg, fwd.p_fg, fwd.p_bg
+    targets = None if fwd.probs is None else continuity_targets(fwd)
+    losses = compute_losses(fwd, targets, videos, hp, mode)
     n = int(lengths.sum())
     seg = np.repeat(np.arange(len(videos)), lengths)
     yb, ab = y[:, :n], a[:n]
-
-    label = np.ones((p_fg.shape[0], len(videos)))  # full_label of every video
-    label[:-1] = np.array([v.video_label for v in videos]).T
-    y_hat = label / label.sum(axis=0)
-    losses = np.zeros((len(videos), 6))
-    losses[:, 0] = -np.sum(y_hat * np.log(np.maximum(p_fg, LOG_FLOOR)), axis=0)
-    losses[:, 1] = -np.log(np.maximum(p_bg[-1], LOG_FLOOR))
     d_y = np.zeros_like(y)
     d_a = np.zeros_like(a)
 
     # foreground cross-entropy
-    g_fg = (p_fg - y_hat)[:, seg]
+    g_fg = (p_fg - _label_targets(videos, y.shape[0]))[:, seg]
     d_y[:, :n] = g_fg * (ab / n_f[seg])
     d_a[:n] = np.sum((yb - z_fg[:, seg]) * g_fg, axis=0) / n_f[seg]
 
@@ -487,39 +467,23 @@ def _output_grads(fwd, videos: list, hp: Hyperparams, mode: GradMode) -> tuple:
     d_a[:n] += hp.lam * (-att_path if mode is GradMode.GRL else att_path)
 
     # background video loss on the mean CAS
-    if mode.uses_bvl:
-        p_mean = softmax(np.add.reduceat(yb, starts, axis=1) / lengths, axis=0)
-        losses[:, 4] = -np.log(np.maximum(p_mean[-1], LOG_FLOOR))
-        if hp.lam != 0.0:
-            p_mean[-1] -= 1.0
-            d_y[:, :n] += hp.lam * (p_mean / lengths)[:, seg]
+    if mode.uses_bvl and hp.lam != 0.0:
+        p_mean = _mean_cas_probs(fwd)
+        p_mean[-1] -= 1.0
+        d_y[:, :n] += hp.lam * (p_mean / lengths)[:, seg]
 
-    if y.shape[1] > n:  # the refilled copy's rows follow the base rows
-        # gaussian_smooth of both branches' tracks, 2 * len(videos) segments
-        width, size = fwd.wide.shape[1], GAUSS_TAPS.size
-        taps = fwd.wide[:, (width - size) // 2 : (width + size) // 2]
-        taps = np.concatenate([taps, taps + n])
-        smooth = a[taps] @ GAUSS_TAPS
-        ar, g_a, g_r = a[n:], smooth[:n], smooth[n:]
-        probs = softmax(y, axis=0)
+    # continuity: each branch moves toward the other's held values
+    if targets is not None and hp.beta != 0.0:
+        smooth, probs = targets
+        scale = np.tile(hp.beta / lengths[seg], 2)
+        # a residual within rounding of zero (a one-snippet video, whose
+        # refilled copy is its base row) has no sign: subgradient 0 there
+        res = a - np.roll(smooth, n)
+        signs = np.where(np.abs(res) > L1_TIE, np.sign(res), 0.0)
         p, q = probs[:, :n], probs[:, n:]
-        log_ratio = np.log(np.maximum(q, LOG_FLOOR)) - np.log(np.maximum(p, LOG_FLOOR))
-        kl_qp, kl_pq = np.sum(q * log_ratio, axis=0), -np.sum(p * log_ratio, axis=0)
-        losses[:, 2] = np.add.reduceat(np.abs(ab - g_r) + np.abs(ar - g_a),
-                                       starts) / lengths
-        losses[:, 3] = np.add.reduceat(kl_qp + kl_pq, starts) / lengths
-        if hp.beta != 0.0:
-            scale = np.tile(hp.beta / lengths[seg], 2)
-            # a residual within rounding of zero (a one-snippet video, whose
-            # refilled copy is its base row) has no sign: subgradient 0 there
-            res = np.concatenate([ab - g_r, ar - g_a])
-            signs = np.where(np.abs(res) > L1_TIE, np.sign(res), 0.0)
-            d_y[:, :n] += scale[:n] * (p - q)
-            d_y[:, n:] += scale[:n] * (q - p)
-            d_a += scale * signs
-    losses[:, 5] = (losses[:, 0] + hp.lam * losses[:, 1]
-                    + hp.beta * (losses[:, 2] + losses[:, 3]) + hp.lam * losses[:, 4])
-
+        d_y[:, :n] += scale[:n] * (p - q)
+        d_y[:, n:] += scale[:n] * (q - p)
+        d_a += scale * signs
     return losses, d_y, d_a
 
 
@@ -638,15 +602,10 @@ def make_tiny_instance(seed: int) -> TinyInstance:
                         video_label=label, seed=seed)
 
 
-def _forward_pair(inst: TinyInstance, params: ModelParams, mode: GradMode):
-    bb = forward(inst.x_rgb, inst.x_flow, params, mode.bges)
-    tcb = tcb_forward_full(inst.x_rgb, inst.x_flow, params, inst.plan)
-    return bb, tcb
-
-
-def instance_margin(bb: ForwardOutputs, tcb: ForwardOutputs) -> float:
+def instance_margin(inst: TinyInstance, mode: GradMode) -> float:
     """Smallest distance to any non-differentiable point or active floor of
-    an instance's base-point forward pair.
+    an instance at its base point, measured on its per-video forward pair,
+    which keeps the pre-activation embeddings.
 
     Central differences near ReLU or absolute-value kinks measure the wrong
     one-sided slope, so certification instances are rejected when any margin
@@ -654,6 +613,8 @@ def instance_margin(bb: ForwardOutputs, tcb: ForwardOutputs) -> float:
     against the other branch's track smoothed by the constant GAUSS_TAPS, as
     in the continuity loss.
     """
+    bb = forward(inst.x_rgb, inst.x_flow, inst.params, mode.bges)
+    tcb = tcb_forward_full(inst.x_rgb, inst.x_flow, inst.params, inst.plan)
     margins = [
         float(np.min(np.abs(bb.z_rgb))), float(np.min(np.abs(bb.z_flow))),
         float(np.min(np.abs(tcb.z_rgb))), float(np.min(np.abs(tcb.z_flow))),
@@ -667,18 +628,17 @@ def instance_margin(bb: ForwardOutputs, tcb: ForwardOutputs) -> float:
     return min(margins)
 
 
-def build_fd_loss(inst: TinyInstance, hp: Hyperparams, mode: GradMode,
-                  bb: ForwardOutputs, tcb: ForwardOutputs):
+def build_fd_loss(inst: TinyInstance, hp: Hyperparams, mode: GradMode):
     """The instance's total loss as `finite_diff_grad` takes it: (n, P)
-    parameter points to their n losses, in one stacked `forward` pair and
-    `compute_losses`. The continuity targets are frozen at the base-point
-    pair `bb`, `tcb`, as in `backward`."""
-    frozen = capture_targets(bb, tcb)
+    parameter points to their n losses, by one stacked `packed_forward` of
+    the instance's one-video chunk and `compute_losses`, the loss that
+    `backward` differentiates. The continuity targets are held at the
+    instance's base point, as `backward` holds them."""
+    held = continuity_targets(packed_forward([inst], inst.plan, inst.params, mode.bges))
 
     def fd_loss(points: np.ndarray) -> np.ndarray:
-        p = inst.params.from_vector(points)
-        bb, tcb = _forward_pair(inst, p, mode)
-        return compute_losses(bb, tcb, inst.video_label, hp, mode, frozen).total
+        fwd = packed_forward([inst], inst.plan, inst.params.from_vector(points), mode.bges)
+        return compute_losses(fwd, held, [inst], hp, mode)[:, 0, -1]  # the video's total
 
     return fd_loss
 
@@ -721,8 +681,7 @@ def certify_gradients(num_instances: int = 20, tolerance: float = 1e-5,
         while accepted < num_instances:
             inst = make_tiny_instance(seed)
             seed += 1
-            pair = _forward_pair(inst, inst.params, mode)
-            if instance_margin(*pair) < MIN_MARGIN:
+            if instance_margin(inst, mode) < MIN_MARGIN:
                 continue
             accepted += 1
             analytic, _ = backward([inst], inst.plan, inst.params, hp, mode)
@@ -731,7 +690,7 @@ def certify_gradients(num_instances: int = 20, tolerance: float = 1e-5,
                 if flip_block not in blocks:
                     raise ValueError(f"flip_block: no parameter block {flip_block!r}")
                 np.negative(blocks[flip_block], out=blocks[flip_block])
-            numeric = finite_diff_grad(build_fd_loss(inst, hp, mode, *pair),
+            numeric = finite_diff_grad(build_fd_loss(inst, hp, mode),
                                        inst.params.to_vector(), fd_epsilon)
             # the denominator floor keeps central-difference roundoff
             # (|loss| * 1e-16 / fd_epsilon, ~2e-11 here) from dominating the

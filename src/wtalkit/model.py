@@ -147,8 +147,8 @@ class ModelParams:
         """Params with this instance's shapes as views of `vec`, with no copy
         when `vec` is float64: writes through either show in both. A 1-D
         `vec` (in `to_vector` order) is one point. An (n, P) `vec` is a stack
-        of n points, one per row: every block, and every `forward` output,
-        then has a leading axis of n."""
+        of n points, one per row: every block, and every output of
+        `losses.packed_forward`, then has a leading axis of n."""
         return _views(np.asarray(vec, dtype=np.float64), self.header)
 
 
@@ -184,9 +184,8 @@ class Hyperparams:
 
 @dataclass
 class ForwardOutputs:
-    """One video's forward pass, as inference and the loss oracle read it.
-    At a stack of n parameter points every field but `bges` has a leading
-    axis of n, and n_f and n_b are (n,) arrays."""
+    """One video's forward pass at one parameter point, as the tests'
+    reference model and the certificate's kink filter read it."""
 
     z_rgb: np.ndarray  # (T, E) pre-ReLU embedding
     z_flow: np.ndarray
@@ -232,17 +231,6 @@ def temporal_windows(x: np.ndarray, kernel_size: int) -> np.ndarray:
     return x[packed_windows([x.shape[0]], kernel_size)]
 
 
-def _embed(x: np.ndarray, mod: ModalityParams, windows: np.ndarray):
-    """`embed` at any leading point axes of `mod`'s blocks."""
-    e, d, k = mod.w_embed.shape[-3:]
-    x = _check_features(x, d, "embed")
-    win = x[windows]
-    # contraction over (k, d) as one flattened matmul
-    w2d = mod.w_embed.swapaxes(-1, -3).reshape(mod.w_embed.shape[:-3] + (k * d, e))
-    z = win.reshape(win.shape[0], k * d) @ w2d + mod.b_embed[..., None, :]
-    return win, z, np.maximum(z, 0.0)
-
-
 def embed(x: np.ndarray, mod: ModalityParams, windows: np.ndarray):
     """Temporal conv + ReLU at one parameter point, an (E, D, K) kernel.
     Returns (windows, pre-activation, activation).
@@ -250,7 +238,13 @@ def embed(x: np.ndarray, mod: ModalityParams, windows: np.ndarray):
     `windows` is the (T, K) index table `numerics.packed_windows([T], K)`,
     built once by the caller and shared by both modalities.
     """
-    return _embed(x, mod, windows)
+    e, d, k = mod.w_embed.shape
+    x = _check_features(x, d, "embed")
+    win = x[windows]
+    # contraction over (k, d) as one flattened matmul
+    w2d = mod.w_embed.transpose(2, 1, 0).reshape(k * d, e)
+    z = win.reshape(win.shape[0], k * d) @ w2d + mod.b_embed
+    return win, z, np.maximum(z, 0.0)
 
 
 def cas(xe: np.ndarray, mod: ModalityParams) -> np.ndarray:
@@ -292,22 +286,15 @@ def pool(y: np.ndarray, a: np.ndarray, bges: bool = False):
 
 def forward(x_rgb: np.ndarray, x_flow: np.ndarray, params: ModelParams,
             bges: bool = False) -> ForwardOutputs:
-    """Full base-branch forward pass over one video.
-
-    `params` may be a stack of points (`from_vector` of an (n, P) array):
-    each output then has a leading point axis, and each point rounds exactly
-    as a one-point call does. The snippet and class reductions stay on their
-    own axes, and each per-point product is the BLAS call one point makes.
-    """
+    """Full base-branch forward pass over one video at one parameter point:
+    the per-video statement of the model that `losses.packed_forward` packs."""
     t = len(x_rgb)
     if len(x_flow) != t:
         raise ValueError("forward: modalities disagree on snippet count")
-    # one window index table serves both modalities; `embed` keeps its
-    # one-point (E, D, K) contract, so a stack runs its code as `_embed`
+    # one window index table serves both modalities
     windows = packed_windows([t], params.header[-1])
-    conv = _embed if params.points else embed
-    _, z_r, xe_r = conv(x_rgb, params.rgb, windows)
-    _, z_o, xe_o = conv(x_flow, params.flow, windows)
+    _, z_r, xe_r = embed(x_rgb, params.rgb, windows)
+    _, z_o, xe_o = embed(x_flow, params.flow, windows)
     y_r = cas(xe_r, params.rgb)
     y_o = cas(xe_o, params.flow)
     a_r = attention(xe_r, params.rgb)

@@ -5,8 +5,8 @@ Everything here is float64 and pure, except the optimizer, which updates the
 parameter vector and the state it is handed in place. These are the
 primitives the analytic backward pass is certified against, so they stay
 deliberately simple. The oracle hands its loss every difference point of a
-side as one (n, P) stack, which `model.forward` and `losses.compute_losses`
-evaluate in one call.
+side as one (n, P) stack, which `losses.packed_forward` and
+`losses.compute_losses` evaluate in one call.
 """
 
 from __future__ import annotations

@@ -47,5 +47,5 @@ def refill(x: np.ndarray, src: np.ndarray) -> np.ndarray:
 def tcb_forward_full(x_rgb: np.ndarray, x_flow: np.ndarray, params: ModelParams,
                      src: np.ndarray) -> ForwardOutputs:
     """Run the shared model on the refilled pair (the per-video continuity
-    branch), at one parameter point or at a stack of them, as `forward`."""
+    branch) at one parameter point."""
     return forward(refill(x_rgb, src), refill(x_flow, src), params, bges=False)

@@ -10,6 +10,11 @@ one point at a time, `packed_forward_oracle` and `backward_oracle`, the
 training step's window-matrix forward and backward, which share the
 package's chunk rule and loss part, and `evaluate_oracle`, which fills the
 package's report record from `ap_oracle`.
+
+`video_losses_oracle` is the independent statement of the training losses:
+one video's terms, one at a time, on the per-video `model.forward` outputs.
+The packed `losses.compute_losses` that training and the gradient
+certificate evaluate is held to it.
 """
 
 import math
@@ -228,6 +233,67 @@ def finite_diff_oracle(loss_fn, params, epsilon=1e-5):
     return grad
 
 
+def smooth_oracle(seq):
+    """Each entry's weighted mean over offsets -2..2, with weights
+    exp(-d^2 / 2) summing to 1, reflecting at both ends without repeating
+    the edge; a one-entry sequence is its own mean."""
+    seq = np.asarray(seq, dtype=np.float64)
+    t = seq.size
+    weights = [math.exp(-d * d / 2.0) for d in range(-2, 3)]
+    out = np.zeros(t)
+    for i in range(t):
+        for d, w in zip(range(-2, 3), weights):
+            j = i + d
+            while t > 1 and not 0 <= j < t:
+                j = -j if j < 0 else 2 * (t - 1) - j
+            out[i] += w / sum(weights) * seq[0 if t == 1 else j]
+    return out
+
+
+def video_losses_oracle(bb, tcb, video_label, hp, uses_bvl, targets=None):
+    """One video's training losses, term by term, from its `model.forward`
+    output `bb` and, when the continuity branch runs, the refilled pair's
+    `tcb` (else None). Returns LossBreakdown(fg, bg, att, kl, bvl, total).
+
+    fg is the cross-entropy of the pooled foreground probabilities against
+    the label with its background bit set, normalized to sum to 1; bg is
+    -log of the pooled background class; bvl (when `uses_bvl`) is -log of
+    the background probability of the snippet-mean CAS. att is the snippet
+    mean of |a - G(a_other)| over both branches, G the five-tap smoothing,
+    and kl the snippet mean of KL(other || own) over both branches' softened
+    CAS rows. The other branch's values come from `targets`, a (bb, tcb)
+    pair from another parameter point, when given. Probabilities are
+    floored at 1e-12 inside each log."""
+    from wtalkit.losses import LossBreakdown
+
+    def softmax_rows(v):
+        e = np.exp(v - np.max(v, axis=-1, keepdims=True))
+        return e / np.sum(e, axis=-1, keepdims=True)
+
+    def log(p):
+        return np.log(np.maximum(p, 1e-12))
+
+    label = np.append(np.asarray(video_label, dtype=np.float64), 1.0)
+    fg = -float(np.sum(label / label.sum() * log(bb.p_fg)))
+    bg = -float(log(bb.p_bg[-1]))
+    att = kl = 0.0
+    if tcb is not None:
+        held_bb, held_tcb = (bb, tcb) if targets is None else targets
+        t = len(bb.a)
+        att = sum(abs(bb.a[i] - smooth_oracle(held_tcb.a)[i])
+                  + abs(tcb.a[i] - smooth_oracle(held_bb.a)[i]) for i in range(t)) / t
+        p, q = softmax_rows(bb.y), softmax_rows(tcb.y)
+        p_held, q_held = softmax_rows(held_bb.y), softmax_rows(held_tcb.y)
+        for i in range(t):
+            for c in range(p.shape[1]):
+                kl += q_held[i, c] * (log(q_held[i, c]) - log(p[i, c]))
+                kl += p_held[i, c] * (log(p_held[i, c]) - log(q[i, c]))
+        kl = float(kl) / t
+    bvl = -float(log(softmax_rows(np.mean(bb.y, axis=0))[-1])) if uses_bvl else 0.0
+    total = fg + hp.lam * bg + hp.beta * (kl + att) + hp.lam * bvl
+    return LossBreakdown(fg=fg, bg=bg, att=float(att), kl=kl, bvl=bvl, total=total)
+
+
 def attention_factor_oracle(out, modality):
     """The honest background attention-gradient factor of one forward `out`,
     one snippet and class at a time: at each snippet, the derivative of the
@@ -289,7 +355,8 @@ def packed_forward_oracle(videos, plan, params, bges):
     z_bg = np.add.reduceat(yb * (1.0 - ab), starts, axis=1) / denom
     return SimpleNamespace(lengths=lengths, starts=starts, wide=wide, modal=cache,
                            y=y, a=a, n_f=n_f, denom=denom, z_fg=z_fg, z_bg=z_bg,
-                           p_fg=softmax(z_fg, axis=0), p_bg=softmax(z_bg, axis=0))
+                           p_fg=softmax(z_fg, axis=0), p_bg=softmax(z_bg, axis=0),
+                           probs=None if plan is None else softmax(y, axis=0))
 
 
 def backward_oracle(videos, plan, params, hp, mode):

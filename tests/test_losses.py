@@ -22,6 +22,7 @@ from oracles import (
     backward_oracle,
     finite_diff_oracle,
     packed_forward_oracle,
+    video_losses_oracle,
 )
 from wtalkit.errors import NumericError
 from wtalkit.losses import (
@@ -30,23 +31,20 @@ from wtalkit.losses import (
     MIN_MARGIN,
     PAIR_WORK,
     GradMode,
+    LossBreakdown,
     NonFiniteForward,
     TinyInstance,
     backward,
     build_fd_loss,
-    capture_targets,
     certify_gradients,
     closed_form_attention_factors,
     compute_losses,
-    full_label,
+    continuity_targets,
     instance_margin,
-    loss_bg,
-    loss_bvl,
-    loss_fg,
     make_tiny_instance,
     packed_forward,
     _chunks,
-    _forward_pair,
+    _label_targets,
 )
 from wtalkit.model import Hyperparams, ModelParams, embed, forward, init_params
 from wtalkit.synth import SynthConfig, TrainingVideo, generate, training_view
@@ -61,14 +59,9 @@ def accepted_instance(start_seed, mode=GradMode.STANDARD, draw=make_tiny_instanc
     seed = start_seed
     while True:
         inst = draw(seed)
-        if instance_margin(*_forward_pair(inst, inst.params, mode)) >= MIN_MARGIN:
+        if instance_margin(inst, mode) >= MIN_MARGIN:
             return inst
         seed += 1
-
-
-def fd_loss_at(inst, hp, mode):
-    """`build_fd_loss` with the targets frozen at the instance's own base point."""
-    return build_fd_loss(inst, hp, mode, *_forward_pair(inst, inst.params, mode))
 
 
 class TestGradMode:
@@ -83,33 +76,77 @@ class TestGradMode:
         assert [m for m in GradMode if not m.is_gradient] == [GradMode.GRL]
 
 
+def video(label):
+    return SimpleNamespace(video_label=np.asarray(label, dtype=np.float64))
+
+
+def stub_forward(y, a=None, p_fg=None, p_bg=None):
+    """A one-video packed forward without a refilled copy: fused CAS logits
+    y (C+1, T) and attention a (T,), 0.5 everywhere by default, and pooled
+    probabilities p_fg and p_bg (C+1,), uniform by default."""
+    y = np.asarray(y, dtype=np.float64)
+    rows = y.shape[1]
+    a = np.full(rows, 0.5) if a is None else np.asarray(a, dtype=np.float64)
+    uniform = np.full(y.shape[0], 1.0 / y.shape[0])
+    return SimpleNamespace(lengths=np.array([rows]), starts=np.array([0]), y=y, a=a,
+                           p_fg=np.asarray(uniform if p_fg is None else p_fg)[:, None],
+                           p_bg=np.asarray(uniform if p_bg is None else p_bg)[:, None],
+                           probs=None)
+
+
+def branch_pair(y, y_r, a, a_r):
+    """A one-video packed forward of base rows (y, a) and a refilled copy
+    (y_r, a_r), each given snippet-major, and the continuity targets that
+    `continuity_targets` derives from them."""
+    fwd = stub_forward(np.concatenate([y, y_r]).T, np.concatenate([a, a_r]))
+    fwd.lengths = np.array([len(a)])
+    fwd.probs = softmax(fwd.y, axis=0)
+    return fwd, (np.concatenate([gaussian_smooth(a), gaussian_smooth(a_r)]), fwd.probs)
+
+
+def losses_of(fwd, targets=None, label=(0.0,), mode=GradMode.STANDARD):
+    """`compute_losses` of a one-video forward as a LossBreakdown."""
+    row = compute_losses(fwd, targets, [video(label)], HP, mode)
+    assert row.shape == (1, 6)
+    return LossBreakdown(*row[0].tolist())
+
+
 class TestFullLabel:
     def test_background_bit_always_set(self):
-        label = full_label(np.array([1.0, 0.0, 1.0]))
-        np.testing.assert_array_equal(label, [1.0, 0.0, 1.0, 1.0])
+        y_hat = _label_targets([video([1.0, 0.0, 1.0]), video([0.0, 0.0, 0.0])], 4)
+        np.testing.assert_array_equal(y_hat[:, 0], np.array([1.0, 0.0, 1.0, 1.0]) / 3.0)
+        np.testing.assert_array_equal(y_hat[:, 1], [0.0, 0.0, 0.0, 1.0])
+
+
+def loss_fg(p_fg, label):
+    return losses_of(stub_forward(np.zeros((len(p_fg), 3)), p_fg=p_fg), label=label).fg
+
+
+def loss_bg(p_bg):
+    return losses_of(stub_forward(np.zeros((len(p_bg), 3)), p_bg=p_bg)).bg
+
+
+def loss_bvl(y):
+    """The background video loss of snippet-major CAS logits y (T, C+1)."""
+    return losses_of(stub_forward(np.asarray(y).T), mode=GradMode.BVL).bvl
 
 
 class TestLossFg:
     def test_one_hot_match_is_zero(self):
-        p = np.array([0.0, 1.0, 0.0, 0.0])
-        label = np.array([0.0, 1.0, 0.0, 0.0])
-        assert loss_fg(p, label) == pytest.approx(0.0, abs=1e-10)
+        # a video with no action class: its full label is the background bit
+        p = np.array([0.0, 0.0, 0.0, 1.0])
+        assert loss_fg(p, [0.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-10)
 
     def test_uniform_single_class(self):
         p = np.full(4, 0.25)
-        label = np.array([1.0, 0.0, 0.0, 0.0])
-        assert loss_fg(p, label) == pytest.approx(np.log(4.0), abs=1e-12)
+        assert loss_fg(p, [1.0, 0.0, 0.0]) == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_two_class_label_matches_direct_formula(self):
         rng = np.random.default_rng(0)
         p = softmax(rng.normal(size=4))
         label = np.array([1.0, 0.0, 1.0, 1.0])
         expected = -np.sum((label / 3.0) * np.log(p))
-        assert loss_fg(p, label) == pytest.approx(expected, abs=1e-12)
-
-    def test_all_zero_label_rejected(self):
-        with pytest.raises(ValueError):
-            loss_fg(np.full(4, 0.25), np.zeros(4))
+        assert loss_fg(p, label[:-1]) == pytest.approx(expected, abs=1e-12)
 
 
 class TestLossBg:
@@ -145,26 +182,16 @@ class TestLossBvl:
         assert loss_bvl(y) == pytest.approx(expected, abs=1e-12)
 
 
-def _continuity(a, a_r, y, y_r):
-    """compute_losses of two stub branches with attention tracks a, a_r and
-    CAS logits y, y_r (the pooled outputs are placeholders)."""
-    def branch(a, y):
-        return SimpleNamespace(a=np.asarray(a, dtype=np.float64),
-                               y=np.asarray(y, dtype=np.float64),
-                               p_fg=np.full(2, 0.5), p_bg=np.full(2, 0.5))
-
-    return compute_losses(branch(a, y), branch(a_r, y_r), np.ones(1), HP,
-                          GradMode.STANDARD)
-
-
 def loss_att(a, a_r):
     """The continuity attention loss of tracks a, a_r, with equal CAS rows."""
-    return _continuity(a, a_r, np.zeros((len(a), 2)), np.zeros((len(a_r), 2))).att
+    zeros = np.zeros((len(a), 2))
+    return losses_of(*branch_pair(zeros, zeros, a, a_r)).att
 
 
 def loss_kl(y, y_r):
     """The continuity KL loss of CAS logits y, y_r, with equal attention."""
-    return _continuity(np.full(len(y), 0.5), np.full(len(y_r), 0.5), y, y_r).kl
+    half = np.full(len(y), 0.5)
+    return losses_of(*branch_pair(y, y_r, half, half)).kl
 
 
 class TestLossAtt:
@@ -189,8 +216,12 @@ class TestLossAtt:
         assert loss_att(a, a_r) == pytest.approx(loss_att(a_r, a), abs=1e-15)
 
     def test_length_mismatch(self):
+        # targets held from a video of another length are refused
+        zeros = np.zeros((4, 2))
+        fwd, _ = branch_pair(zeros, zeros, np.ones(4), np.ones(4))
+        _, held = branch_pair(np.zeros((5, 2)), np.zeros((5, 2)), np.ones(5), np.ones(5))
         with pytest.raises(ValueError):
-            loss_att(np.ones(4), np.ones(5))
+            losses_of(fwd, held)
 
 
 class TestLossKl:
@@ -216,15 +247,27 @@ class TestLossKl:
         assert loss_kl(y, y_r) == pytest.approx(expected / 4.0, abs=1e-12)
 
     def test_shape_mismatch(self):
+        # targets held from a forward with another class count are refused
+        half = np.full(4, 0.5)
+        fwd, _ = branch_pair(np.zeros((4, 3)), np.zeros((4, 3)), half, half)
+        _, held = branch_pair(np.zeros((4, 4)), np.zeros((4, 4)), half, half)
         with pytest.raises(ValueError):
-            loss_kl(np.zeros((4, 3)), np.zeros((3, 4)))
+            losses_of(fwd, held)
+
+
+def one_video_losses(inst, mode, params=None, held=None):
+    """`compute_losses` of the instance's one-video packed chunk at `params`
+    (its own by default), with live continuity targets or the `held` ones."""
+    fwd = packed_forward([inst], inst.plan, inst.params if params is None else params,
+                         mode.bges)
+    return losses_of(fwd, continuity_targets(fwd) if held is None else held,
+                     inst.video_label, mode)
 
 
 class TestBreakdown:
     def test_additivity(self):
         inst = accepted_instance(40)
-        bb, tcb = _forward_pair(inst, inst.params, GradMode.STANDARD)
-        parts = compute_losses(bb, tcb, inst.video_label, HP, GradMode.STANDARD)
+        parts = one_video_losses(inst, GradMode.STANDARD)
         expected = (parts.fg + HP.lam * parts.bg
                     + HP.beta * (parts.kl + parts.att))
         assert parts.total == pytest.approx(expected, abs=1e-10)
@@ -232,8 +275,7 @@ class TestBreakdown:
 
     def test_additivity_with_bvl(self):
         inst = accepted_instance(50, GradMode.BVL)
-        bb, tcb = _forward_pair(inst, inst.params, GradMode.BVL)
-        parts = compute_losses(bb, tcb, inst.video_label, HP, GradMode.BVL)
+        parts = one_video_losses(inst, GradMode.BVL)
         assert parts.bvl > 0.0
         expected = (parts.fg + HP.lam * parts.bg
                     + HP.beta * (parts.kl + parts.att)
@@ -241,14 +283,32 @@ class TestBreakdown:
         assert parts.total == pytest.approx(expected, abs=1e-10)
 
     def test_frozen_targets_match_at_capture_point(self):
-        # identical loss value at the capture point, by construction
+        # targets held from a second forward at the same point give the
+        # live losses bit for bit
         inst = accepted_instance(60)
-        bb, tcb = _forward_pair(inst, inst.params, GradMode.STANDARD)
-        frozen = capture_targets(bb, tcb)
-        live = compute_losses(bb, tcb, inst.video_label, HP, GradMode.STANDARD)
-        held = compute_losses(bb, tcb, inst.video_label, HP, GradMode.STANDARD,
-                              frozen)
-        assert held.total == pytest.approx(live.total, abs=1e-12)
+        held = continuity_targets(packed_forward([inst], inst.plan, inst.params))
+        live = one_video_losses(inst, GradMode.STANDARD)
+        assert one_video_losses(inst, GradMode.STANDARD, held=held) == live
+
+    @pytest.mark.parametrize("mode", list(GradMode), ids=lambda m: m.value)
+    def test_matches_the_per_video_oracle(self, mode):
+        # live targets, then targets held at another parameter point
+        inst = accepted_instance(70, mode)
+        moved = inst.params.from_vector(
+            inst.params.to_vector() + np.random.default_rng(1).normal(0.0, 0.05, inst.params.size))
+        pair = (forward(inst.x_rgb, inst.x_flow, inst.params, mode.bges),
+                tcb_forward_full(inst.x_rgb, inst.x_flow, inst.params, inst.plan))
+        held = continuity_targets(packed_forward([inst], inst.plan, inst.params, mode.bges))
+        moved_pair = (forward(inst.x_rgb, inst.x_flow, moved, mode.bges),
+                      tcb_forward_full(inst.x_rgb, inst.x_flow, moved, inst.plan))
+        for got, want in (
+                (one_video_losses(inst, mode),
+                 video_losses_oracle(*pair, inst.video_label, HP, mode.uses_bvl)),
+                (one_video_losses(inst, mode, moved, held),
+                 video_losses_oracle(*moved_pair, inst.video_label, HP, mode.uses_bvl, pair))):
+            for field in ("fg", "bg", "att", "kl", "bvl", "total"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field),
+                                                            rel=1e-12, abs=1e-15)
 
 
 def backward_one(inst, hp, mode, plan=True):
@@ -262,7 +322,7 @@ class TestBackward:
         inst = accepted_instance(70)
         hp = Hyperparams(lam=0.0, beta=0.0)
         analytic = backward_one(inst, hp, GradMode.STANDARD).to_vector()
-        numeric = finite_diff_grad(fd_loss_at(inst, hp, GradMode.STANDARD),
+        numeric = finite_diff_grad(build_fd_loss(inst, hp, GradMode.STANDARD),
                                    inst.params.to_vector())
         scale = np.maximum(np.abs(numeric), 1e-5)
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
@@ -282,7 +342,7 @@ class TestBackward:
         # attention-logit gradient, and GRL adds exactly its negation; the
         # attention weights see it through the embedding X_e
         inst = accepted_instance(90)
-        bb, _ = _forward_pair(inst, inst.params, GradMode.STANDARD)
+        bb = forward(inst.x_rgb, inst.x_flow, inst.params)
         off = backward_one(inst, Hyperparams(lam=0.0), GradMode.STANDARD)
         for mode, sign in ((GradMode.STANDARD, 1.0), (GradMode.GRL, -1.0)):
             on = backward_one(inst, HP, mode)
@@ -353,11 +413,11 @@ class TestPackedBatch:
         for field in ("fg", "bg", "att", "kl", "bvl", "total"):
             expected = np.mean([getattr(b, field) for _, b in singles])
             assert getattr(parts, field) == pytest.approx(expected, rel=1e-12, abs=1e-15)
-        # each one-video run's losses are those of the per-video reference path
+        # each one-video run's losses are those of the per-video oracle
         for v, p, (_, got) in zip(videos, plans, singles):
             bb = forward(v.x_rgb, v.x_flow, params, mode.bges)
             tcb = None if p is None else tcb_forward_full(v.x_rgb, v.x_flow, params, p)
-            ref = compute_losses(bb, tcb, v.video_label, HP, mode)
+            ref = video_losses_oracle(bb, tcb, v.video_label, HP, mode.uses_bvl)
             for field in ("fg", "bg", "att", "kl", "bvl", "total"):
                 assert getattr(got, field) == pytest.approx(getattr(ref, field),
                                                             rel=1e-12, abs=1e-15)
@@ -654,13 +714,13 @@ class TestRefillFiniteDifferences:
         # the certificate's instances (T = 8, k = 3) never end in a one-row segment
         inst = accepted_instance(0, mode, one_row_tail_instance)
         analytic = backward_one(inst, HP, mode).to_vector()
-        numeric = finite_diff_grad(fd_loss_at(inst, HP, mode), inst.params.to_vector())
+        numeric = finite_diff_grad(build_fd_loss(inst, HP, mode), inst.params.to_vector())
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-5)
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
 
 
 class TestStackedPoints:
-    """The oracle's loss at a stack of parameter points is, bit for bit, the
+    """The packed loss at a stack of parameter points is, bit for bit, the
     one-point loss at each point, so batching changes no certificate."""
 
     @pytest.mark.parametrize("mode", list(GradMode), ids=lambda m: m.value)
@@ -669,47 +729,41 @@ class TestStackedPoints:
     def test_finite_differences_match_the_one_point_loop(self, mode, draw):
         for start in (0, 40):
             inst = accepted_instance(start, mode, draw)
-            loss = fd_loss_at(inst, HP, mode)
+            loss = build_fd_loss(inst, HP, mode)
             vec = inst.params.to_vector()
             got = finite_diff_grad(loss, vec)
             want = finite_diff_oracle(loss, vec)
             assert got.tobytes() == want.tobytes()
 
     @given(t=st.integers(1, 16), kernel_size=st.sampled_from([1, 3, 5]),
-           points=st.integers(1, 5), bges=st.booleans(),
+           points=st.integers(1, 5), mode=st.sampled_from(list(GradMode)),
            classes=st.integers(1, 5), k=st.integers(1, 5), seed=st.integers(0, 2**31))
     @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_stack_equals_one_point_calls(self, t, kernel_size, points, bges, classes,
+    def test_stack_equals_one_point_calls(self, t, kernel_size, points, mode, classes,
                                           k, seed):
         rng = np.random.default_rng(seed)
         base = ModelParams.zeros(4, 3, classes, kernel_size)
         stack = rng.normal(0.0, 0.5, size=(points, base.size))
         x_rgb, x_flow = rng.normal(size=(2, t, 4))
-        plan = make_plan([t], k, rng)
         label = (rng.random(classes) < 0.5).astype(float)
         label[rng.integers(classes)] = 1.0
-        mode = GradMode.BGES if bges else GradMode.BVL
-        first = base.from_vector(stack[0])
-        frozen = capture_targets(forward(x_rgb, x_flow, first, bges),
-                                 tcb_forward_full(x_rgb, x_flow, first, plan))
-        many = base.from_vector(stack)
-        bb = forward(x_rgb, x_flow, many, bges)
-        tcb = tcb_forward_full(x_rgb, x_flow, many, plan)
-        total = compute_losses(bb, tcb, label, HP, mode, frozen).total
-        assert total.shape == (points,)
+        inst = TinyInstance(x_rgb=x_rgb, x_flow=x_flow, params=base,
+                            plan=make_plan([t], k, rng), video_label=label, seed=seed)
+        held = continuity_targets(
+            packed_forward([inst], inst.plan, base.from_vector(stack[0]), mode.bges))
+        many = packed_forward([inst], inst.plan, base.from_vector(stack), mode.bges)
+        losses = compute_losses(many, held, [inst], HP, mode)
+        assert losses.shape == (points, 1, 6)
         for i in range(points):
-            one = base.from_vector(stack[i])
-            bb_i = forward(x_rgb, x_flow, one, bges)
-            tcb_i = tcb_forward_full(x_rgb, x_flow, one, plan)
-            for got, want in ((bb, bb_i), (tcb, tcb_i)):
-                for field in fields(want):
-                    if field.name != "bges":
-                        g, w = getattr(got, field.name)[i], getattr(want, field.name)
-                        assert np.shape(g) == np.shape(w)
-                        assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), field.name
-            want_total = compute_losses(bb_i, tcb_i, label, HP, mode, frozen).total
-            assert isinstance(want_total, float)
-            assert total[i].tobytes() == np.float64(want_total).tobytes()
+            one = packed_forward([inst], inst.plan, base.from_vector(stack[i]), mode.bges)
+            for field in fields(one):
+                got, want = getattr(many, field.name), getattr(one, field.name)
+                if field.name in ("lengths", "starts", "wide", "refill", "win", "xs"):
+                    continue  # the stack's shared inputs
+                assert np.shape(got[i]) == np.shape(want)
+                assert got[i].tobytes() == want.tobytes(), field.name
+            want = compute_losses(one, held, [inst], HP, mode)
+            assert losses[i].tobytes() == want.tobytes()
 
 
 class TestCertification:
@@ -720,14 +774,16 @@ class TestCertification:
         assert max(r.max_rel_error for r in results) < 1e-5
 
     def test_each_candidate_runs_its_base_point_pair_once(self):
-        # the kink filter and the frozen targets share one base-point pair;
-        # the stacked finite-difference points are the two other calls
+        # the kink filter runs the per-video pair once per candidate; an
+        # accepted instance adds four packed forwards of its chunk: the
+        # analytic gradient's, the held targets' and the two stacks of
+        # finite-difference points
         draws, calls = [], []
 
         def counted(real, name):
-            def run(x_rgb, x_flow, params, *args, **kwargs):
+            def run(videos_or_x, second, params, *args, **kwargs):
                 calls.append((name, params.points))
-                return real(x_rgb, x_flow, params, *args, **kwargs)
+                return real(videos_or_x, second, params, *args, **kwargs)
             return run
 
         def draw(seed):
@@ -736,12 +792,28 @@ class TestCertification:
 
         with patch.object(losses_mod, "forward", counted(forward, "bb")), \
                 patch.object(losses_mod, "tcb_forward_full", counted(tcb_forward_full, "tcb")), \
+                patch.object(losses_mod, "packed_forward", counted(packed_forward, "packed")), \
                 patch.object(losses_mod, "make_tiny_instance", draw):
             results = certify_gradients(num_instances=3, modes=(GradMode.BGES,))
         assert len(results) == 3
         for name in ("bb", "tcb"):
-            assert sum(c == (name, ()) for c in calls) == len(draws)
-            assert sum(c[0] == name and c[1] != () for c in calls) == 2 * len(results)
+            assert calls.count((name, ())) == len(draws)
+            assert sum(c[0] == name for c in calls) == len(draws)
+        size = make_tiny_instance(0).params.size
+        assert calls.count(("packed", ())) == 2 * len(results)
+        assert calls.count(("packed", (size,))) == 2 * len(results)
+        assert sum(c[0] == "packed" for c in calls) == 4 * len(results)
+
+    @pytest.mark.parametrize("mode", CERTIFIED_MODES, ids=lambda m: m.value)
+    def test_fd_loss_at_the_base_point_is_the_logged_total(self, mode):
+        # the certificate's loss is the function that training minimizes
+        for seed in range(5):
+            inst = make_tiny_instance(seed)
+            vec = inst.params.to_vector()
+            _, parts = backward([inst], inst.plan, inst.params, HP, mode)
+            got = build_fd_loss(inst, HP, mode)(vec[None])
+            assert got.shape == (1,)
+            assert got[0].tobytes() == np.float64(parts.total).tobytes()
 
     def test_injected_bug_is_caught(self):
         # negating one block's analytic gradient must break certification;
