@@ -104,6 +104,8 @@ def load_config(path: str | None) -> Config:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
 

@@ -9,6 +9,7 @@ packed forward that training uses; `localize_video` runs the per-video one.
 
 from __future__ import annotations
 
+import io
 import math
 from typing import NamedTuple
 
@@ -180,26 +181,38 @@ def write_proposals(path, per_video: dict, frames_per_snippet: int = 0,
 def read_proposals(path) -> dict:
     """Inverse of write_proposals (snippet columns only): video id to `Proposals`.
 
-    A line that is not id, class >= 0, finite q, 0 <= start < end is a data
-    error naming the line."""
+    A line that is not UTF-8, or not id, class >= 0, finite q,
+    0 <= start < end, with the integers below 2^63, is a data error naming
+    the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"line {lineno}: not UTF-8 ({exc.reason})",
+                              offset=exc.start) from None
     rows: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (5, 7):
-                raise DataFormatError(f"line {lineno}: expected 5 or 7 columns, "
-                                      f"got {len(parts)}")
-            try:
-                cls, q, start, end = int(parts[1]), float(parts[2]), int(parts[3]), int(parts[4])
-            except ValueError as exc:
-                raise DataFormatError(f"line {lineno}: {exc}") from exc
-            if not (cls >= 0 and math.isfinite(q) and 0 <= start < end):
-                raise DataFormatError(f"line {lineno}: need class >= 0, finite q and "
-                                      f"0 <= start < end, got {' '.join(parts[1:5])}")
-            rows.setdefault(parts[0], []).append((cls, q, start, end))
+    # universal newlines, as a text-mode file splits its lines
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) not in (5, 7):
+            raise DataFormatError(f"line {lineno}: expected 5 or 7 columns, "
+                                  f"got {len(parts)}")
+        try:
+            cls, q, start, end = int(parts[1]), float(parts[2]), int(parts[3]), int(parts[4])
+        except ValueError as exc:
+            raise DataFormatError(f"line {lineno}: {exc}") from exc
+        if not (cls >= 0 and math.isfinite(q) and 0 <= start < end):
+            raise DataFormatError(f"line {lineno}: need class >= 0, finite q and "
+                                  f"0 <= start < end, got {' '.join(parts[1:5])}")
+        if max(cls, end) >= 1 << 63:  # the int64 columns' limit
+            raise DataFormatError(f"line {lineno}: class, start and end must be "
+                                  f"below 2^63, got {' '.join(parts[1:5])}")
+        rows.setdefault(parts[0], []).append((cls, q, start, end))
     return {vid: Proposals(*(np.array(col, dtype=dtype) for col, dtype in
                              zip(zip(*r), (np.int64, np.float64, np.int64, np.int64))))
             for vid, r in rows.items()}

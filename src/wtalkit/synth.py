@@ -203,14 +203,18 @@ def _label_from_bytes(mask: bytes, c: int) -> np.ndarray:
 
 def write_dataset(path, records: list, num_classes: int | None = None,
                   frames_per_snippet: int = 0, fps: float = 0.0) -> None:
-    """Serialize records; 0 / 0.0 mark snippet timing as unknown, and `fps`
-    must be finite and >= 0."""
+    """Serialize records; 0 / 0.0 mark snippet timing as unknown.
+    `frames_per_snippet` must be an int in [0, 2^32) and `fps` finite and >= 0."""
     if num_classes is None:
         if not records:
             raise ValueError("num_classes required for an empty dataset")
         num_classes = records[0].video_label.shape[0]
     if num_classes < 1:
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
+    if not (isinstance(frames_per_snippet, (int, np.integer))
+            and 0 <= frames_per_snippet < 1 << 32):
+        raise ValueError("frames_per_snippet must be an int in [0, 2^32), "
+                         f"got {frames_per_snippet!r}")
     if not 0.0 <= fps < np.inf:
         raise ValueError(f"fps must be finite and >= 0, got {fps}")
     if records:
@@ -279,9 +283,13 @@ def read_dataset(path) -> Dataset:
         for _ in range(count):
             (id_len,) = cur.unpack("<I", "id length")
             id_pos = cur.pos
-            vid = str(cur.take(id_len, "video id"), "utf-8")
+            raw_id = cur.take(id_len, "video id")
             try:
+                vid = str(raw_id, "utf-8")
                 check_video_id(vid)
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"video id is not UTF-8 ({exc.reason} at its byte "
+                                      f"{exc.start})", offset=id_pos) from None
             except ValueError as exc:
                 raise DataFormatError(str(exc), offset=id_pos) from exc
             if vid in seen:

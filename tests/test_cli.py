@@ -752,6 +752,61 @@ class TestBadProposals:
         assert not report.exists()
 
 
+class TestUndecodableInput:
+    """Bytes that are not UTF-8 where text belongs, and integers past int64,
+    fail closed: a data error (exit 2) or a config error (exit 1) in one
+    stderr line, with no output."""
+
+    @pytest.mark.parametrize("line, message", [
+        (b"{vid} 99999999999999999999 0.5 1 5",
+         "line 2: class, start and end must be below 2^63, got 99999999999999999999 0.5 1 5"),
+        (b"{vid} 0 0.5 1 3 \xff", "line 2: not UTF-8 (invalid start byte)"),
+    ], ids=["class_past_int64", "not_utf8"])
+    def test_proposal_line(self, line, message, tmp_path, ini, data_dir, capsys):
+        test = data_dir / "test.bin"
+        vid = read_dataset(test).records[0].video_id
+        props = tmp_path / "p.txt"
+        props.write_bytes(b"# video_id class q start end\n" + line.replace(b"{vid}", vid.encode())
+                          + b"\n")
+        report = tmp_path / "report.csv"
+        capsys.readouterr()
+        assert main(["--config", ini, "eval", "--proposals", str(props),
+                     "--data", str(test), "--out", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"data error: {message}") and err.count("\n") == 1
+        assert not report.exists()
+
+    def test_dataset_video_id(self, tmp_path, ini, data_dir, capsys):
+        # the second test video's id gets a byte that is not UTF-8, CRC
+        # recomputed so that only the id's decoding can catch it
+        path = data_dir / "test.bin"
+        first, second = read_dataset(path).records[:2]
+        blob = bytearray(path.read_bytes())
+        at = blob.index(second.video_id.encode())
+        blob[at] = 0xFF
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[8:-4])))
+        path.write_bytes(bytes(blob))
+        props = tmp_path / "p.txt"
+        props.write_text(f"{first.video_id} 0 0.9 0 1\n")
+        capsys.readouterr()
+        assert main(["--config", ini, "eval", "--proposals", str(props),
+                     "--data", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("data error: video id is not UTF-8 (invalid start byte at its byte 0) "
+                       f"(at byte offset {at})\n")
+
+    def test_config_file(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_bytes(TINY_INI.encode() + b"# caf\xe9\n")
+        out = tmp_path / "data"
+        assert main(["--config", str(config), "gen", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {str(config)!r} is not UTF-8: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestShapeMismatch:
     """A checkpoint or test set whose (D, C) differs from the data it meets
     is a data error at load, before any work."""

@@ -195,6 +195,12 @@ class TestErrors:
         with pytest.raises(ConfigError, match="malformed"):
             load_config(_write(tmp_path, "not an ini at all\n"))
 
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[run]\nseed = 1\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match=r"config '.*bad\.ini' is not UTF-8: "):
+            load_config(str(path))
+
     def test_unknown_eval_key(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[eval\]"):
             load_config(_write(tmp_path, "[eval]\nthresholds = 0.5\n"))

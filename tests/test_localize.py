@@ -462,3 +462,38 @@ class TestProposalIO:
         path.write_text("v 0 0.5 1 x\n")
         with pytest.raises(DataFormatError, match="line 1: invalid literal"):
             read_proposals(path)
+
+    @pytest.mark.parametrize("fields", ["99999999999999999999 0.5 1 5",
+                                        "0 0.5 1 9223372036854775808",
+                                        "9223372036854775808 0.5 1 5"],
+                             ids=["class_past_int64", "end_2_63", "class_2_63"])
+    def test_integer_past_int64_names_its_line(self, tmp_path, fields):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"v 0 0.5 1 3\nv {fields}\n")
+        with pytest.raises(DataFormatError, match=f"line 2: class, start and end must be "
+                                                  f"below 2\\^63, got {fields}$"):
+            read_proposals(path)
+
+    def test_largest_int64_reads(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text(f"v {2**63 - 1} 0.5 {2**63 - 2} {2**63 - 1}\n")
+        got = read_proposals(path)["v"]
+        assert got.cls.tolist() == [2**63 - 1] and got.end.tolist() == [2**63 - 1]
+
+    @pytest.mark.parametrize("line, column", [(b"v 0 0.5 1 3\xff", 11),
+                                              (b"# \xfe comment", 2), (b"\xc3", 0)],
+                             ids=["in_a_field", "in_a_comment", "truncated_sequence"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, line, column):
+        head = b"# video_id class q start end\r\nv 0 0.5 1 3\r\n"
+        path = tmp_path / "bad.txt"
+        path.write_bytes(head + line + b"\n")
+        with pytest.raises(DataFormatError, match=r"line 3: not UTF-8 \(") as ei:
+            read_proposals(path)
+        assert ei.value.offset == len(head) + column
+
+    def test_lines_split_as_a_text_file_splits_them(self, tmp_path):
+        path = tmp_path / "props.txt"
+        path.write_bytes(b"# header\rv 0 0.5 1 3\r\nw 1 0.25 2 4\n\nv 2 0.75 0 1")
+        got = read_proposals(path)
+        assert _rows(got["v"]) == [(0, 0.5, 1, 3), (2, 0.75, 0, 1)]
+        assert _rows(got["w"]) == [(1, 0.25, 2, 4)]

@@ -334,6 +334,19 @@ class TestFormatErrors:
             read_dataset(path)
         assert ei.value.offset == at
 
+    @pytest.mark.parametrize("raw", [b"v\xff", b"\xc3("], ids=["bad_byte", "bad_sequence"])
+    def test_video_id_that_is_not_utf8_names_its_offset(self, tmp_path, raw):
+        import struct
+        import zlib
+        path, blob = self._blob(tmp_path)
+        at = blob.index(struct.pack("<I", 2) + b"v1") + 4
+        blob[at:at + 2] = raw
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[len(DATASET_MAGIC):-4])))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match=r"video id is not UTF-8 \(") as ei:
+            read_dataset(path)
+        assert ei.value.offset == at
+
     def test_not_a_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_dataset(tmp_path / "missing.bin")
@@ -369,6 +382,20 @@ class TestWriteValidation:
         with pytest.raises(ValueError, match=rf"fps must be finite and >= 0, got {fps}"):
             write_dataset(path, _tiny_records(), frames_per_snippet=16, fps=fps)
         assert not path.exists()
+
+    @pytest.mark.parametrize("frames", [-1, 16.5, 2**32, None, "16"])
+    def test_frames_per_snippet_outside_u32_rejected(self, tmp_path, frames):
+        path = tmp_path / "d.bin"
+        with pytest.raises(ValueError, match=r"frames_per_snippet must be an int in "
+                                              rf"\[0, 2\^32\), got {re.escape(repr(frames))}"):
+            write_dataset(path, _tiny_records(), frames_per_snippet=frames, fps=25.0)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("frames", [0, 2**32 - 1, np.uint32(16)])
+    def test_frames_per_snippet_in_u32_round_trips(self, tmp_path, frames):
+        path = tmp_path / "d.bin"
+        write_dataset(path, _tiny_records(), frames_per_snippet=frames, fps=25.0)
+        assert read_dataset(path).frames_per_snippet == frames
 
     def test_label_length_mismatch(self, tmp_path):
         recs = _tiny_records()
