@@ -376,16 +376,16 @@ def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
 
 def continuity_targets(fwd) -> tuple:
     """The continuity losses' targets of a one-point packed forward with a
-    plan: (smooth, probs), each branch's attention smoothed by GAUSS_TAPS
-    within its own video (the base rows, then the refilled copy's), and the
-    softened CAS of every row."""
+    plan: (smooth, probs). Row r of `smooth` is the attention of the other
+    branch's row for r's snippet, smoothed by GAUSS_TAPS within its video;
+    `probs` is the softened CAS of every row."""
     n = int(fwd.lengths.sum())
     width, size = fwd.wide.shape[1], GAUSS_TAPS.size
     taps = fwd.wide[:, (width - size) // 2 : (width + size) // 2]
-    return fwd.a[np.concatenate([taps, taps + n])] @ GAUSS_TAPS, fwd.probs
+    return fwd.a[np.concatenate([taps + n, taps])] @ GAUSS_TAPS, fwd.probs
 
 
-def _label_targets(videos: list, classes: int) -> np.ndarray:
+def label_targets(videos: list, classes: int) -> np.ndarray:
     """(C+1, videos) foreground targets: each video's multi-hot label with the
     background bit set (every untrimmed video holds background), summing to 1."""
     label = np.ones((classes, len(videos)))
@@ -399,12 +399,13 @@ def _mean_cas_probs(fwd) -> np.ndarray:
     return softmax(mean / fwd.lengths, axis=-2)
 
 
-def compute_losses(fwd, targets: tuple | None, videos: list, hp: Hyperparams,
+def compute_losses(fwd, y_hat: np.ndarray, targets: tuple | None, hp: Hyperparams,
                    mode: GradMode) -> np.ndarray:
     """The training losses of a chunk's packed forward `fwd`: (videos, 6) in
     LossBreakdown order, with `fwd`'s leading point axes.
 
-    fg is the cross-entropy of p_fg against `_label_targets`, bg is
+    fg is the cross-entropy of p_fg against `y_hat`, the chunk's
+    `label_targets`, bg is
     -log p_bg[C], and bvl (BVL modes only; else 0) is -log of the background
     probability of the video's mean CAS. With a refilled copy, att is the
     snippet mean of the L1 distances between each branch's attention and
@@ -417,13 +418,12 @@ def compute_losses(fwd, targets: tuple | None, videos: list, hp: Hyperparams,
     """
     lengths, y, a = fwd.lengths, fwd.y, fwd.a
     n = int(lengths.sum())
-    losses = np.zeros(a.shape[:-1] + (len(videos), 6))
-    y_hat = _label_targets(videos, y.shape[-2])
+    losses = np.zeros(a.shape[:-1] + (y_hat.shape[1], 6))
     losses[..., 0] = -np.sum(y_hat * np.log(np.maximum(fwd.p_fg, LOG_FLOOR)), axis=-2)
     losses[..., 1] = -np.log(np.maximum(fwd.p_bg[..., -1, :], LOG_FLOOR))
     if y.shape[-1] > n:  # the refilled copy's rows follow the base rows
         smooth, p_t = targets
-        l1 = np.abs(a - np.roll(smooth, n))
+        l1 = np.abs(a - smooth)
         losses[..., 2] = np.add.reduceat(l1[..., :n] + l1[..., n:], fwd.starts,
                                          axis=-1) / lengths
         log_p = np.log(np.maximum(fwd.probs, LOG_FLOOR))
@@ -444,8 +444,9 @@ def _output_grads(fwd, videos: list, hp: Hyperparams, mode: GradMode) -> tuple:
     d_y and d_a."""
     lengths, y, a, n_f, denom = fwd.lengths, fwd.y, fwd.a, fwd.n_f, fwd.denom
     z_fg, z_bg, p_fg, p_bg = fwd.z_fg, fwd.z_bg, fwd.p_fg, fwd.p_bg
+    y_hat = label_targets(videos, y.shape[0])
     targets = None if fwd.probs is None else continuity_targets(fwd)
-    losses = compute_losses(fwd, targets, videos, hp, mode)
+    losses = compute_losses(fwd, y_hat, targets, hp, mode)
     n = int(lengths.sum())
     seg = np.repeat(np.arange(len(videos)), lengths)
     yb, ab = y[:, :n], a[:n]
@@ -453,7 +454,7 @@ def _output_grads(fwd, videos: list, hp: Hyperparams, mode: GradMode) -> tuple:
     d_a = np.zeros_like(a)
 
     # foreground cross-entropy
-    g_fg = (p_fg - _label_targets(videos, y.shape[0]))[:, seg]
+    g_fg = (p_fg - y_hat)[:, seg]
     d_y[:, :n] = g_fg * (ab / n_f[seg])
     d_a[:n] = np.sum((yb - z_fg[:, seg]) * g_fg, axis=0) / n_f[seg]
 
@@ -478,7 +479,7 @@ def _output_grads(fwd, videos: list, hp: Hyperparams, mode: GradMode) -> tuple:
         scale = np.tile(hp.beta / lengths[seg], 2)
         # a residual within rounding of zero (a one-snippet video, whose
         # refilled copy is its base row) has no sign: subgradient 0 there
-        res = a - np.roll(smooth, n)
+        res = a - smooth
         signs = np.where(np.abs(res) > L1_TIE, np.sign(res), 0.0)
         p, q = probs[:, :n], probs[:, n:]
         d_y[:, :n] += scale[:n] * (p - q)
@@ -634,11 +635,12 @@ def build_fd_loss(inst: TinyInstance, hp: Hyperparams, mode: GradMode):
     the instance's one-video chunk and `compute_losses`, the loss that
     `backward` differentiates. The continuity targets are held at the
     instance's base point, as `backward` holds them."""
+    y_hat = label_targets([inst], inst.params.header[2] + 1)
     held = continuity_targets(packed_forward([inst], inst.plan, inst.params, mode.bges))
 
     def fd_loss(points: np.ndarray) -> np.ndarray:
         fwd = packed_forward([inst], inst.plan, inst.params.from_vector(points), mode.bges)
-        return compute_losses(fwd, held, [inst], hp, mode)[:, 0, -1]  # the video's total
+        return compute_losses(fwd, y_hat, held, hp, mode)[:, 0, -1]  # the video's total
 
     return fd_loss
 

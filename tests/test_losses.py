@@ -41,10 +41,10 @@ from wtalkit.losses import (
     compute_losses,
     continuity_targets,
     instance_margin,
+    label_targets,
     make_tiny_instance,
     packed_forward,
     _chunks,
-    _label_targets,
 )
 from wtalkit.model import Hyperparams, ModelParams, embed, forward, init_params
 from wtalkit.synth import SynthConfig, TrainingVideo, generate, training_view
@@ -101,19 +101,19 @@ def branch_pair(y, y_r, a, a_r):
     fwd = stub_forward(np.concatenate([y, y_r]).T, np.concatenate([a, a_r]))
     fwd.lengths = np.array([len(a)])
     fwd.probs = softmax(fwd.y, axis=0)
-    return fwd, (np.concatenate([gaussian_smooth(a), gaussian_smooth(a_r)]), fwd.probs)
+    return fwd, (np.concatenate([gaussian_smooth(a_r), gaussian_smooth(a)]), fwd.probs)
 
 
 def losses_of(fwd, targets=None, label=(0.0,), mode=GradMode.STANDARD):
     """`compute_losses` of a one-video forward as a LossBreakdown."""
-    row = compute_losses(fwd, targets, [video(label)], HP, mode)
+    row = compute_losses(fwd, label_targets([video(label)], fwd.y.shape[0]), targets, HP, mode)
     assert row.shape == (1, 6)
     return LossBreakdown(*row[0].tolist())
 
 
 class TestFullLabel:
     def test_background_bit_always_set(self):
-        y_hat = _label_targets([video([1.0, 0.0, 1.0]), video([0.0, 0.0, 0.0])], 4)
+        y_hat = label_targets([video([1.0, 0.0, 1.0]), video([0.0, 0.0, 0.0])], 4)
         np.testing.assert_array_equal(y_hat[:, 0], np.array([1.0, 0.0, 1.0, 1.0]) / 3.0)
         np.testing.assert_array_equal(y_hat[:, 1], [0.0, 0.0, 0.0, 1.0])
 
@@ -752,7 +752,8 @@ class TestStackedPoints:
         held = continuity_targets(
             packed_forward([inst], inst.plan, base.from_vector(stack[0]), mode.bges))
         many = packed_forward([inst], inst.plan, base.from_vector(stack), mode.bges)
-        losses = compute_losses(many, held, [inst], HP, mode)
+        y_hat = label_targets([inst], classes + 1)
+        losses = compute_losses(many, y_hat, held, HP, mode)
         assert losses.shape == (points, 1, 6)
         for i in range(points):
             one = packed_forward([inst], inst.plan, base.from_vector(stack[i]), mode.bges)
@@ -762,7 +763,7 @@ class TestStackedPoints:
                     continue  # the stack's shared inputs
                 assert np.shape(got[i]) == np.shape(want)
                 assert got[i].tobytes() == want.tobytes(), field.name
-            want = compute_losses(one, held, [inst], HP, mode)
+            want = compute_losses(one, y_hat, held, HP, mode)
             assert losses[i].tobytes() == want.tobytes()
 
 

@@ -11,6 +11,7 @@ from wtalkit.losses import (
     backward,
     compute_losses,
     continuity_targets,
+    label_targets,
     make_tiny_instance,
     packed_forward,
 )
@@ -117,8 +118,9 @@ class TestDegeneracies:
         inst = make_tiny_instance(0)
         plan = make_plan([inst.x_rgb.shape[0]], 1, np.random.default_rng(3))
         fwd = packed_forward([inst], plan, inst.params)
-        _, _, att, kl, _, _ = compute_losses(fwd, continuity_targets(fwd), [inst],
-                                             Hyperparams(k=1), GradMode.STANDARD)[0]
+        _, _, att, kl, _, _ = compute_losses(fwd, label_targets([inst], 4),
+                                             continuity_targets(fwd), Hyperparams(k=1),
+                                             GradMode.STANDARD)[0]
         from wtalkit.numerics import gaussian_smooth
         bb = forward(inst.x_rgb, inst.x_flow, inst.params)
         resid = 2.0 * np.mean(np.abs(bb.a - gaussian_smooth(bb.a)))
