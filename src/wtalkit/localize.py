@@ -209,7 +209,7 @@ def read_proposals(path) -> dict:
         if not (cls >= 0 and math.isfinite(q) and 0 <= start < end):
             raise DataFormatError(f"line {lineno}: need class >= 0, finite q and "
                                   f"0 <= start < end, got {' '.join(parts[1:5])}")
-        if max(cls, end) >= 1 << 63:  # the int64 columns' limit
+        if cls >= 1 << 63 or end >= 1 << 63:  # the int64 columns' limit
             raise DataFormatError(f"line {lineno}: class, start and end must be "
                                   f"below 2^63, got {' '.join(parts[1:5])}")
         rows.setdefault(parts[0], []).append((cls, q, start, end))
