@@ -23,7 +23,6 @@ from .losses import (
     LossBreakdown,
     backward,
     certify_gradients,
-    closed_form_attention_factors,
 )
 from .model import Hyperparams, ModelParams, forward, init_params
 from .synth import SynthConfig, VideoRecord, generate, read_dataset, write_dataset
@@ -51,7 +50,6 @@ __all__ = [
     "average_precision",
     "backward",
     "certify_gradients",
-    "closed_form_attention_factors",
     "evaluate",
     "forward",
     "generate",

@@ -18,6 +18,7 @@ import ctypes
 import hashlib
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 from .config import MODE_NAMES, Config, coerce, load_config, parse_mode
@@ -346,7 +347,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # every non-finite result is checked and reported on one line, so
+        # numpy's floating-point warnings would only repeat it; the filter is
+        # process-wide and so reaches the modality worker thread, as
+        # np.errstate would not
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"(overflow|invalid value|divide by zero|"
+                                    r"underflow) encountered", RuntimeWarning)
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

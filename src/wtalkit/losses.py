@@ -20,7 +20,9 @@ CVPR 2018): each branch's smoothed attention and softened CAS are a constant
 target for the other.
 
 `compute_losses` states the losses once, on a chunk's `packed_forward`, the
-forward that training and batched inference share. `backward` is its
+forward that training and batched inference share. `packed_chunks` is its
+one driver over a batch: it cuts the chunks, slices the plan and names the
+first video whose forward is non-finite. `backward` is the losses'
 hand-derived gradient. The certificate differentiates the same function by
 central differences: the packed loss of the instance's one-video chunk, with
 the continuity targets held at the base point. `packed_forward` broadcasts
@@ -42,7 +44,6 @@ import numpy as np
 from .errors import NumericError
 from .model import (
     NORMALIZER_FLOOR,
-    ForwardOutputs,
     Hyperparams,
     ModelParams,
     PackedWeights,
@@ -279,21 +280,6 @@ class PackedForward:
     probs: np.ndarray | None
 
 
-class NonFiniteForward(NumericError):
-    """A packed forward with non-finite outputs. `position` indexes the first
-    video whose rows (base or refilled) or pooled outputs are non-finite, in
-    the videos the failing call was handed; a caller that knows more shifts
-    it to its own batch and may set `video_id`."""
-
-    def __init__(self, position: int):
-        super().__init__()
-        self.position, self.video_id = position, None
-
-    def __str__(self):
-        named = "" if self.video_id is None else f" ({self.video_id})"
-        return f"forward produced non-finite outputs at batch position {self.position}{named}"
-
-
 def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
                    bges: bool = False) -> PackedForward:
     """Forward of one chunk as packed rows: the chunk's videos back to back,
@@ -361,17 +347,32 @@ def packed_forward(videos: list, plan: np.ndarray | None, params: ModelParams,
     z_fg = np.add.reduceat(yb * ab[..., None, :], starts, axis=-1) / n_f[..., None, :]
     z_bg = np.add.reduceat(yb * (1.0 - ab)[..., None, :], starts, axis=-1) / denom[..., None, :]
     p_fg, p_bg = softmax(z_fg, axis=-2), softmax(z_bg, axis=-2)
-    if not all(np.all(np.isfinite(arr)) for arr in (y, a, p_fg, p_bg)):
-        ok_rows = (np.isfinite(y).all(axis=-2) & np.isfinite(a)).reshape(-1, a.shape[-1]).all(0)
-        if refill is not None:
-            ok_rows = ok_rows[:n] & ok_rows[n:]  # refilled row n + r copies base row r's video
-        ok_pooled = np.isfinite(p_fg).all(axis=-2) & np.isfinite(p_bg).all(axis=-2)
-        ok = np.logical_and.reduceat(ok_rows, starts) & ok_pooled.reshape(-1, len(videos)).all(0)
-        raise NonFiniteForward(int(np.flatnonzero(~ok)[0]))
     return PackedForward(lengths=lengths, starts=starts, wide=wide, refill=refill, win=win,
                          xs=xs, xe=xe, a_modal=a_modal, y=y, a=a, n_f=n_f, denom=denom,
                          z_fg=z_fg, z_bg=z_bg, p_fg=p_fg, p_bg=p_bg,
                          probs=None if refill is None else softmax(y, axis=-2))
+
+
+def packed_chunks(videos: list, plan: np.ndarray | None, params: ModelParams,
+                  bges: bool = False):
+    """(lo, hi, packed_forward) of each `_chunks` chunk videos[lo:hi], with its
+    rows of `plan`. Raises NumericError naming, by batch position and id, the
+    first video whose rows or pooled outputs are non-finite. A caller drops
+    each forward before the next, so one chunk's arrays are alive at a time."""
+    offsets = np.cumsum([0] + [v.x_rgb.shape[0] for v in videos])
+    for lo, hi in _chunks(videos, params.header[-1]):
+        fwd = packed_forward(videos[lo:hi], None if plan is None
+                             else plan[offsets[lo]:offsets[hi]], params, bges)
+        if not all(np.all(np.isfinite(arr)) for arr in (fwd.y, fwd.a, fwd.p_fg, fwd.p_bg)):
+            ok_rows = np.isfinite(fwd.y).all(axis=0) & np.isfinite(fwd.a)
+            ok_rows = ok_rows.reshape(-1, fwd.lengths.sum()).all(axis=0)  # n + r refills r
+            ok = (np.logical_and.reduceat(ok_rows, fwd.starts)
+                  & np.isfinite(fwd.p_fg + fwd.p_bg).all(axis=0))
+            bad = lo + int(np.flatnonzero(~ok)[0])
+            raise NumericError(f"forward produced non-finite outputs at batch position "
+                               f"{bad} ({videos[bad].video_id})")
+        yield lo, hi, fwd
+        del fwd
 
 
 def continuity_targets(fwd) -> tuple:
@@ -488,9 +489,9 @@ def _output_grads(fwd, videos: list, hp: Hyperparams, mode: GradMode) -> tuple:
     return losses, d_y, d_a
 
 
-def _chunk_backward(videos: list, plan: np.ndarray | None, params: ModelParams,
+def _chunk_backward(fwd: PackedForward, videos: list, params: ModelParams,
                     hp: Hyperparams, mode: GradMode, acc: PackedWeights) -> np.ndarray:
-    """Analytic backward of one chunk through its `packed_forward`.
+    """Analytic backward of the chunk `videos` through its forward `fwd`.
 
     Adds the gradient of the summed per-video totals into `acc`, the packed
     arrays of a gradient vector; returns the (videos, 6) losses in
@@ -498,7 +499,6 @@ def _chunk_backward(videos: list, plan: np.ndarray | None, params: ModelParams,
     half (d_z, and the embedding, bias and head sums into its rows of `acc`)
     runs through `_by_modality`.
     """
-    fwd = packed_forward(videos, plan, params, mode.bges)
     losses, d_y, d_a = _output_grads(fwd, videos, hp, mode)
     n, refill, xe = int(fwd.lengths.sum()), fwd.refill, fwd.xe
     # through both modality heads (0.5 fusion)
@@ -541,7 +541,6 @@ def backward(videos: list, plan: np.ndarray | None, params: ModelParams,
     lengths = np.array([v.x_rgb.shape[0] for v in videos])
     if lengths.min() < 1:
         raise ValueError("backward: every video needs at least one snippet")
-    offsets = np.append(0, np.cumsum(lengths))
     if plan is not None:
         limits = np.repeat(lengths, lengths)
         if np.shape(plan) != limits.shape:
@@ -554,14 +553,9 @@ def backward(videos: list, plan: np.ndarray | None, params: ModelParams,
     grad = np.zeros(params.size)
     acc = packed_views(grad, params.header)
     losses = []
-    for lo, hi in _chunks(videos, params.header[-1]):
-        try:
-            losses.append(_chunk_backward(
-                videos[lo:hi], None if plan is None else plan[offsets[lo]:offsets[hi]],
-                params, hp, mode, acc))
-        except NonFiniteForward as exc:
-            exc.position += lo
-            raise
+    for lo, hi, fwd in packed_chunks(videos, plan, params, mode.bges):
+        losses.append(_chunk_backward(fwd, videos[lo:hi], params, hp, mode, acc))
+        del fwd  # before the next chunk's forward
     grad /= len(videos)
     if not np.all(np.isfinite(grad)):
         raise NumericError("backward produced non-finite gradients")
@@ -583,6 +577,10 @@ class TinyInstance:
     plan: np.ndarray
     video_label: np.ndarray
     seed: int
+
+    @property
+    def video_id(self) -> str:
+        return f"tiny-{self.seed}"
 
 
 def make_tiny_instance(seed: int) -> TinyInstance:
@@ -705,35 +703,3 @@ def certify_gradients(num_instances: int = 20, tolerance: float = 1e-5,
                 passed=err < tolerance))
     return results
 
-
-def closed_form_attention_factors(out: ForwardOutputs, modality: str) -> dict:
-    """The printed per-snippet closed forms of the background attention gradient.
-
-    Evaluates, on one STANDARD forward state, the per-snippet factor
-    (1 - P_bg)/(-2) * (y_bg - y_i)/N_b * a_i(1 - a_i) of the plain gradient,
-    the same expression with (y_bg - y_i) -> (-y_bg - y_i) and 1/N_b -> 1/N_f
-    (the realized normalizer swap), and the reversed-difference variant.
-    Shared state across the three isolates the effect of the difference term.
-
-    Returns a dict with keys std, bges, grl, increment, val, y_video_bg where
-    increment = bges - (N_b/N_f) * std = val * y_video_bg exactly.
-    """
-    if out.bges:
-        raise ValueError("closed-form factors are defined on a STANDARD forward")
-    y_m = (out.y_rgb if modality == "rgb" else out.y_flow)[:, -1]
-    a_m = out.a_rgb if modality == "rgb" else out.a_flow
-    p_last = float(out.p_bg[-1])
-    y_video_bg = float((1.0 - a_m) @ y_m) / out.n_b
-    sig = a_m * (1.0 - a_m)
-    f_std = (1.0 - p_last) / (-2.0) * (y_video_bg - y_m) / out.n_b * sig
-    f_bges = (1.0 - p_last) / (-2.0) * (-y_video_bg - y_m) / out.n_f * sig
-    f_grl = (1.0 - p_last) / (-2.0) * (y_m - y_video_bg) / out.n_b * sig
-    val = (1.0 - p_last) * sig / out.n_f
-    return {
-        "std": f_std,
-        "bges": f_bges,
-        "grl": f_grl,
-        "increment": f_bges - (out.n_b / out.n_f) * f_std,
-        "val": val,
-        "y_video_bg": y_video_bg,
-    }

@@ -1,4 +1,10 @@
-"""Training loop, learning-rate schedule, checkpointing, and ablation grids."""
+"""Training loop, learning-rate schedule, checkpointing, and ablation grids.
+
+`localize_dataset`, like the training step's `losses.backward`, runs the
+packed forward through `losses.packed_chunks`. A numeric failure in a
+training step (forward, backward or Adam) is raised again naming the step
+and the batch's video ids.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +16,7 @@ from .container import atomic_write
 from .errors import NumericError, at_least, check_settings, within
 from .evaluate import DEFAULT_IOU_THRESHOLDS, EvalReport, evaluate
 from .localize import localize_scores
-from .losses import GradMode, LossBreakdown, NonFiniteForward, _chunks, backward, packed_forward
+from .losses import GradMode, LossBreakdown, backward, packed_chunks
 from .model import Hyperparams, ModelParams, init_params, save_checkpoint
 # unused here, but bench/test_bench.py checks that its tracer patches this binding
 from .model import forward  # noqa: F401
@@ -107,15 +113,13 @@ def train(videos: list, config: RunConfig, checkpoint_path=None,
         plan = None
         if config.use_ten and hp.k > 1:
             plan = make_plan([v.x_rgb.shape[0] for v in batch], hp.k, plan_rng)
+        learning_rate = config.learning_rate_at(step)
         try:
             grad, mean_losses = backward(batch, plan, params, hp, config.mode)
+            adam_step(params.vector, grad, state, learning_rate, config.weight_decay)
         except NumericError as exc:
-            if isinstance(exc, NonFiniteForward):
-                exc.video_id = batch[exc.position].video_id
             raise NumericError(f"step {step} on batch "
                                f"{[v.video_id for v in batch]}: {exc}") from exc
-        learning_rate = config.learning_rate_at(step)
-        adam_step(params.vector, grad, state, learning_rate, config.weight_decay)
         log.append(LogRow(step=step, losses=mean_losses, learning_rate=learning_rate))
         done = step + 1
         if checkpoint_path and (done == config.iterations or config.checkpoint_every
@@ -130,20 +134,15 @@ def train(videos: list, config: RunConfig, checkpoint_path=None,
 def localize_dataset(records: list, params: ModelParams, hp: Hyperparams) -> dict:
     """Each record's `localize.Proposals`, keyed by video id in record order.
 
-    One packed Standard forward per size-bounded chunk of records (the
+    One packed Standard forward per `packed_chunks` chunk of records (the
     forward training uses), then `localize_scores` on each video's rows.
     """
     proposals = {}
-    for lo, hi in _chunks(records, params.header[-1]):
-        try:
-            out = packed_forward(records[lo:hi], None, params)
-        except NonFiniteForward as exc:
-            exc.position += lo
-            exc.video_id = records[exc.position].video_id
-            raise
+    for lo, hi, out in packed_chunks(records, None, params):
         for r, start, t, p_fg in zip(records[lo:hi], out.starts, out.lengths, out.p_fg.T):
             rows = slice(start, start + t)
             proposals[r.video_id] = localize_scores(out.y[:, rows].T, out.a[rows], p_fg, hp)
+        del out  # before the next chunk's forward
     return proposals
 
 

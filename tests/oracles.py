@@ -11,6 +11,10 @@ training step's window-matrix forward and backward, which share the
 package's chunk rule and loss part, and `evaluate_oracle`, which fills the
 package's report record from `ap_oracle`.
 
+`closed_form_attention_factors` is not a check of the package but the
+paper's printed closed forms of the background attention gradient, which
+acceptance criterion 2 holds against one another.
+
 `video_losses_oracle` is the independent statement of the training losses:
 one video's terms, one at a time, on the per-video `model.forward` outputs.
 The packed `losses.compute_losses` that training and the gradient
@@ -314,6 +318,40 @@ def attention_factor_oracle(out, modality):
         factors[t] = d_a * 0.5 * a_m[t] * (1.0 - a_m[t])
     return factors
 
+
+def closed_form_attention_factors(out, modality):
+    """The paper's printed per-snippet closed forms of the background
+    attention gradient, which acceptance criterion 2 checks.
+
+    Evaluates, on one STANDARD per-video forward `out`, the per-snippet
+    factor (1 - P_bg)/(-2) * (y_bg - y_i)/N_b * a_i(1 - a_i) of the plain
+    gradient, the same expression with (y_bg - y_i) -> (-y_bg - y_i) and
+    1/N_b -> 1/N_f (the realized normalizer swap), and the reversed-difference
+    variant. Shared state across the three isolates the effect of the
+    difference term.
+
+    Returns a dict with keys std, bges, grl, increment, val, y_video_bg where
+    increment = bges - (N_b/N_f) * std = val * y_video_bg exactly.
+    """
+    if out.bges:
+        raise ValueError("closed-form factors are defined on a STANDARD forward")
+    y_m = (out.y_rgb if modality == "rgb" else out.y_flow)[:, -1]
+    a_m = out.a_rgb if modality == "rgb" else out.a_flow
+    p_last = float(out.p_bg[-1])
+    y_video_bg = float((1.0 - a_m) @ y_m) / out.n_b
+    sig = a_m * (1.0 - a_m)
+    f_std = (1.0 - p_last) / (-2.0) * (y_video_bg - y_m) / out.n_b * sig
+    f_bges = (1.0 - p_last) / (-2.0) * (-y_video_bg - y_m) / out.n_f * sig
+    f_grl = (1.0 - p_last) / (-2.0) * (y_m - y_video_bg) / out.n_b * sig
+    val = (1.0 - p_last) * sig / out.n_f
+    return {
+        "std": f_std,
+        "bges": f_bges,
+        "grl": f_grl,
+        "increment": f_bges - (out.n_b / out.n_f) * f_std,
+        "val": val,
+        "y_video_bg": y_video_bg,
+    }
 
 def packed_forward_oracle(videos, plan, params, bges):
     """The packed forward with window matrices for both branches, as it ran

@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from oracles import ap_oracle, nms_oracle
+from oracles import ap_oracle, closed_form_attention_factors, nms_oracle
 from wtalkit.evaluate import average_precision, evaluate
 from wtalkit.localize import nms
 from wtalkit.losses import (
     CERTIFIED_MODES,
     GradMode,
     certify_gradients,
-    closed_form_attention_factors,
     make_tiny_instance,
 )
 from wtalkit.model import Hyperparams, forward, load_checkpoint, save_checkpoint

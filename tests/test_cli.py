@@ -1,12 +1,17 @@
 """End-to-end command-line behaviour, run in process via main(argv)."""
 
+import os
+import re
 import struct
+import warnings
 import zlib
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+import wtalkit.losses as losses_mod
 from wtalkit.cli import ENV_CONFIG, build_parser, main
 from wtalkit.model import ModelParams, init_params, load_checkpoint, save_checkpoint
 from wtalkit.synth import VideoRecord, read_dataset, write_dataset
@@ -343,6 +348,38 @@ class TestBadSettings:
                 "--test", str(tmp_path / "test.bin"), "--grid", grid,
                 "--values", values, "--out", str(out_csv)]
         self._refused(argv, message, out_csv, capsys)
+
+
+class TestNumericFailure:
+    """A training blow-up exits 3 with one stderr line that names the step,
+    the batch and what failed, whichever thread ran the overflowing GEMM."""
+
+    @pytest.mark.parametrize("run, failure", [
+        ("learning_rate = 1.7e308\nweight_decay = 1.0\n",
+         "adam_step produced non-finite parameters"),
+        ("learning_rate = 1e308\n",
+         r"forward produced non-finite outputs at batch position \d+ \(train_\d+\)"),
+    ], ids=["adam", "forward"])
+    @pytest.mark.parametrize("paired", [False, True], ids=["stacked", "paired"])
+    def test_names_the_step_on_one_line(self, tmp_path, data_dir, capsys, run, failure,
+                                        paired):
+        path = tmp_path / "blowup.ini"
+        path.write_text(TINY_INI.replace("[run]\n", "[run]\n" + run))
+        pool = losses_mod._worker(os.getpid())
+        with patch.object(losses_mod, "PAIR_WORK", 0 if paired else np.inf), \
+                patch.object(losses_mod, "_may_pair", lambda: True), \
+                patch.object(pool, "submit", wraps=pool.submit) as submit, \
+                warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rc = main(["--config", str(path), "train", "--data", str(data_dir / "train.bin"),
+                       "--iterations", "5"])
+        assert rc == 3
+        assert submit.called == paired
+        assert [str(w.message) for w in seen] == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(r"numeric failure: step \d+ on batch \['train_\d+'.*\]: " + failure,
+                            lines[0]), lines[0]
 
 
 class TestGradcheck:

@@ -1,5 +1,6 @@
-"""Every import in the package is used: the stdlib-`ast` check that a linter's
-unused-import rule (F401) would make."""
+"""Every import in the package is used, the stdlib-`ast` check that a linter's
+unused-import rule (F401) would make, and no package module imports another
+module's private (`_`-prefixed) name."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,16 @@ def unused_imports(source: str, module: str = "") -> list:
             if name not in read and (module, name) not in TRACER_BINDINGS]
 
 
+
+def private_imports(source: str) -> list:
+    """(line, name) of each `_`-prefixed name that `source` imports from the
+    package (relatively, or from `wtalkit`); dunder names are public."""
+    return [(node.lineno, a.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "wtalkit")
+            for a in node.names
+            if a.name.startswith("_") and not (a.name.startswith("__") and a.name.endswith("__"))]
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8"), path.stem) == []
@@ -66,3 +77,21 @@ def test_the_check_finds_what_it_should():
     marked = "from .model import forward, init_params  # noqa: F401\n"
     assert unused_imports(marked, "trainer") == [(1, "init_params")]
     assert unused_imports(marked, "losses") == [(1, "forward"), (1, "init_params")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_module_imports_no_private_name(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_private_check_finds_what_it_should():
+    source = (
+        "from __future__ import annotations\n"
+        "from ._version import __version__\n"
+        "from .losses import GradMode, _chunks as chunks\n"
+        "from . import _private\n"
+        "from wtalkit.model import _embed\n"
+        "from numpy.linalg import _umath_linalg\n"
+        "import wtalkit.losses\n"
+    )
+    assert private_imports(source) == [(3, "_chunks"), (4, "_private"), (5, "_embed")]

@@ -20,6 +20,7 @@ import wtalkit.losses as losses_mod
 from oracles import (
     attention_factor_oracle,
     backward_oracle,
+    closed_form_attention_factors,
     finite_diff_oracle,
     packed_forward_oracle,
     video_losses_oracle,
@@ -32,12 +33,10 @@ from wtalkit.losses import (
     PAIR_WORK,
     GradMode,
     LossBreakdown,
-    NonFiniteForward,
     TinyInstance,
     backward,
     build_fd_loss,
     certify_gradients,
-    closed_form_attention_factors,
     compute_losses,
     continuity_targets,
     instance_margin,
@@ -48,6 +47,7 @@ from wtalkit.losses import (
 )
 from wtalkit.model import Hyperparams, ModelParams, embed, forward, init_params
 from wtalkit.synth import SynthConfig, TrainingVideo, generate, training_view
+from wtalkit.trainer import localize_dataset
 from wtalkit.ten import make_plan, tcb_forward_full
 from wtalkit.numerics import finite_diff_grad, gaussian_smooth, packed_windows, softmax
 
@@ -456,11 +456,26 @@ class TestPackedBatch:
         for bad in (3, 1):
             videos[bad].x_rgb[bad, 0] = np.nan
             with patch.object(losses_mod, "CHUNK_CELLS", budget), \
-                    pytest.raises(NonFiniteForward) as caught:
+                    pytest.raises(NumericError) as caught:
                 backward(videos, plan if ten else None, params, HP, GradMode.STANDARD)
-            assert caught.value.position == bad and caught.value.video_id is None
+            assert type(caught.value) is NumericError
             assert str(caught.value) == ("forward produced non-finite outputs "
-                                         f"at batch position {bad}")
+                                         f"at batch position {bad} (v{bad})")
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("budget", [1, CHUNK_CELLS])
+    def test_training_and_inference_name_a_poisoned_video_alike(self, budget):
+        videos, plan, params = ragged_batch([5, 3, 7, 4, 6], 2, 3, 6, 5)
+        videos[2].x_flow[6, 1] = np.inf
+        texts = []
+        with patch.object(losses_mod, "CHUNK_CELLS", budget):
+            for run in (lambda: backward(videos, None, params, HP, GradMode.BGES),
+                        lambda: backward(videos, plan, params, HP, GradMode.STANDARD),
+                        lambda: localize_dataset(videos, params, HP)):
+                with pytest.raises(NumericError) as caught:
+                    run()
+                texts.append(str(caught.value))
+        assert texts == ["forward produced non-finite outputs at batch position 2 (v2)"] * 3
 
 
 def drawn_plan(lengths, k, kind, rng):

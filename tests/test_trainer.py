@@ -137,6 +137,14 @@ class TestTrain:
             train(_videos(tiny_dataset), _cfg())
 
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_adam_blow_up_names_step_and_batch(self, tiny_dataset):
+        config = _cfg(learning_rate=1.7e308, weight_decay=1.0)
+        with pytest.raises(NumericError, match=r"^step 0 on batch \['train_\d+'.*\]: "
+                                               r"adam_step produced non-finite parameters$"):
+            train(_videos(tiny_dataset), config)
+
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_forward_names_step_and_batch(self, tiny_dataset):
         vids = _videos(tiny_dataset)
