@@ -54,15 +54,17 @@ def _config_path(args):
 
 
 def _writable(args, outputs: dict, inputs: dict) -> None:
-    """Refuse, before any work, an output path whose directory is missing,
-    that is itself a directory, or that resolves to the same file as an
-    input or another output. `outputs` and `inputs` map each flag to its
+    """Refuse, before any work, an output path that is empty, whose directory is
+    missing, that is itself a directory, or that resolves to the same file as
+    an input or another output. `outputs` and `inputs` map each flag to its
     path, None when not given; the config file is an input of every command."""
     taken = {os.path.realpath(path): flag
              for flag, path in {"the config": _config_path(args), **inputs}.items() if path}
     for flag, path in outputs.items():
-        if not path:
+        if path is None:
             continue
+        if not path:
+            raise FileNotFoundError(f"cannot write {flag}: the path is empty")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
         if os.path.isdir(path):
@@ -138,7 +140,7 @@ def cmd_gradcheck(args) -> int:
     if not args.tolerance >= 0:
         raise ConfigError(f"--tolerance must be >= 0, got {args.tolerance}")
     modes = CERTIFIED_MODES
-    if args.modes:
+    if args.modes is not None:
         modes = tuple(parse_mode(m, "--modes") for m in args.modes.split(","))
     for i, mode in enumerate(modes):
         if not mode.is_gradient:

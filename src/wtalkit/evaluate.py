@@ -35,15 +35,14 @@ def check_iou_thresholds(thresholds) -> tuple:
     return tuple(keys)
 
 
-def temporal_iou(seg_a, seg_b) -> float:
-    """IoU of two half-open spans (start, end)."""
+def temporal_iou(seg_a, seg_b):
+    """IoU of two half-open spans (start, end), or elementwise of two spans of arrays."""
     start_a, end_a = seg_a
     start_b, end_b = seg_b
-    if end_a <= start_a or end_b <= start_b:
+    if np.any(end_a <= start_a) or np.any(end_b <= start_b):
         raise ValueError(f"degenerate segment: {seg_a} vs {seg_b}")
-    inter = max(0, min(end_a, end_b) - max(start_a, start_b))
-    union = (end_a - start_a) + (end_b - start_b) - inter
-    return inter / union
+    inter = np.maximum(0, np.minimum(end_a, end_b) - np.maximum(start_a, start_b))
+    return inter / ((end_a - start_a) + (end_b - start_b) - inter)
 
 
 def _ap_table(video: np.ndarray, props, gt: np.ndarray, thresholds,
@@ -75,10 +74,7 @@ def _ap_table(video: np.ndarray, props, gt: np.ndarray, thresholds,
     pair_p = np.repeat(np.arange(cls.size), counts)
     group = lo[pair_p]
     pair_g = group + np.arange(pair_p.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    inter = np.maximum(0, np.minimum(end[pair_p], gt_end[pair_g])
-                       - np.maximum(start[pair_p], gt_start[pair_g]))
-    union = (end[pair_p] - start[pair_p]) + (gt_end[pair_g] - gt_start[pair_g]) - inter
-    iou = inter / union
+    iou = temporal_iou((start[pair_p], end[pair_p]), (gt_start[pair_g], gt_end[pair_g]))
     # a zero-IoU ground truth is never the best one; within a group, order the
     # pairs by proposal rank, then highest IoU, then ground-truth order
     live = np.flatnonzero(iou > 0)

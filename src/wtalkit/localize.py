@@ -1,10 +1,11 @@
 """Inference: from snippet scores to a final list of action proposals.
 
-Per video: video-level class selection, then for all predicted classes at
-once a fused localization score, runs at every threshold from one mask,
-outer-inner contrast scores from one cumulative sum, and per-class greedy NMS
-over the overlapping pairs. `trainer.localize_dataset` feeds it from the
-packed forward that training uses; `localize_video` runs the per-video one.
+Per video, from class-major (C+1, T) scores: video-level class selection,
+then for all predicted classes at once a fused localization score, runs at
+every threshold from one mask, outer-inner contrast scores from one
+cumulative sum, and per-class greedy NMS by `evaluate.temporal_iou` over the
+overlapping pairs. `trainer.localize_dataset` feeds it the packed forward's
+rows as they lie; `localize_video` transposes the per-video forward's.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from .container import atomic_write
 from .errors import DataFormatError
-# unused here, but bench/test_bench.py checks that its tracer patches this binding
-from .evaluate import temporal_iou  # noqa: F401
+from .evaluate import temporal_iou
 from .model import Hyperparams, ModelParams, forward
 from .numerics import softmax
 
@@ -31,30 +31,6 @@ class Proposals(NamedTuple):
     q: np.ndarray
     start: np.ndarray
     end: np.ndarray
-
-
-def fuse_scores(y_bar_c: np.ndarray, a: np.ndarray, epsilon: float) -> np.ndarray:
-    """Localization score: epsilon parts class probability, rest attention."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    y_bar_c = np.asarray(y_bar_c, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    if y_bar_c.shape != a.shape:
-        raise ValueError(f"fuse_scores: shapes {y_bar_c.shape} vs {a.shape}")
-    return epsilon * y_bar_c + (1.0 - epsilon) * a
-
-
-def predict_classes(p_fg: np.ndarray, rho_cls: float) -> list:
-    """Action classes with video-level probability >= rho_cls.
-
-    The background entry (last) never qualifies. An empty selection falls back
-    to the single best action class so every video stays scoreable.
-    """
-    action = np.asarray(p_fg, dtype=np.float64)[:-1]
-    chosen = [int(c) for c in np.flatnonzero(action >= rho_cls)]
-    if not chosen:
-        chosen = [int(np.argmax(action))]
-    return chosen
 
 
 def threshold_proposals(scores: np.ndarray, thresholds) -> tuple:
@@ -123,8 +99,7 @@ def nms(cls: np.ndarray, q: np.ndarray, start: np.ndarray, end: np.ndarray,
     count = stop - np.arange(1, cls.size + 1)
     i = np.repeat(np.arange(cls.size), count)
     u, v = by[i], by[i + 1 + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)]
-    inter = np.minimum(end[u], end[v]) - np.maximum(start[u], start[v])
-    over = inter / ((end[u] - start[u]) + (end[v] - start[v]) - inter) > iou_threshold
+    over = temporal_iou((start[u], end[u]), (start[v], end[v])) > iou_threshold
     better, worse = np.minimum(u, v)[over], np.maximum(u, v)[over]
     keep = np.ones(cls.size, dtype=bool)
     while True:
@@ -137,14 +112,24 @@ def nms(cls: np.ndarray, q: np.ndarray, start: np.ndarray, end: np.ndarray,
 
 def localize_scores(y: np.ndarray, a: np.ndarray, p_fg: np.ndarray,
                     hp: Hyperparams) -> Proposals:
-    """Proposals from precomputed per-snippet scores, best first.
+    """One video's proposals, best first, from class-major (C+1, T) logits
+    `y`, as `PackedForward.y` holds them, (T,) attention `a` and (C+1,)
+    video-level `p_fg`.
 
-    The fused scores of every predicted class are thresholded at every level
-    at once, and the runs scored as arrays before `nms`.
+    The predicted classes are the action classes with p_fg >= rho_cls, else
+    the best one; never the background entry (last). Each one's localization
+    score, epsilon parts class probability and the rest attention, is
+    thresholded at every level at once, and the runs scored before `nms`.
     """
-    classes = np.array(predict_classes(p_fg, hp.rho_cls), dtype=np.int64)
-    y_bar = softmax(np.asarray(y, dtype=np.float64), axis=1)[:, classes].T
-    s_l = fuse_scores(y_bar, np.broadcast_to(a, y_bar.shape), hp.epsilon)
+    y, a = np.asarray(y, dtype=np.float64), np.asarray(a, dtype=np.float64)
+    if y.shape != (len(p_fg), len(a)):
+        raise ValueError(f"localize_scores: y must be (C+1, T) = {(len(p_fg), len(a))}, "
+                         f"got {y.shape}")
+    action = np.asarray(p_fg, dtype=np.float64)[:-1]
+    classes = np.flatnonzero(action >= hp.rho_cls)
+    if not classes.size:
+        classes = np.array([np.argmax(action)])
+    s_l = hp.epsilon * softmax(y, axis=0)[classes] + (1.0 - hp.epsilon) * a
     row, start, end = threshold_proposals(s_l, hp.proposal_thresholds)
     cls, q = classes[row], score_spans(s_l, row, start, end)
     keep = nms(cls, q, start, end, hp.nms_iou)
@@ -155,7 +140,7 @@ def localize_video(x_rgb: np.ndarray, x_flow: np.ndarray, params: ModelParams,
                    hp: Hyperparams) -> Proposals:
     """Full inference for one video (Standard pooling, base branch only)."""
     out = forward(x_rgb, x_flow, params)
-    return localize_scores(out.y, out.a, out.p_fg, hp)
+    return localize_scores(out.y.T, out.a, out.p_fg, hp)
 
 
 def write_proposals(path, per_video: dict, frames_per_snippet: int = 0,

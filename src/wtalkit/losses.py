@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .model import (
     NORMALIZER_FLOOR,
     Hyperparams,
@@ -666,13 +666,16 @@ def certify_gradients(num_instances: int = 20, tolerance: float = 1e-5,
     block ("rgb.w_att", ...) whose analytic gradient is negated before
     comparison; a certification that still passes with a flipped block
     would prove the harness toothless, so the hook exists for exactly that
-    self-test.
+    self-test. An unknown name is a ConfigError before any instance is drawn.
     """
     if num_instances < 1:
         raise ValueError(f"certify_gradients: num_instances must be >= 1, got {num_instances}")
     for mode in modes:
         if not mode.is_gradient:
             raise ValueError(f"certify_gradients: {mode.value} is not the gradient of a loss")
+    blocks = dict(ModelParams.zeros(TINY_D, TINY_E, TINY_C, TINY_K).blocks())
+    if flip_block is not None and flip_block not in blocks:
+        raise ConfigError(f"flip_block: no parameter block {flip_block!r}")
     hp = Hyperparams()
     results = []
     for mode in modes:
@@ -686,10 +689,8 @@ def certify_gradients(num_instances: int = 20, tolerance: float = 1e-5,
             accepted += 1
             analytic, _ = backward([inst], inst.plan, inst.params, hp, mode)
             if flip_block is not None:
-                blocks = dict(inst.params.from_vector(analytic).blocks())
-                if flip_block not in blocks:
-                    raise ValueError(f"flip_block: no parameter block {flip_block!r}")
-                np.negative(blocks[flip_block], out=blocks[flip_block])
+                block = dict(inst.params.from_vector(analytic).blocks())[flip_block]
+                np.negative(block, out=block)
             numeric = finite_diff_grad(build_fd_loss(inst, hp, mode),
                                        inst.params.to_vector(), fd_epsilon)
             # the denominator floor keeps central-difference roundoff

@@ -251,19 +251,19 @@ def cas(xe: np.ndarray, mod: ModalityParams) -> np.ndarray:
     """Snippet-level class activation scores (raw logits, background last)."""
     if xe.shape[-1] != mod.w_cls.shape[-2]:
         raise ValueError(f"cas: embedding dim {xe.shape[-1]} != {mod.w_cls.shape[-2]}")
-    return xe @ mod.w_cls + mod.b_cls[..., None, :]
+    return xe @ mod.w_cls + mod.b_cls
 
 
 def attention(xe: np.ndarray, mod: ModalityParams) -> np.ndarray:
     """Class-agnostic per-snippet foreground probability in (0, 1)."""
     if xe.shape[-1] != mod.w_att.shape[-1]:
         raise ValueError(f"attention: embedding dim {xe.shape[-1]} != {mod.w_att.shape[-1]}")
-    return sigmoid((xe @ mod.w_att[..., None])[..., 0] + np.expand_dims(mod.b_att, -1))
+    return sigmoid(xe @ mod.w_att + mod.b_att)
 
 
 def pool(y: np.ndarray, a: np.ndarray, bges: bool = False):
-    """Attention-weighted video-level pooling over the snippet axis, for
-    (T, C+1) scores and (T,) attention with any common leading axes.
+    """Video-level pooling of (T, C+1) snippet scores, weighted by (T,)
+    attention.
 
     The foreground aggregate is divided by N_f; the background aggregate by
     N_b, or by N_f when `bges` is set. Returns (p_fg, p_bg, z_fg, z_bg, n_f,
@@ -271,16 +271,14 @@ def pool(y: np.ndarray, a: np.ndarray, bges: bool = False):
     """
     y = np.asarray(y, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
-    if y.ndim < 2 or y.shape[:-1] != a.shape:
+    if y.ndim != 2 or y.shape[:1] != a.shape:
         raise ValueError(f"pool: incompatible shapes y {y.shape}, a {a.shape}")
-    if y.shape[-2] == 0:
+    if y.shape[0] == 0:
         raise ValueError("pool: empty sequence")
-    n_f = np.maximum(a.sum(axis=-1), NORMALIZER_FLOOR)
-    n_b = np.maximum((1.0 - a).sum(axis=-1), NORMALIZER_FLOOR)
-    denom = n_f if bges else n_b
-    # a (1, T) row times y per point: the one-point product's BLAS call
-    z_fg = (a[..., None, :] @ y)[..., 0, :] / n_f[..., None]
-    z_bg = ((1.0 - a)[..., None, :] @ y)[..., 0, :] / denom[..., None]
+    n_f = np.maximum(a.sum(), NORMALIZER_FLOOR)
+    n_b = np.maximum((1.0 - a).sum(), NORMALIZER_FLOOR)
+    z_fg = a @ y / n_f
+    z_bg = (1.0 - a) @ y / (n_f if bges else n_b)
     return softmax(z_fg), softmax(z_bg), z_fg, z_bg, n_f, n_b
 
 

@@ -141,7 +141,7 @@ def localize_dataset(records: list, params: ModelParams, hp: Hyperparams) -> dic
     for lo, hi, out in packed_chunks(records, None, params):
         for r, start, t, p_fg in zip(records[lo:hi], out.starts, out.lengths, out.p_fg.T):
             rows = slice(start, start + t)
-            proposals[r.video_id] = localize_scores(out.y[:, rows].T, out.a[rows], p_fg, hp)
+            proposals[r.video_id] = localize_scores(out.y[:, rows], out.a[rows], p_fg, hp)
         del out  # before the next chunk's forward
     return proposals
 

@@ -425,6 +425,23 @@ class TestGradcheck:
         assert out == ""
         assert err == f"config error: {message}\n"
 
+    def test_empty_mode_list_is_config_error(self, monkeypatch, capsys):
+        TestDirectoryAsPath._no_work(monkeypatch, "certify_gradients")
+        assert main(["gradcheck", "--instances", "1", "--modes", ""]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: --modes: '' is not one of ['bges', 'bvl',")
+
+    def test_unknown_injected_block_is_config_error_before_any_instance(self, monkeypatch,
+                                                                        capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("an instance was drawn before the block was refused")
+        monkeypatch.setattr(losses_mod, "make_tiny_instance", never)
+        assert main(["gradcheck", "--instances", "1", "--inject-bug", "rgb.w_nope"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: flip_block: no parameter block 'rgb.w_nope'\n"
+
     def test_help_names_the_default_modes(self, capsys):
         assert main(["gradcheck", "--help"]) == 0
         assert "default standard,bges,bvl,bvl+bges" in " ".join(capsys.readouterr().out.split())
@@ -584,6 +601,32 @@ class TestDirectoryAsPath:
         self._refused(["--config", ini, "gen", "--out", str(folder)],
                       f"cannot write {folder / 'test.bin'}: it is a directory", capsys)
         assert sorted(p.name for p in folder.iterdir()) == ["test.bin"]
+
+
+class TestEmptyOutputPath:
+    """An output flag given as '' is a data error (exit 2) naming the flag,
+    raised before any work, as an empty --config is a config error."""
+
+    @pytest.mark.parametrize("command, flag", [("train", "--out"), ("train", "--log"),
+                                               ("localize", "--out"), ("eval", "--out"),
+                                               ("ablate", "--out")])
+    def test_refused_before_any_work(self, command, flag, tmp_path, ini, data_dir,
+                                     monkeypatch, capsys):
+        TestDirectoryAsPath._no_work(monkeypatch, "train", "localize_dataset",
+                                     "evaluate", "ablate")
+        train, test = str(data_dir / "train.bin"), str(data_dir / "test.bin")
+        ckpt, props = tmp_path / "m.ckpt", tmp_path / "p.tsv"
+        save_checkpoint(ckpt, init_params(np.random.default_rng(0), 8, 8, 3))
+        props.write_text("# video_id class q start end\n")
+        inputs = {"train": ["--data", train],
+                  "localize": ["--checkpoint", str(ckpt), "--data", test],
+                  "eval": ["--proposals", str(props), "--data", test],
+                  "ablate": ["--data", train, "--test", test]}[command]
+        capsys.readouterr()
+        assert main(["--config", ini, command, *inputs, flag, ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"data error: cannot write {flag}: the path is empty\n"
 
 
 class TestOutputNamesAnotherFile:

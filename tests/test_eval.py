@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ap_oracle, evaluate_oracle
+from oracles import ap_oracle, evaluate_oracle, iou_oracle
 from wtalkit.evaluate import (
     AVERAGE_RANGES,
     DEFAULT_IOU_THRESHOLDS,
@@ -33,6 +33,8 @@ class TestTemporalIou:
     def test_degenerate(self):
         with pytest.raises(ValueError):
             temporal_iou((3, 3), (0, 1))
+        with pytest.raises(ValueError, match="degenerate segment"):  # one pair of arrays
+            temporal_iou((np.array([0, 4]), np.array([2, 4])), (np.array([1, 1]), np.array([3, 5])))
 
     @given(st.tuples(st.integers(0, 50), st.integers(1, 20)),
            st.tuples(st.integers(0, 50), st.integers(1, 20)))
@@ -44,6 +46,16 @@ class TestTemporalIou:
         assert iou == temporal_iou(seg_b, seg_a)
         assert 0.0 <= iou <= 1.0
         assert (iou == 1.0) == (seg_a == seg_b)
+
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 15),
+                              st.integers(0, 40), st.integers(1, 15)), min_size=1, max_size=30))
+    @settings(max_examples=100, derandomize=True)
+    def test_arrays_match_the_oracle_elementwise(self, spans):
+        # starts up to 40 and lengths up to 15: disjoint pairs are common
+        sa, na, sb, nb = (np.array(col, dtype=np.int64) for col in zip(*spans))
+        got = temporal_iou((sa, sa + na), (sb, sb + nb))
+        want = [iou_oracle((a, a + m), (b, b + n)) for a, m, b, n in spans]
+        assert got.tolist() == want
 
 
 class TestAveragePrecision:

@@ -10,7 +10,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wtalkit"
 # (module, name) of the bindings that bench/test_bench.py checks its tracer
 # patches; their modules import them without reading them
-TRACER_BINDINGS = {("trainer", "forward"), ("localize", "temporal_iou")}
+TRACER_BINDINGS = {("trainer", "forward")}
 
 
 def unused_imports(source: str, module: str = "") -> list:

@@ -1,4 +1,5 @@
-"""Proposal generation: score fusion, runs, contrast scoring, NMS, file I/O."""
+"""Proposal generation: class selection, score fusion, runs, contrast scoring,
+NMS, file I/O."""
 
 import numpy as np
 import pytest
@@ -10,11 +11,9 @@ from wtalkit.errors import DataFormatError
 from wtalkit.evaluate import evaluate, temporal_iou
 from wtalkit.localize import (
     Proposals,
-    fuse_scores,
     localize_scores,
     localize_video,
     nms,
-    predict_classes,
     read_proposals,
     score_spans,
     threshold_proposals,
@@ -27,52 +26,81 @@ unit = st.floats(min_value=0.0, max_value=1.0)
 
 
 class TestFuseScores:
+    """The localization score that `localize_scores` thresholds: epsilon parts
+    class probability, the rest attention."""
+
+    # classes 0 and 1 of a (C+1, T) = (3, 6) video, then background
+    Y = np.array([[3.0, 3.0, -3.0, -3.0, 3.0, -3.0],
+                  [-3.0, 2.0, 2.0, -3.0, -3.0, -3.0],
+                  [0.0, 0.0, 0.0, 4.0, 0.0, 4.0]])
+    P_FG = np.array([0.5, 0.3, 0.2])
+
     def test_epsilon_one_is_class_score(self):
-        y = np.array([0.2, 0.8])
-        a = np.array([0.5, 0.5])
-        np.testing.assert_array_equal(fuse_scores(y, a, 1.0), y)
+        hp = Hyperparams(epsilon=1.0)
+        got = localize_scores(self.Y, np.full(6, 0.9), self.P_FG, hp)
+        assert got.cls.size > 0
+        assert _rows(localize_scores(self.Y, np.full(6, 0.1), self.P_FG, hp)) == _rows(got)
 
     def test_epsilon_zero_is_attention(self):
-        y = np.array([0.2, 0.8])
-        a = np.array([0.5, 0.5])
-        np.testing.assert_array_equal(fuse_scores(y, a, 0.0), a)
+        hp = Hyperparams(epsilon=0.0)
+        a = np.array([0.9, 0.9, 0.1, 0.1, 0.8, 0.1])
+        got = localize_scores(self.Y, a, self.P_FG, hp)
+        assert got.cls.size > 0
+        assert _rows(localize_scores(-self.Y, a, self.P_FG, hp)) == _rows(got)
 
     def test_midpoint(self):
-        out = fuse_scores(np.array([0.8]), np.array([0.6]), 0.5)
-        assert out[0] == pytest.approx(0.7, abs=1e-12)
+        # one snippet: its whole-sequence run scores its fused score alone
+        y = np.log(np.array([[0.8], [0.2]]))
+        got = localize_scores(y, np.array([0.6]), np.array([0.9, 0.1]), Hyperparams())
+        assert got.cls.tolist() == [0]
+        assert got.q[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_epsilon_out_of_range(self):
-        with pytest.raises(ValueError):
-            fuse_scores(np.zeros(2), np.zeros(2), 1.5)
+        with pytest.raises(ValueError, match="epsilon"):
+            Hyperparams(epsilon=1.5)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            fuse_scores(np.zeros(2), np.zeros(3), 0.5)
+        with pytest.raises(ValueError, match=r"y must be \(C\+1, T\) = \(3, 7\), got \(3, 6\)"):
+            localize_scores(self.Y, np.zeros(7), self.P_FG, Hyperparams())
 
-    @given(st.lists(st.tuples(unit, unit), min_size=1, max_size=8), unit)
+    @given(st.lists(st.tuples(st.floats(-5, 5), unit), min_size=1, max_size=8), unit)
     @settings(max_examples=50)
     def test_stays_in_unit_interval(self, pairs, eps):
-        y = np.array([p[0] for p in pairs])
+        # fused scores in [0, 1] bound every outer-inner contrast by 1
+        y = np.array([[p[0] for p in pairs], [0.0] * len(pairs)])
         a = np.array([p[1] for p in pairs])
-        out = fuse_scores(y, a, eps)
-        assert np.all(out >= 0.0) and np.all(out <= 1.0)
+        got = localize_scores(y, a, np.array([1.0, 0.0]), Hyperparams(epsilon=eps))
+        assert np.all(np.abs(got.q) <= 1.0)
+        assert np.all((0 <= got.start) & (got.end <= len(pairs)))
+
+
+def _selected(p_fg):
+    """The classes `localize_scores` predicts for video-level `p_fg`: at
+    epsilon 0 with attention 1, each gives one whole-video proposal."""
+    p_fg = np.array(p_fg)
+    got = localize_scores(np.zeros((p_fg.size, 3)), np.ones(3), p_fg,
+                          Hyperparams(epsilon=0.0, rho_cls=0.1))
+    assert got.start.tolist() == [0] * got.cls.size and got.end.tolist() == [3] * got.cls.size
+    return got.cls.tolist()
 
 
 class TestPredictClasses:
+    """Class selection in `localize_scores`: action classes with p_fg >=
+    rho_cls, else the best action class; never the background entry."""
+
     def test_over_threshold(self):
-        assert predict_classes(np.array([0.05, 0.7, 0.05, 0.2]), 0.1) == [1]
+        assert _selected([0.05, 0.7, 0.05, 0.2]) == [1]
 
     def test_background_never_selected(self):
         # last entry is background, dominant here; argmax fallback picks an
         # action class
-        assert predict_classes(np.array([0.05, 0.04, 0.03, 0.88]), 0.1) == [0]
+        assert _selected([0.05, 0.04, 0.03, 0.88]) == [0]
 
     def test_fallback_to_argmax(self):
-        assert predict_classes(np.array([0.02, 0.06, 0.04, 0.88]), 0.1) == [1]
+        assert _selected([0.02, 0.06, 0.04, 0.88]) == [1]
 
     def test_multiple(self):
-        got = predict_classes(np.array([0.3, 0.05, 0.4, 0.25]), 0.1)
-        assert got == [0, 2]
+        assert _selected([0.3, 0.05, 0.4, 0.25]) == [0, 2]
 
 
 def _runs(s, thresholds):
@@ -261,7 +289,7 @@ def _empty(props):
 class TestLocalizeScores:
     def test_small_pipeline(self):
         # class 0 hot on the first two snippets, everything else cold
-        y = np.array([[4.0, -4, -4], [4.0, -4, -4], [-4, -4, 4.0], [-4, -4, 4.0]])
+        y = np.array([[4.0, -4, -4], [4.0, -4, -4], [-4, -4, 4.0], [-4, -4, 4.0]]).T
         a = np.array([0.95, 0.95, 0.02, 0.02])
         p_fg = np.array([0.8, 0.05, 0.15])
         got = localize_scores(y, a, p_fg, Hyperparams())
@@ -272,7 +300,7 @@ class TestLocalizeScores:
         assert np.all(np.diff(got.q) <= 0)
 
     def test_all_cold_video_is_empty(self):
-        y = np.zeros((4, 3))
+        y = np.zeros((3, 4))
         a = np.full(4, 0.01)
         p_fg = np.array([0.5, 0.3, 0.2])
         # fused score maxes at 0.5*(1/3) + 0.5*0.01 < 0.18; pick thresholds
@@ -282,16 +310,22 @@ class TestLocalizeScores:
 
     def test_background_class_never_emitted(self):
         rng = np.random.default_rng(0)
-        y = rng.normal(size=(12, 4))
+        y = rng.normal(size=(4, 12))
         a = rng.uniform(size=12)
         p_fg = np.array([0.3, 0.3, 0.3, 0.1])
         got = localize_scores(y, a, p_fg, Hyperparams())
         assert np.all((0 <= got.cls) & (got.cls < 3))
 
+    def test_time_major_scores_refused(self):
+        # (T, C+1) is the per-video forward's layout, not the packed one's
+        y = np.zeros((5, 3))
+        with pytest.raises(ValueError, match=r"y must be \(C\+1, T\) = \(3, 5\), got \(5, 3\)"):
+            localize_scores(y, np.full(5, 0.5), np.array([0.5, 0.3, 0.2]), Hyperparams())
+
 
 def _one_hot_cas(winners, num_classes):
-    """CAS logits whose softmax is exactly one-hot: the winner of each
-    snippet at 0, every other class 1000 below (exp underflows to 0)."""
+    """(T, C+1) CAS logits whose softmax is exactly one-hot: the winner of
+    each snippet at 0, every other class 1000 below (exp underflows to 0)."""
     y = np.full((len(winners), num_classes + 1), -1000.0)
     y[np.arange(len(winners)), winners] = 0.0
     return y
@@ -299,22 +333,26 @@ def _one_hot_cas(winners, num_classes):
 
 @st.composite
 def exact_scores(draw):
-    """(y, a, p_fg, nms_iou) whose fused scores are multiples of 1/128: the
-    softmaxed CAS is one-hot and attention a multiple of 1/64, so every sum
-    is exact and the scalar and array paths round identically."""
+    """(y, a, p_fg, nms_iou, epsilon, rho_cls) whose fused scores are
+    multiples of 1/128: the softmaxed CAS is one-hot, attention a multiple of
+    1/64 and epsilon 0, 1/2 or 1, so every sum is exact and the scalar and
+    array paths round identically."""
     c = draw(st.integers(1, 3))
     t = draw(st.integers(1, 30))
     y = _one_hot_cas(draw(st.lists(st.integers(0, c), min_size=t, max_size=t)), c)
     a = np.array(draw(st.lists(st.integers(0, 64), min_size=t, max_size=t))) / 64.0
     p_fg = np.array(draw(st.lists(st.sampled_from([0.0, 0.05, 0.25, 0.5]),
                                   min_size=c + 1, max_size=c + 1)))
-    return y, a, p_fg, draw(st.sampled_from([0.3, 0.5, 0.7]))
+    return (y, a, p_fg, draw(st.sampled_from([0.3, 0.5, 0.7])),
+            draw(st.sampled_from([0.0, 0.5, 1.0])), draw(st.sampled_from([0.0, 0.1, 0.25, 1.0])))
 
 
-def _same_as_oracle(y, a, p_fg, nms_iou):
-    hp = Hyperparams(nms_iou=nms_iou)
+def _same_as_oracle(y, a, p_fg, nms_iou, epsilon=0.5, rho_cls=0.1):
+    """`localize_scores` on the transpose of the (T, C+1) `y` against
+    `proposals_oracle` on `y`."""
+    hp = Hyperparams(nms_iou=nms_iou, epsilon=epsilon, rho_cls=rho_cls)
     got = [(cls, start, end, q) for cls, q, start, end in
-           _rows(localize_scores(y, a, p_fg, hp))]
+           _rows(localize_scores(y.T, a, p_fg, hp))]
     want = [(cls, start, end, q) for cls, q, start, end in proposals_oracle(
         y, a, p_fg, hp.proposal_thresholds, hp.rho_cls, hp.epsilon, nms_iou)]
     assert [g[:3] for g in got] == [w[:3] for w in want]
@@ -355,7 +393,7 @@ class TestAgainstScalarOracle:
         y = _one_hot_cas([2, 0, 2, 2, 0, 2], 2)
         y[:, 1] = y[:, 0]  # classes 0 and 1 tie on every snippet
         got = _same_as_oracle(y, np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0]),
-                              np.array([0.4, 0.4, 0.0, 0.2]), 0.5)
+                              np.array([0.4, 0.4, 0.2]), 0.5)
         best = [(cls, start) for cls, start, _, q in got if q == got[0][3]]
         assert best == [(0, 1), (1, 1), (0, 4), (1, 4)]
 
