@@ -5,60 +5,13 @@ video-level labels only, supports several background-gradient training
 strategies, and evaluates localization quality with mAP over IoU thresholds.
 Everything runs on plain numpy; gradients are hand-derived and certified
 against finite differences.
+
+The package root binds one name, `read_dataset`, because callers outside
+the package read datasets through it. Everything else is imported from its
+defining module (`wtalkit.losses.certify_gradients`, `wtalkit.evaluate`,
+...), so each function has one binding and each submodule name is the module.
 """
 
-from .errors import ConfigError, DataFormatError, NumericError
-from .evaluate import (
-    DEFAULT_IOU_THRESHOLDS,
-    EvalReport,
-    average_precision,
-    evaluate,
-    temporal_iou,
-)
-from .localize import Proposals, localize_scores, localize_video
-from .losses import (
-    CERTIFIED_MODES,
-    CertificationResult,
-    GradMode,
-    LossBreakdown,
-    backward,
-    certify_gradients,
-)
-from .model import Hyperparams, ModelParams, forward, init_params
-from .synth import SynthConfig, VideoRecord, generate, read_dataset, write_dataset
-from .ten import make_plan
-from .trainer import RunConfig, TrainResult, ablate, train
+from .synth import read_dataset
 
-__all__ = [
-    "CERTIFIED_MODES",
-    "CertificationResult",
-    "ConfigError",
-    "DEFAULT_IOU_THRESHOLDS",
-    "DataFormatError",
-    "EvalReport",
-    "GradMode",
-    "Hyperparams",
-    "LossBreakdown",
-    "ModelParams",
-    "NumericError",
-    "Proposals",
-    "RunConfig",
-    "SynthConfig",
-    "TrainResult",
-    "VideoRecord",
-    "ablate",
-    "average_precision",
-    "backward",
-    "certify_gradients",
-    "evaluate",
-    "forward",
-    "generate",
-    "init_params",
-    "localize_scores",
-    "localize_video",
-    "make_plan",
-    "read_dataset",
-    "temporal_iou",
-    "train",
-    "write_dataset",
-]
+__all__ = ["read_dataset"]

@@ -54,17 +54,20 @@ def _config_path(args):
 
 
 def _writable(args, outputs: dict, inputs: dict) -> None:
-    """Refuse, before any work, an output path that is empty, whose directory is
-    missing, that is itself a directory, or that resolves to the same file as
-    an input or another output. `outputs` and `inputs` map each flag to its
-    path, None when not given; the config file is an input of every command."""
+    """Refuse, before any work, an input or output path that is empty, and an
+    output path whose directory is missing, that is itself a directory, or
+    that resolves to the same file as an input or another output. `outputs`
+    and `inputs` map each flag to its path, None when not given; the config
+    file is an input of every command."""
+    for flag, path in {**inputs, **outputs}.items():
+        if path == "":
+            verb = "write" if flag in outputs else "read"
+            raise FileNotFoundError(f"cannot {verb} {flag}: the path is empty")
     taken = {os.path.realpath(path): flag
              for flag, path in {"the config": _config_path(args), **inputs}.items() if path}
     for flag, path in outputs.items():
         if path is None:
             continue
-        if not path:
-            raise FileNotFoundError(f"cannot write {flag}: the path is empty")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
         if os.path.isdir(path):
@@ -87,6 +90,8 @@ def _given(settings, **flags):
 
 
 def cmd_gen(args) -> int:
+    if not args.out:
+        raise FileNotFoundError("cannot write --out: the path is empty")
     cfg = _load(args)
     synth = _given(cfg.synth, seed=args.seed, confound_strength=args.confound,
                    noise_sigma=args.noise)
@@ -133,21 +138,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.instances < 1:
-        raise ConfigError(f"--instances must be >= 1, got {args.instances}")
-    if not 0 < args.eps < float("inf"):
-        raise ConfigError(f"--eps must be finite and > 0, got {args.eps}")
-    if not args.tolerance >= 0:
-        raise ConfigError(f"--tolerance must be >= 0, got {args.tolerance}")
     modes = CERTIFIED_MODES
     if args.modes is not None:
         modes = tuple(parse_mode(m, "--modes") for m in args.modes.split(","))
-    for i, mode in enumerate(modes):
-        if not mode.is_gradient:
-            raise ConfigError(f"--modes: {mode.value} is not the gradient of a loss, "
-                              "so it cannot be certified")
-        if mode in modes[:i]:
-            raise ConfigError(f"--modes: {mode.value} is named twice")
     results = certify_gradients(num_instances=args.instances,
                                 tolerance=args.tolerance,
                                 modes=modes, fd_epsilon=args.eps,

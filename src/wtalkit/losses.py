@@ -29,6 +29,8 @@ the continuity targets held at the base point. `packed_forward` broadcasts
 over a leading parameter-point axis, so the oracle evaluates its 2P points
 in two calls, each point rounding as it would alone. The per-video `forward`
 serves the kink filter `instance_margin`, which reads pre-activations.
+`certify_gradients` is the one statement of the certificate's argument
+rules; `wtalkit gradcheck` passes its flags through and prints its refusals.
 """
 
 from __future__ import annotations
@@ -661,18 +663,30 @@ def certify_gradients(num_instances: int = 20, tolerance: float = 1e-5,
                       fd_epsilon: float = 1e-5, flip_block: str | None = None) -> list:
     """Compare analytic and central-difference gradients on tiny instances.
 
-    Returns one CertificationResult per (mode, instance), of at least one
-    instance; every mode must be a gradient. `flip_block` names a parameter
-    block ("rgb.w_att", ...) whose analytic gradient is negated before
-    comparison; a certification that still passes with a flipped block
-    would prove the harness toothless, so the hook exists for exactly that
-    self-test. An unknown name is a ConfigError before any instance is drawn.
+    Returns one CertificationResult per (mode, instance). `flip_block` names
+    a parameter block ("rgb.w_att", ...) whose analytic gradient is negated
+    before comparison; a certification that still passes with a flipped
+    block would prove the harness toothless, so the hook exists for exactly
+    that self-test. Before any instance is drawn, a ConfigError refuses
+    fewer than one instance, an `fd_epsilon` that is not finite and > 0, a
+    `tolerance` that is not finite and >= 0 (an infinite one passes every
+    gradient), an empty `modes` or one naming a mode twice or a mode that is
+    not a gradient, and an unknown `flip_block`.
     """
     if num_instances < 1:
-        raise ValueError(f"certify_gradients: num_instances must be >= 1, got {num_instances}")
-    for mode in modes:
+        raise ConfigError(f"num_instances must be >= 1, got {num_instances}")
+    if not 0 < fd_epsilon < np.inf:
+        raise ConfigError(f"fd_epsilon must be finite and > 0, got {fd_epsilon}")
+    if not 0 <= tolerance < np.inf:
+        raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance}")
+    if not modes:
+        raise ConfigError("modes: no mode is named")
+    for i, mode in enumerate(modes):
         if not mode.is_gradient:
-            raise ValueError(f"certify_gradients: {mode.value} is not the gradient of a loss")
+            raise ConfigError(f"modes: {mode.value} is not the gradient of a loss, "
+                              "so it cannot be certified")
+        if mode in modes[:i]:
+            raise ConfigError(f"modes: {mode.value} is named twice")
     blocks = dict(ModelParams.zeros(TINY_D, TINY_E, TINY_C, TINY_K).blocks())
     if flip_block is not None and flip_block not in blocks:
         raise ConfigError(f"flip_block: no parameter block {flip_block!r}")

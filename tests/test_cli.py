@@ -411,19 +411,28 @@ class TestGradcheck:
         assert out == ""
         assert "config error: --modes: 'bogus' is not one of ['bges', 'bvl'," in err
 
-    @pytest.mark.parametrize("modes, message", [
-        ("grl", "--modes: grl is not the gradient of a loss, so it cannot be certified"),
-        ("standard,grl", "--modes: grl is not the gradient of a loss, so it cannot be certified"),
-        ("bges,bges", "--modes: bges is named twice"),
-        ("bges,standard,bges", "--modes: bges is named twice"),
-    ])
-    def test_mode_that_cannot_be_certified_once_is_config_error(self, modes, message,
-                                                                monkeypatch, capsys):
-        TestDirectoryAsPath._no_work(monkeypatch, "certify_gradients")
-        assert main(["gradcheck", "--instances", "1", "--modes", modes]) == 1
+    @staticmethod
+    def _no_instance(monkeypatch):
+        def never(seed):
+            raise AssertionError("an instance was drawn before the arguments were refused")
+        monkeypatch.setattr(losses_mod, "make_tiny_instance", never)
+
+    def _refused(self, argv, message, monkeypatch, capsys):
+        self._no_instance(monkeypatch)
+        assert main(["gradcheck", *argv]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("modes, message", [
+        ("grl", "modes: grl is not the gradient of a loss, so it cannot be certified"),
+        ("standard,grl", "modes: grl is not the gradient of a loss, so it cannot be certified"),
+        ("bges,bges", "modes: bges is named twice"),
+        ("bges,standard,bges", "modes: bges is named twice"),
+    ])
+    def test_mode_that_cannot_be_certified_once_is_config_error(self, modes, message,
+                                                                monkeypatch, capsys):
+        self._refused(["--instances", "1", "--modes", modes], message, monkeypatch, capsys)
 
     def test_empty_mode_list_is_config_error(self, monkeypatch, capsys):
         TestDirectoryAsPath._no_work(monkeypatch, "certify_gradients")
@@ -434,40 +443,41 @@ class TestGradcheck:
 
     def test_unknown_injected_block_is_config_error_before_any_instance(self, monkeypatch,
                                                                         capsys):
-        def never(*args, **kwargs):
-            raise AssertionError("an instance was drawn before the block was refused")
-        monkeypatch.setattr(losses_mod, "make_tiny_instance", never)
-        assert main(["gradcheck", "--instances", "1", "--inject-bug", "rgb.w_nope"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "config error: flip_block: no parameter block 'rgb.w_nope'\n"
+        self._refused(["--instances", "1", "--inject-bug", "rgb.w_nope"],
+                      "flip_block: no parameter block 'rgb.w_nope'", monkeypatch, capsys)
 
     def test_help_names_the_default_modes(self, capsys):
         assert main(["gradcheck", "--help"]) == 0
         assert "default standard,bges,bvl,bvl+bges" in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("instances", ["0", "-2"])
-    def test_instances_below_one_is_config_error(self, instances, capsys):
-        assert main(["gradcheck", "--instances", instances]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"config error: --instances must be >= 1, got {instances}" in err
-
+    def test_instances_below_one_is_config_error(self, instances, monkeypatch, capsys):
+        self._refused(["--instances", instances],
+                      f"num_instances must be >= 1, got {instances}", monkeypatch, capsys)
 
     @pytest.mark.parametrize("eps", ["0", "-1e-5", "nan", "inf"])
-    def test_bad_step_is_config_error_before_any_certification(self, eps, capsys):
-        assert main(["gradcheck", "--instances", "1", f"--eps={eps}"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"config error: --eps must be finite and > 0, got {float(eps)}" in err
+    def test_bad_step_is_config_error_before_any_certification(self, eps, monkeypatch,
+                                                              capsys):
+        self._refused(["--instances", "1", f"--eps={eps}"],
+                      f"fd_epsilon must be finite and > 0, got {float(eps)}",
+                      monkeypatch, capsys)
 
     @pytest.mark.parametrize("tolerance", ["-1", "nan"])
     def test_bad_tolerance_is_config_error_before_any_certification(self, tolerance,
-                                                                    capsys):
-        assert main(["gradcheck", "--instances", "1", f"--tolerance={tolerance}"]) == 1
+                                                                    monkeypatch, capsys):
+        self._refused(["--instances", "1", f"--tolerance={tolerance}"],
+                      f"tolerance must be finite and >= 0, got {float(tolerance)}",
+                      monkeypatch, capsys)
+
+    def test_infinite_tolerance_cannot_pass_a_negated_block(self, capsys):
+        # every relative error is below inf, so the certificate would pass
+        # with the attention weights' gradient negated
+        argv = ["gradcheck", "--tolerance", "inf", "--inject-bug", "rgb.w_att",
+                "--modes", "standard"]
+        assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"config error: --tolerance must be >= 0, got {float(tolerance)}" in err
+        assert err == "config error: tolerance must be finite and >= 0, got inf\n"
 
 
 class TestMissingOutputDirectory:
@@ -627,6 +637,41 @@ class TestEmptyOutputPath:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"data error: cannot write {flag}: the path is empty\n"
+
+
+class TestEmptyInputPath:
+    """An input flag given as '', or `gen --out ''`, is a data error (exit 2)
+    naming the flag, raised before any file is read or written."""
+
+    def _refused(self, argv, message, tmp_path, monkeypatch, capsys):
+        TestDirectoryAsPath._no_work(monkeypatch, "read_dataset", "load_checkpoint",
+                                     "read_proposals", "generate", "train",
+                                     "localize_dataset", "evaluate", "ablate")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"data error: {message}\n"
+        assert os.listdir(tmp_path) == ["tiny.ini"]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--data"), ("localize", "--checkpoint"), ("localize", "--data"),
+        ("eval", "--proposals"), ("eval", "--data"), ("ablate", "--data"),
+        ("ablate", "--test")])
+    def test_refused_before_any_read(self, command, flag, tmp_path, ini, monkeypatch,
+                                     capsys):
+        argv = {"train": ["--data", "d.bin", "--out", "m.ckpt"],
+                "localize": ["--checkpoint", "m.ckpt", "--data", "d.bin", "--out", "p.tsv"],
+                "eval": ["--proposals", "p.tsv", "--data", "d.bin", "--out", "r.csv"],
+                "ablate": ["--data", "d.bin", "--test", "t.bin", "--out", "a.csv"]}[command]
+        argv[argv.index(flag) + 1] = ""
+        self._refused(["--config", ini, command, *argv],
+                      f"cannot read {flag}: the path is empty", tmp_path, monkeypatch, capsys)
+
+    def test_gen_out(self, tmp_path, ini, monkeypatch, capsys):
+        # os.path.join('', 'train.bin') would write into the working directory
+        self._refused(["--config", ini, "gen", "--out", ""],
+                      "cannot write --out: the path is empty", tmp_path, monkeypatch, capsys)
 
 
 class TestOutputNamesAnotherFile:

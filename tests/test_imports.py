@@ -1,8 +1,11 @@
 """Every import in the package is used, the stdlib-`ast` check that a linter's
-unused-import rule (F401) would make, and no package module imports another
-module's private (`_`-prefixed) name."""
+unused-import rule (F401) would make, no package module imports another
+module's private (`_`-prefixed) name, and the package root binds only the
+names of its `__all__`."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -95,3 +98,41 @@ def test_the_private_check_finds_what_it_should():
         "import wtalkit.losses\n"
     )
     assert private_imports(source) == [(3, "_chunks"), (4, "_private"), (5, "_embed")]
+
+
+def foreign_root_bindings(package: types.ModuleType) -> list:
+    """Sorted names that the package root binds beyond its `__all__`, its
+    submodules (each under its own name) and dunders, so that a re-export
+    without a caller cannot come back."""
+    return sorted(name for name, value in vars(package).items()
+                  if name not in package.__all__
+                  and not (name.startswith("__") and name.endswith("__"))
+                  and not (isinstance(value, types.ModuleType)
+                           and value.__name__ == f"{package.__name__}.{name}"))
+
+
+def test_package_root_binds_only_its_all():
+    package = importlib.import_module("wtalkit")
+    for path in PACKAGE.glob("[!_]*.py"):  # every submodule bound, as any caller may do
+        importlib.import_module(f"wtalkit.{path.stem}")
+    assert package.__all__ == ["read_dataset"]
+    assert foreign_root_bindings(package) == []
+
+
+def test_the_root_check_finds_what_it_should():
+    root = types.ModuleType("pkg")
+    root.__all__ = ["kept"]
+    root.__version__ = "1"
+    root.kept = len
+    root.sub = types.ModuleType("pkg.sub")
+    root.evaluate = len  # a function that shadows a submodule's name
+    root.alias = types.ModuleType("pkg.other")  # a submodule under another name
+    root.np = types.ModuleType("numpy")
+    assert foreign_root_bindings(root) == ["alias", "evaluate", "np"]
+
+
+def test_a_submodule_name_binds_the_module():
+    import wtalkit.evaluate as ev
+
+    assert isinstance(ev, types.ModuleType) and ev.__name__ == "wtalkit.evaluate"
+    assert ev.temporal_iou((0, 2), (1, 3)) == 1 / 3

@@ -25,7 +25,7 @@ from oracles import (
     packed_forward_oracle,
     video_losses_oracle,
 )
-from wtalkit.errors import NumericError
+from wtalkit.errors import ConfigError, NumericError
 from wtalkit.losses import (
     CHUNK_CELLS,
     CERTIFIED_MODES,
@@ -849,19 +849,47 @@ class TestCertification:
                                     flip_block="flow.b_att")
         assert all(not r.passed for r in results)
 
-    def test_a_mode_that_is_no_gradient_is_refused(self):
-        with pytest.raises(ValueError, match="grl is not the gradient of a loss"):
+    @pytest.fixture()
+    def no_instance(self, monkeypatch):
+        def never(seed):
+            raise AssertionError("an instance was drawn before the arguments were refused")
+        monkeypatch.setattr(losses_mod, "make_tiny_instance", never)
+
+    def test_a_mode_that_is_no_gradient_is_refused(self, no_instance):
+        with pytest.raises(ConfigError, match="grl is not the gradient of a loss"):
             certify_gradients(num_instances=1, modes=(GradMode.STANDARD, GradMode.GRL))
 
-    def test_unknown_block_rejected(self):
-        with pytest.raises(ValueError, match="no parameter block 'rgb.w_nope'"):
+    def test_unknown_block_rejected(self, no_instance):
+        with pytest.raises(ConfigError, match="no parameter block 'rgb.w_nope'"):
             certify_gradients(num_instances=1, flip_block="rgb.w_nope")
 
     @pytest.mark.parametrize("count", [0, -3])
-    def test_no_instances_is_refused(self, count):
+    def test_no_instances_is_refused(self, count, no_instance):
         # an empty result list would make every all(r.passed ...) vacuously true
-        with pytest.raises(ValueError, match=f"num_instances must be >= 1, got {count}"):
+        with pytest.raises(ConfigError, match=f"num_instances must be >= 1, got {count}"):
             certify_gradients(num_instances=count)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"fd_epsilon": 0.0}, "fd_epsilon must be finite and > 0, got 0.0"),
+        ({"fd_epsilon": -1e-5}, "fd_epsilon must be finite and > 0, got -1e-05"),
+        ({"fd_epsilon": float("nan")}, "fd_epsilon must be finite and > 0, got nan"),
+        ({"fd_epsilon": float("inf")}, "fd_epsilon must be finite and > 0, got inf"),
+        ({"tolerance": -1.0}, "tolerance must be finite and >= 0, got -1.0"),
+        ({"tolerance": float("nan")}, "tolerance must be finite and >= 0, got nan"),
+        # an infinite tolerance would pass a negated gradient block
+        ({"tolerance": float("inf"), "flip_block": "rgb.w_att"},
+         "tolerance must be finite and >= 0, got inf"),
+        # no mode would return no result, which every all(r.passed ...) passes
+        ({"modes": ()}, "modes: no mode is named"),
+        ({"modes": (GradMode.BGES, GradMode.STANDARD, GradMode.BGES)},
+         "modes: bges is named twice"),
+    ], ids=["eps-0", "eps-negative", "eps-nan", "eps-inf", "tolerance-negative",
+            "tolerance-nan", "tolerance-inf", "no-mode", "repeated-mode"])
+    def test_bad_argument_is_refused_before_any_instance(self, kwargs, message,
+                                                         no_instance):
+        with pytest.raises(ConfigError) as caught:
+            certify_gradients(num_instances=1, **kwargs)
+        assert str(caught.value) == message
 
 
 class TestTinyInstance:
